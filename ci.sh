@@ -3,7 +3,10 @@
 # so every cargo invocation runs with --offline.
 #
 #   ./ci.sh                fmt + clippy + build + test + benches compile +
-#                          the parallel-engine determinism smoke
+#                          the parallel-engine determinism smoke, the
+#                          scenario smoke and the whole-stack smoke (one
+#                          short `benchmark/run.sh` grid_mix run, which
+#                          must come out correct with no failed operation)
 #   ./ci.sh --bench-smoke  additionally run the simnet perf baseline once,
 #                          regenerating BENCH_simnet.json
 #   ./ci.sh --chaos-smoke  additionally run the seeded chaos convergence
@@ -95,6 +98,13 @@ fi
 if [[ "$scenario_smoke" == 1 ]]; then
   echo "==> scenario smoke: committed scenario files load, replay, and stay byte-identical"
   cargo run --offline --release -q -p gdmp-bench --bin scenario_smoke
+fi
+
+echo "==> whole-stack smoke: benchmark/run.sh grid_mix is correct, no operation failed"
+result=$(bash benchmark/run.sh --workload grid_mix --seed 1 --seconds 1 --trace 0 | tail -n 1)
+if [[ "$result" != *'"correct": true'* || "$result" != *'"failed": 0,'* ]]; then
+  echo "whole-stack benchmark did not report correct/failed 0: $result" >&2
+  exit 1
 fi
 
 if [[ "$bench_smoke" == 1 ]]; then

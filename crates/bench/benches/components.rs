@@ -9,8 +9,9 @@ use gdmp_objectstore::{
     synth_payload, CopierSpec, DatabaseFile, Federation, LogicalOid, ObjectCopier, ObjectKind,
     StoredObject,
 };
+use gdmp_replica_catalog::ldap::attrs;
 use gdmp_replica_catalog::service::{FileMeta, ReplicaCatalogService};
-use gdmp_replica_catalog::{Filter, ReplicaCatalog};
+use gdmp_replica_catalog::{Directory, Filter, LdapDn, ReplicaCatalog, Scope};
 
 fn bench_crc(c: &mut Criterion) {
     let mut g = c.benchmark_group("crc32");
@@ -65,14 +66,27 @@ fn bench_catalog(c: &mut Criterion) {
         rc.location_add_filenames("cms", "cern", &refs).unwrap();
         b.iter(|| rc.locate("cms", black_box("f500.db")).unwrap())
     });
+    // The search underneath `locate`: answered from the equality index on
+    // `filename`, hits borrowed from the directory.
+    g.bench_function("search_filename_among_1000", |b| {
+        let mut dir = Directory::new();
+        let base = LdapDn::ROOT.child("lc", "cms");
+        dir.add(base.clone(), attrs(&[("objectclass", "GlobusReplicaCollection")])).unwrap();
+        for i in 0..1000 {
+            let name = format!("f{i}.db");
+            let entry = attrs(&[("objectclass", "GlobusReplicaLocation"), ("filename", &name)]);
+            dir.add(base.child("loc", &format!("site{i}")), entry).unwrap();
+        }
+        let f = Filter::parse("(&(objectclass=GlobusReplicaLocation)(filename=f500.db))").unwrap();
+        b.iter(|| {
+            let hits = dir.search(black_box(&base), Scope::OneLevel, &f);
+            hits.first().map(|hit| hit.dn.depth())
+        })
+    });
     g.bench_function("filter_parse_eval", |b| {
         let f = Filter::parse("(&(objectclass=GlobusFile)(!(size=10))(name=f*))").unwrap();
-        let attrs = gdmp_replica_catalog::ldap::attrs(&[
-            ("objectclass", "GlobusFile"),
-            ("size", "42"),
-            ("name", "f500.db"),
-        ]);
-        b.iter(|| black_box(&f).matches(black_box(&attrs)))
+        let entry = attrs(&[("objectclass", "GlobusFile"), ("size", "42"), ("name", "f500.db")]);
+        b.iter(|| black_box(&f).matches(black_box(&entry)))
     });
     g.finish();
 }

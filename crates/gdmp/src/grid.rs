@@ -1518,6 +1518,13 @@ impl Grid {
                     );
                     FailureKind::Unreachable
                 } else {
+                    // A source that crashed and restarted during a backoff
+                    // wait lost its pins with the crash: pin again, so the
+                    // file stays put while the restarted source serves it.
+                    let pool = &mut self.site_mut(&source)?.storage.pool;
+                    if !pool.is_pinned(lfn) {
+                        pool.pin(lfn)?;
+                    }
                     let attempt_start_ns = self.clock.nanos();
                     let xfer_span = reg.span_start("transfer", attempt_start_ns);
                     reg.span_note(xfer_span, "source", source.as_str());

@@ -189,3 +189,34 @@ fn all_sources_down_is_a_clean_retryable_failure() {
     assert_eq!(anl.storage.pool.reserved(), 0);
     assert!(anl.storage.pool.pinned_files().is_empty());
 }
+
+/// A source that crashes and comes back inside a backoff wait has lost its
+/// pool pins (`Site::crash`); the retry the restarted source then serves
+/// must pin the file again instead of failing at the final unpin.
+#[test]
+fn source_restart_during_backoff_wait_repins_for_the_retry() {
+    let mut grid = Grid::builder("cms")
+        .site(SiteConfig::named("cern", "cern.ch", 11))
+        .site(SiteConfig::named("anl", "anl.gov", 12))
+        .trust_all()
+        .recovery(Box::new(gdmp::BackoffRetry::new(7)))
+        .build();
+    grid.publish_file("cern", "big.dat", Bytes::from(vec![9u8; 8 * 1024 * 1024]), "flat").unwrap();
+    // The only source dies one second into the transfer and is back 50 ms
+    // later — inside the first backoff wait (250 ms ± 25 %), so the crash
+    // and the restart are both applied when the retry starts.
+    let down = grid.now() + SimDuration::from_secs(1);
+    grid.inject_fault_schedule(
+        FaultSchedule::new()
+            .at(down, FaultEvent::SiteDown { site: "cern".into() })
+            .at(down + SimDuration::from_millis(50), FaultEvent::SiteUp { site: "cern".into() }),
+    );
+    let report = grid.replicate("anl", "big.dat").unwrap();
+    assert_eq!(report.from, "cern");
+    assert_eq!(report.attempts, 2, "severed once, then served by the restarted source");
+    assert!(grid.site("cern").unwrap().storage.pool.pinned_files().is_empty());
+    // The restarted site's resync runs on the next advance.
+    grid.advance(SimDuration::from_secs(1));
+    let inv = check_grid(&mut grid);
+    assert!(inv.is_clean(), "{:?}", inv.violations);
+}

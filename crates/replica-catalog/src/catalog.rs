@@ -13,7 +13,7 @@
 
 use serde::{Deserialize, Serialize};
 
-use crate::ldap::{attrs, Attributes, Directory, Filter, LdapDn, LdapError, Scope};
+use crate::ldap::{attrs, Attributes, Directory, Filter, LdapDn, LdapError, Scope, SearchResult};
 
 /// Catalog-level errors.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -63,10 +63,19 @@ pub struct PhysicalLocation {
 }
 
 /// The replica catalog rooted at `rc={name}` in a directory.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct ReplicaCatalog {
     dir: Directory,
     root: LdapDn,
+}
+
+fn class_is(objectclass: &str) -> Filter {
+    Filter::Equals("objectclass".into(), objectclass.into())
+}
+
+/// The RDN values of search hits: the names of the entries found.
+fn names(hits: Vec<SearchResult<'_>>) -> Vec<String> {
+    hits.into_iter().filter_map(|hit| hit.dn.rdn().map(|(_, v)| v.to_string())).collect()
 }
 
 fn valid_name(n: &str) -> Result<(), CatalogError> {
@@ -126,15 +135,7 @@ impl ReplicaCatalog {
     }
 
     pub fn list_collections(&mut self) -> Vec<String> {
-        self.dir
-            .search(
-                &self.root,
-                Scope::OneLevel,
-                &Filter::Equals("objectclass".into(), "GlobusReplicaCollection".into()),
-            )
-            .into_iter()
-            .filter_map(|r| r.dn.rdn().map(|(_, v)| v.to_string()))
-            .collect()
+        names(self.dir.search(&self.root, Scope::OneLevel, &class_is("GlobusReplicaCollection")))
     }
 
     pub fn collection_exists(&self, name: &str) -> bool {
@@ -220,16 +221,11 @@ impl ReplicaCatalog {
 
     pub fn list_locations(&mut self, collection: &str) -> Result<Vec<String>, CatalogError> {
         let dn = self.require_collection(collection)?;
-        Ok(self
-            .dir
-            .search(
-                &dn,
-                Scope::OneLevel,
-                &Filter::Equals("objectclass".into(), "GlobusReplicaLocation".into()),
-            )
-            .into_iter()
-            .filter_map(|r| r.dn.rdn().map(|(_, v)| v.to_string()))
-            .collect())
+        Ok(names(self.dir.search(&dn, Scope::OneLevel, &class_is("GlobusReplicaLocation"))))
+    }
+
+    pub fn location_exists(&self, collection: &str, location: &str) -> bool {
+        self.dir.get(&self.location_dn(collection, location)).is_some()
     }
 
     /// Record that `location` holds replicas of the given (already
@@ -311,6 +307,19 @@ impl ReplicaCatalog {
         Ok(())
     }
 
+    /// Delete the attribute/value entry of a logical file.
+    pub fn delete_logical_file_entry(
+        &mut self,
+        collection: &str,
+        lfn: &str,
+    ) -> Result<(), CatalogError> {
+        self.require_collection(collection)?;
+        self.dir
+            .delete(&self.lfe_dn(collection, lfn))
+            .map_err(|_| CatalogError::NoSuchLogicalFile(lfn.to_string()))?;
+        Ok(())
+    }
+
     pub fn logical_file_attributes(
         &mut self,
         collection: &str,
@@ -346,45 +355,46 @@ impl ReplicaCatalog {
         filter: &Filter,
     ) -> Result<Vec<(String, Attributes)>, CatalogError> {
         let dn = self.require_collection(collection)?;
-        let combined = Filter::And(vec![
-            Filter::Equals("objectclass".into(), "GlobusFile".into()),
-            filter.clone(),
-        ]);
+        let combined = Filter::And(vec![class_is("GlobusFile"), filter.clone()]);
         Ok(self
             .dir
             .search(&dn, Scope::OneLevel, &combined)
             .into_iter()
-            .filter_map(|r| r.dn.rdn().map(|(_, v)| (v.to_string(), r.attrs)))
+            .filter_map(|r| r.dn.rdn().map(|(_, v)| (v.to_string(), r.attrs.clone())))
             .collect())
     }
 
     // ---- the heart of the system -------------------------------------------
 
-    /// All physical locations of a logical file.
+    /// All physical locations of a logical file: one search for the
+    /// collection's location entries that list the name.
     pub fn locate(
         &mut self,
         collection: &str,
         lfn: &str,
     ) -> Result<Vec<PhysicalLocation>, CatalogError> {
-        self.require_collection(collection)?;
+        let dn = self.require_collection(collection)?;
         if !self.contains_filename(collection, lfn) {
             return Err(CatalogError::NotInCollection(lfn.to_string()));
         }
-        let mut out = Vec::new();
-        for loc in self.list_locations(collection)? {
-            let dn = self.location_dn(collection, &loc);
-            let Some(a) = self.dir.get(&dn) else { continue };
-            if a.get("filename").is_some_and(|v| v.contains(lfn)) {
+        let holds_lfn = Filter::And(vec![
+            class_is("GlobusReplicaLocation"),
+            Filter::Equals("filename".into(), lfn.into()),
+        ]);
+        let hits = self.dir.search(&dn, Scope::OneLevel, &holds_lfn);
+        Ok(hits
+            .into_iter()
+            .filter_map(|hit| {
+                let (_, location) = hit.dn.rdn()?;
                 let url_prefix =
-                    a.get("url").and_then(|v| v.iter().next()).cloned().unwrap_or_default();
-                out.push(PhysicalLocation {
-                    location: loc.clone(),
+                    hit.attrs.get("url").and_then(|v| v.iter().next()).cloned().unwrap_or_default();
+                Some(PhysicalLocation {
+                    location: location.to_string(),
                     pfn: format!("{}/{}", url_prefix.trim_end_matches('/'), lfn),
                     url_prefix,
-                });
-            }
-        }
-        Ok(out)
+                })
+            })
+            .collect())
     }
 
     /// Read-only access to the backing directory (statistics, snapshots).

@@ -8,11 +8,10 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
-
-use serde::{Deserialize, Serialize};
+use std::sync::Arc;
 
 /// An LDAP distinguished name, leaf-first: `lf=f1,lc=higgs,rc=GDMP`.
-#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct LdapDn {
     /// Relative DNs, leaf (most specific) first.
     rdns: Vec<(String, String)>,
@@ -69,17 +68,10 @@ impl LdapDn {
         self.rdns.len() >= other.rdns.len()
             && self.rdns[self.rdns.len() - other.rdns.len()..] == other.rdns[..]
     }
-}
 
-/// DNs key the directory's entry map; serialize them as their canonical
-/// `attr=value,...` string so DN-keyed maps render as plain JSON objects.
-impl serde::MapKey for LdapDn {
-    fn to_key(&self) -> String {
-        self.to_string()
-    }
-
-    fn from_key(key: &str) -> Result<Self, serde::DeError> {
-        LdapDn::parse(key).map_err(|e| serde::DeError::custom(e.to_string()))
+    /// True if `self` lies directly underneath `other`.
+    pub fn is_child_of(&self, other: &LdapDn) -> bool {
+        self.rdns.len() == other.rdns.len() + 1 && self.is_under(other)
     }
 }
 
@@ -293,21 +285,119 @@ impl<'a> Parser<'a> {
     }
 }
 
-/// One search hit.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct SearchResult {
-    pub dn: LdapDn,
-    pub attrs: Attributes,
+/// One search hit, borrowed from the directory: a caller that wants an
+/// RDN or a single attribute pays for no copy of the entry.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct SearchResult<'a> {
+    pub dn: &'a LdapDn,
+    pub attrs: &'a Attributes,
 }
 
+/// The attributes the directory keeps equality indexes on — the two the
+/// replica-catalog schema searches by. A constant of the schema, like the
+/// `index` lines of a slapd configuration.
+const INDEXED_ATTRS: [&str; 2] = ["objectclass", "filename"];
+
+fn index_slot(attr: &str) -> Option<usize> {
+    INDEXED_ATTRS.iter().position(|a| *a == attr)
+}
+
+/// A set of entry DNs in DN order. Entries and indexes share the DNs.
+type DnSet = BTreeSet<Arc<LdapDn>>;
+type Entries = BTreeMap<Arc<LdapDn>, Attributes>;
+/// Parent DN (the root included) → its direct children. No empty sets.
+type ChildrenIndex = BTreeMap<LdapDn, DnSet>;
+/// Per [`INDEXED_ATTRS`] slot: value → entries holding it. No empty sets.
+type EqualityIndexes = [BTreeMap<String, DnSet>; INDEXED_ATTRS.len()];
+
+/// The holders of a value no entry has.
+static NO_ENTRIES: DnSet = DnSet::new();
+
 /// The directory server.
-#[derive(Debug, Default, Clone, Serialize, Deserialize)]
+///
+/// Beside the entries it keeps the two kinds of index a directory server
+/// has, and [`search`](Directory::search) answers from them: a children
+/// index (one-level scope, leaf checks, subtree walks) and equality
+/// indexes on the attributes the schema searches by (`objectclass`,
+/// `filename`). Every index set iterates in DN order, the order of the
+/// entry map, so an indexed search lists its hits exactly as a scan of all
+/// entries would.
+#[derive(Debug, Default, Clone)]
 pub struct Directory {
-    entries: BTreeMap<LdapDn, Attributes>,
+    entries: Entries,
+    children: ChildrenIndex,
+    equality: EqualityIndexes,
     /// Modify/add/delete operations served (for load statistics).
     pub write_ops: u64,
     /// Search operations served.
     pub read_ops: u64,
+    /// Candidate entries that searches applied scope and filter to, summed
+    /// over all searches: what the indexes save shows here.
+    pub examined: u64,
+}
+
+fn index(slot: &mut BTreeMap<String, DnSet>, value: &str, dn: Arc<LdapDn>) {
+    if let Some(holders) = slot.get_mut(value) {
+        holders.insert(dn);
+    } else {
+        slot.insert(value.to_string(), DnSet::from([dn]));
+    }
+}
+
+fn unindex(slot: &mut BTreeMap<String, DnSet>, value: &str, dn: &LdapDn) {
+    let holders = slot.get_mut(value).expect("an entry's indexed value has holders");
+    holders.remove(dn);
+    if holders.is_empty() {
+        slot.remove(value);
+    }
+}
+
+/// An entry's shared DN and its attributes, for a modify.
+fn entry_mut<'a>(
+    entries: &'a mut Entries,
+    dn: &LdapDn,
+) -> Result<(&'a Arc<LdapDn>, &'a mut Attributes), LdapError> {
+    entries
+        .range_mut::<LdapDn, _>(dn..=dn)
+        .next()
+        .ok_or_else(|| LdapError::NoSuchEntry(dn.to_string()))
+}
+
+/// `base` (when it is an entry) and every entry beneath it, walked through
+/// the children index; parents come before their children.
+fn subtree<'a>(
+    entries: &'a Entries,
+    children: &'a ChildrenIndex,
+    base: &LdapDn,
+) -> Vec<&'a Arc<LdapDn>> {
+    let mut out: Vec<_> = entries.get_key_value(base).map(|(dn, _)| dn).into_iter().collect();
+    let mut frontier: Vec<_> = children.get(base).into_iter().collect();
+    while let Some(kids) = frontier.pop() {
+        for dn in kids {
+            out.push(dn);
+            frontier.extend(children.get(&**dn));
+        }
+    }
+    out
+}
+
+/// The fewest entries that can match `filter` according to the equality
+/// indexes: the holders of an indexed value it requires, `None` when it
+/// requires none (see [`Directory::search`]).
+fn required_holders<'a>(equality: &'a EqualityIndexes, filter: &Filter) -> Option<&'a DnSet> {
+    let holders = |term: &Filter| -> Option<&'a DnSet> {
+        match term {
+            Filter::Equals(attr, value) if !value.contains('*') => {
+                let slot = index_slot(attr)?;
+                Some(equality[slot].get(value).unwrap_or(&NO_ENTRIES))
+            }
+            _ => None,
+        }
+    };
+    match filter {
+        Filter::And(terms) => terms.iter().filter_map(holders).min_by_key(|h| h.len()),
+        term => holders(term),
+    }
 }
 
 impl Directory {
@@ -328,6 +418,13 @@ impl Directory {
             return Err(LdapError::NoSuchParent(parent.to_string()));
         }
         self.write_ops += 1;
+        let dn = Arc::new(dn);
+        for (slot, attr) in self.equality.iter_mut().zip(INDEXED_ATTRS) {
+            for value in attributes.get(attr).into_iter().flatten() {
+                index(slot, value, dn.clone());
+            }
+        }
+        self.children.entry(parent).or_default().insert(dn.clone());
         self.entries.insert(dn, attributes);
         Ok(())
     }
@@ -337,11 +434,11 @@ impl Directory {
         if !self.entries.contains_key(dn) {
             return Err(LdapError::NoSuchEntry(dn.to_string()));
         }
-        if self.entries.keys().any(|d| d != dn && d.is_under(dn)) {
+        if self.children.contains_key(dn) {
             return Err(LdapError::NotLeaf(dn.to_string()));
         }
         self.write_ops += 1;
-        self.entries.remove(dn);
+        self.remove_leaf(dn);
         Ok(())
     }
 
@@ -350,13 +447,30 @@ impl Directory {
         if !self.entries.contains_key(dn) {
             return Err(LdapError::NoSuchEntry(dn.to_string()));
         }
-        let victims: Vec<LdapDn> =
-            self.entries.keys().filter(|d| d.is_under(dn)).cloned().collect();
-        for v in &victims {
-            self.entries.remove(v);
+        let victims: Vec<Arc<LdapDn>> =
+            subtree(&self.entries, &self.children, dn).into_iter().cloned().collect();
+        // Children first, so that each victim is a leaf when its turn comes.
+        for v in victims.iter().rev() {
+            self.remove_leaf(v);
         }
         self.write_ops += 1;
         Ok(victims.len())
+    }
+
+    /// Drop a childless entry from the entry map and from every index.
+    fn remove_leaf(&mut self, dn: &LdapDn) {
+        let attributes = self.entries.remove(dn).expect("caller checked the entry exists");
+        for (slot, attr) in self.equality.iter_mut().zip(INDEXED_ATTRS) {
+            for value in attributes.get(attr).into_iter().flatten() {
+                unindex(slot, value, dn);
+            }
+        }
+        let parent = dn.parent();
+        let siblings = self.children.get_mut(&parent).expect("an entry is its parent's child");
+        siblings.remove(dn);
+        if siblings.is_empty() {
+            self.children.remove(&parent);
+        }
     }
 
     pub fn get(&self, dn: &LdapDn) -> Option<&Attributes> {
@@ -365,9 +479,12 @@ impl Directory {
 
     /// Add a value to a (possibly new) attribute of an existing entry.
     pub fn add_value(&mut self, dn: &LdapDn, attr: &str, value: &str) -> Result<(), LdapError> {
-        let e = self.entries.get_mut(dn).ok_or_else(|| LdapError::NoSuchEntry(dn.to_string()))?;
+        let (key, e) = entry_mut(&mut self.entries, dn)?;
         self.write_ops += 1;
         e.entry(attr.to_string()).or_default().insert(value.to_string());
+        if let Some(slot) = index_slot(attr) {
+            index(&mut self.equality[slot], value, key.clone());
+        }
         Ok(())
     }
 
@@ -379,12 +496,15 @@ impl Directory {
         attr: &str,
         value: &str,
     ) -> Result<bool, LdapError> {
-        let e = self.entries.get_mut(dn).ok_or_else(|| LdapError::NoSuchEntry(dn.to_string()))?;
+        let (_, e) = entry_mut(&mut self.entries, dn)?;
         self.write_ops += 1;
         let Some(vals) = e.get_mut(attr) else { return Ok(false) };
         let removed = vals.remove(value);
         if vals.is_empty() {
             e.remove(attr);
+        }
+        if let (true, Some(slot)) = (removed, index_slot(attr)) {
+            unindex(&mut self.equality[slot], value, dn);
         }
         Ok(removed)
     }
@@ -396,28 +516,67 @@ impl Directory {
         attr: &str,
         values: &[&str],
     ) -> Result<(), LdapError> {
-        let e = self.entries.get_mut(dn).ok_or_else(|| LdapError::NoSuchEntry(dn.to_string()))?;
+        let (key, e) = entry_mut(&mut self.entries, dn)?;
         self.write_ops += 1;
-        if values.is_empty() {
-            e.remove(attr);
+        let old = if values.is_empty() {
+            e.remove(attr)
         } else {
-            e.insert(attr.to_string(), values.iter().map(|v| (*v).to_string()).collect());
+            e.insert(attr.to_string(), values.iter().map(|v| (*v).to_string()).collect())
+        };
+        if let Some(slot) = index_slot(attr) {
+            let slot = &mut self.equality[slot];
+            for value in old.iter().flatten() {
+                unindex(slot, value, dn);
+            }
+            for value in values {
+                index(slot, value, key.clone());
+            }
         }
         Ok(())
     }
 
-    /// Scoped, filtered search.
-    pub fn search(&mut self, base: &LdapDn, scope: Scope, filter: &Filter) -> Vec<SearchResult> {
-        self.read_ops += 1;
-        self.entries
-            .iter()
-            .filter(|(dn, _)| match scope {
-                Scope::Base => *dn == base,
-                Scope::OneLevel => dn.parent() == *base,
-                Scope::Subtree => dn.is_under(base),
-            })
-            .filter(|(_, attrs)| filter.matches(attrs))
-            .map(|(dn, attrs)| SearchResult { dn: dn.clone(), attrs: attrs.clone() })
+    /// Scoped, filtered search; hits come in DN order.
+    ///
+    /// The candidates are the smallest set an index offers — the base
+    /// entry, the base's children, or the holders of a value the filter
+    /// requires: it requires one when it is, or has as a top-level `And`
+    /// term, a wildcard-free `Equals` on an indexed attribute. Scope and
+    /// the *whole* filter are then applied to each candidate, so the
+    /// answer, order included, is the one a scan of every entry would give.
+    pub fn search(
+        &mut self,
+        base: &LdapDn,
+        scope: Scope,
+        filter: &Filter,
+    ) -> Vec<SearchResult<'_>> {
+        let Directory { entries, children, equality, read_ops, examined, .. } = self;
+        let (entries, children, equality) = (&*entries, &*children, &*equality);
+        *read_ops += 1;
+        let kids = || children.get(base).unwrap_or(&NO_ENTRIES);
+        let candidates: Vec<&Arc<LdapDn>> = match (scope, required_holders(equality, filter)) {
+            (Scope::Base, _) => entries.get_key_value(base).map(|(dn, _)| dn).into_iter().collect(),
+            (Scope::OneLevel, Some(holders)) if holders.len() < kids().len() => {
+                holders.iter().collect()
+            }
+            (Scope::OneLevel, _) => kids().iter().collect(),
+            (Scope::Subtree, Some(holders)) => holders.iter().collect(),
+            (Scope::Subtree, None) => {
+                let mut all = subtree(entries, children, base);
+                all.sort_unstable();
+                all
+            }
+        };
+        *examined += candidates.len() as u64;
+        let in_scope = |dn: &LdapDn| match scope {
+            Scope::Base => dn == base,
+            Scope::OneLevel => dn.is_child_of(base),
+            Scope::Subtree => dn.is_under(base),
+        };
+        candidates
+            .into_iter()
+            .filter(|dn| in_scope(dn))
+            .map(|dn| SearchResult { dn, attrs: &entries[&**dn] })
+            .filter(|hit| filter.matches(hit.attrs))
             .collect()
     }
 

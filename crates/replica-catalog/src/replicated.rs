@@ -169,7 +169,7 @@ impl DirectoryCluster {
         base: &LdapDn,
         scope: Scope,
         filter: &Filter,
-    ) -> Result<Vec<SearchResult>, ClusterError> {
+    ) -> Result<Vec<SearchResult<'_>>, ClusterError> {
         let i = self.next_reader()?;
         Ok(self.replicas[i].dir.search(base, scope, filter))
     }
@@ -219,10 +219,11 @@ impl DirectoryCluster {
             Some(r) if r.state == ReplicaState::Resyncing => {
                 // The snapshot carries the primary's op counters; the
                 // member keeps its own served-load history.
-                let (reads, writes) = (r.dir.read_ops, r.dir.write_ops);
+                let (reads, writes, examined) = (r.dir.read_ops, r.dir.write_ops, r.dir.examined);
                 r.dir = snapshot;
                 r.dir.read_ops = reads;
                 r.dir.write_ops = writes;
+                r.dir.examined = examined;
                 r.state = ReplicaState::Live;
                 Ok(())
             }

@@ -10,7 +10,7 @@
 use serde::{Deserialize, Serialize};
 
 use crate::catalog::{CatalogError, PhysicalLocation, ReplicaCatalog};
-use crate::ldap::Filter;
+use crate::ldap::{Directory, Filter};
 
 /// Metadata GDMP publishes alongside each logical file (the paper lists
 /// file size and modification time-stamp; we add the CRC the Data Mover
@@ -57,7 +57,7 @@ pub struct ReplicaInfo {
 }
 
 /// High-level catalog service.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct ReplicaCatalogService {
     catalog: ReplicaCatalog,
     collection: String,
@@ -137,14 +137,17 @@ impl ReplicaCatalogService {
     }
 
     /// Remove one site's replica; when the last replica goes, the logical
-    /// file and its metadata entry are retired too.
+    /// file and its metadata entry are retired too, and the name is free
+    /// to be published again.
     pub fn remove_replica(&mut self, lfn: &str, site: &str) -> Result<(), CatalogError> {
         self.catalog.location_remove_filenames(&self.collection, site, &[lfn])?;
         if self.catalog.locate(&self.collection, lfn)?.is_empty() {
             self.catalog.remove_filenames(&self.collection, &[lfn])?;
-            // The logical file entry is a child of the collection; drop it
-            // if present (ignore "not found": entry is optional).
-            let _ = self.catalog.set_logical_file_attribute(&self.collection, lfn, "retired", "1");
+            // The logical file entry is optional: none to drop is fine.
+            match self.catalog.delete_logical_file_entry(&self.collection, lfn) {
+                Ok(()) | Err(CatalogError::NoSuchLogicalFile(_)) => {}
+                Err(e) => return Err(e),
+            }
         }
         Ok(())
     }
@@ -188,16 +191,15 @@ impl ReplicaCatalogService {
     }
 
     fn ensure_location(&mut self, site: &str, url_prefix: &str) -> Result<(), CatalogError> {
-        if !self.catalog.list_locations(&self.collection)?.iter().any(|l| l == site) {
+        if !self.catalog.location_exists(&self.collection, site) {
             self.catalog.create_location(&self.collection, site, url_prefix)?;
         }
         Ok(())
     }
 
-    /// Directory load statistics: `(read_ops, write_ops)`.
-    pub fn load_stats(&self) -> (u64, u64) {
-        let d = self.catalog.directory();
-        (d.read_ops, d.write_ops)
+    /// Read-only access to the backing directory, for its load counters.
+    pub fn directory(&self) -> &Directory {
+        self.catalog.directory()
     }
 }
 
@@ -284,6 +286,21 @@ mod tests {
         assert_eq!(s.locate("x.db").unwrap().len(), 1);
         s.remove_replica("x.db", "anl").unwrap();
         assert!(s.locate("x.db").is_err(), "file should be gone from the namespace");
+    }
+
+    /// Retiring a file drops its metadata entry, so the name can be
+    /// published again and `info` reports the new file, not the old one.
+    #[test]
+    fn retired_name_can_be_republished() {
+        let mut s = svc();
+        s.publish(Some("x.db"), "cern", "gsiftp://cern.ch/d", &meta(1)).unwrap();
+        s.remove_replica("x.db", "cern").unwrap();
+        assert!(matches!(s.info("x.db"), Err(CatalogError::NotInCollection(_))));
+        s.publish(Some("x.db"), "anl", "gsiftp://anl.gov/d", &meta(2)).unwrap();
+        let info = s.info("x.db").unwrap();
+        assert_eq!(info.meta, meta(2));
+        assert_eq!(info.replicas.len(), 1);
+        assert_eq!(info.replicas[0].location, "anl");
     }
 
     #[test]
