@@ -6,7 +6,8 @@
 #                          the parallel-engine determinism smoke, the
 #                          scenario smoke and the whole-stack smoke (one
 #                          short `benchmark/run.sh` grid_mix run, which
-#                          must come out correct with no failed operation)
+#                          must come out correct with no failed operation
+#                          and with the model digest recorded below)
 #   ./ci.sh --bench-smoke  additionally run the simnet perf baseline once,
 #                          regenerating BENCH_simnet.json
 #   ./ci.sh --chaos-smoke  additionally run the seeded chaos convergence
@@ -100,10 +101,22 @@ if [[ "$scenario_smoke" == 1 ]]; then
   cargo run --offline --release -q -p gdmp-bench --bin scenario_smoke
 fi
 
-echo "==> whole-stack smoke: benchmark/run.sh grid_mix is correct, no operation failed"
-result=$(bash benchmark/run.sh --workload grid_mix --seed 1 --seconds 1 --trace 0 | tail -n 1)
+echo "==> whole-stack smoke: benchmark/run.sh grid_mix is correct, no operation failed, model unmoved"
+# What the simulated model produced for this workload and seed (the
+# telemetry export and the outcome counts together), as printed by the
+# binary built from commit 47dbafc. A change that claims host speed only must
+# reproduce it; a change that means to move the model records the new value
+# here.
+grid_mix_seed1_digest="sim_digest dd9384db27bb9c9a"
+smoke=$(bash benchmark/run.sh --workload grid_mix --seed 1 --seconds 1 --trace 0)
+result=$(tail -n 1 <<<"$smoke")
 if [[ "$result" != *'"correct": true'* || "$result" != *'"failed": 0,'* ]]; then
   echo "whole-stack benchmark did not report correct/failed 0: $result" >&2
+  exit 1
+fi
+digest=$(grep '^sim_digest ' <<<"$smoke" || true)
+if [[ "$digest" != "$grid_mix_seed1_digest" ]]; then
+  echo "whole-stack benchmark: model moved: got '$digest', recorded '$grid_mix_seed1_digest'" >&2
   exit 1
 fi
 

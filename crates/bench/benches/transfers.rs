@@ -3,7 +3,7 @@
 //! cost; the printed simulated throughputs are the scientific output (see
 //! the `figures` binary for the full-size versions).
 
-use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
+use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 
 use gdmp_gridftp::sim::WanProfile;
 use gdmp_simnet::link::LinkSpec;
@@ -13,16 +13,43 @@ use gdmp_simnet::time::{SimDuration, SimTime};
 const MB: u64 = 1024 * 1024;
 
 /// Reduced Figure-5/6 points: cost of simulating a 5 MB transfer at
-/// several stream counts and both buffer settings.
+/// several stream counts and both buffer settings. Every iteration after
+/// the first continues from the recipe's stored cross-traffic warm-up, so
+/// the rate is per event an iteration dispatches itself.
 fn bench_fig_points(c: &mut Criterion) {
     let mut g = c.benchmark_group("sim_transfer_5MB");
     let profile = WanProfile::cern_anl_production();
     for &streams in &[1u32, 4, 8] {
         for &(label, buffer) in &[("untuned64k", 64 * 1024u64), ("tuned1M", MB)] {
+            profile.simulate_transfer(5 * MB, streams, buffer);
+            let steady = profile.simulate_transfer(5 * MB, streams, buffer);
+            g.throughput(Throughput::Elements(steady.events_processed - steady.events_inherited));
             g.bench_with_input(BenchmarkId::new(label, streams), &streams, |b, &n| {
                 b.iter(|| profile.simulate_transfer(black_box(5 * MB), n, buffer))
             });
         }
+    }
+    g.finish();
+}
+
+/// The same points with a recipe no earlier iteration left a warm-up for:
+/// the control round trips are part of the profile, so of the recipe, but
+/// not of the packet simulation, and cycling through more values than the
+/// per-thread store holds makes every iteration simulate its warm-up.
+fn bench_cold_recipe(c: &mut Criterion) {
+    let mut g = c.benchmark_group("sim_transfer_5MB_cold_recipe");
+    for &streams in &[1u32, 8] {
+        let mut profile = WanProfile::cern_anl_production();
+        let mut cold = move |n| {
+            profile.control_rtts = 8 + (profile.control_rtts + 1) % 64;
+            let r = profile.simulate_transfer(black_box(5 * MB), n, 64 * 1024);
+            assert_eq!(r.events_inherited, 0, "the recipe was still in the store");
+            r
+        };
+        g.throughput(Throughput::Elements(cold(streams).events_processed));
+        g.bench_with_input(BenchmarkId::new("untuned64k", streams), &streams, |b, &n| {
+            b.iter(|| cold(n))
+        });
     }
     g.finish();
 }
@@ -74,6 +101,6 @@ fn bench_engine_rate(c: &mut Criterion) {
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(10).measurement_time(std::time::Duration::from_secs(3)).warm_up_time(std::time::Duration::from_millis(500));
-    targets = bench_fig_points, bench_ablate_stagger, bench_ablate_queue, bench_engine_rate
+    targets = bench_fig_points, bench_cold_recipe, bench_ablate_stagger, bench_ablate_queue, bench_engine_rate
 }
 criterion_main!(benches);

@@ -129,7 +129,10 @@ fn run_mode(profile: &WanProfile, file_mb: u64, streams: u32, buffer_kb: u64) ->
         wall_ms: ms(wall),
         events_processed: r.events_processed,
         events_skipped: r.events_skipped,
-        events_per_sec: (r.events_processed as f64 / wall.as_secs_f64().max(1e-9)) as u64,
+        // Host speed: only the events this call dispatched, not the
+        // warm-up it may have taken over from an earlier scenario.
+        events_per_sec: ((r.events_processed - r.events_inherited) as f64
+            / wall.as_secs_f64().max(1e-9)) as u64,
         mbps: (r.throughput_mbps() * 1e3).round() / 1e3,
     }
 }

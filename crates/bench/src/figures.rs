@@ -6,7 +6,7 @@ use gdmp_workloads::FigureSweep;
 use crate::parallel::{par_map, workers_for};
 
 /// One data point of a throughput figure.
-#[derive(Debug, Clone, Copy, serde::Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize)]
 pub struct FigRow {
     pub file_bytes: u64,
     pub streams: u32,
@@ -29,8 +29,12 @@ pub fn fig_sweep(sweep: &FigureSweep) -> Vec<FigRow> {
 /// profile's engine worker count so scenario threads × event-loop threads
 /// never oversubscribe the machine.
 pub fn fig_sweep_on(sweep: &FigureSweep, profile: WanProfile) -> Vec<FigRow> {
+    sweep_rows(sweep, profile, workers_for(profile.workers))
+}
+
+fn sweep_rows(sweep: &FigureSweep, profile: WanProfile, workers: usize) -> Vec<FigRow> {
     let points: Vec<(u64, u32)> = sweep.points().collect();
-    par_map(&points, workers_for(profile.workers), |&(file_bytes, streams)| {
+    par_map(&points, workers, |&(file_bytes, streams)| {
         let r = profile.simulate_transfer(file_bytes, streams, sweep.buffer);
         FigRow {
             file_bytes,
@@ -116,6 +120,20 @@ mod tests {
         );
         // The 1 MB file is slow-start bound: well below the big-file peak.
         assert!(shape.small_file_mean < shape.peak_mbps / 1.5);
+    }
+
+    #[test]
+    fn parallel_sweep_rows_equal_the_serial_ones() {
+        // The serial sweep reuses each stream count's cross-traffic warm-up
+        // across file sizes on this thread; every sweep worker keeps a
+        // store of its own and sees the points in whatever order it pulls
+        // them. The rows must not tell.
+        let sweep = FigureSweep::quick(64 * 1024);
+        let profile = WanProfile::cern_anl_production();
+        let serial = sweep_rows(&sweep, profile, 1);
+        for workers in [2, 3] {
+            assert_eq!(sweep_rows(&sweep, profile, workers), serial, "{workers} sweep workers");
+        }
     }
 
     #[test]

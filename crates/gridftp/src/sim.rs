@@ -7,14 +7,18 @@
 //! carried). A GridFTP session of `n` parallel streams with a given socket
 //! buffer is simulated packet-by-packet against that contention.
 
+use std::cell::RefCell;
+use std::collections::VecDeque;
+
+use gdmp_simnet::analytic::window_limited_bps;
 use gdmp_simnet::link::LinkSpec;
 use gdmp_simnet::network::{FastForward, FlowSpec, Network, NetworkConfig, SessionResult};
-use gdmp_simnet::packet::wire;
+use gdmp_simnet::packet::{wire, FlowId};
 use gdmp_simnet::time::{SimDuration, SimTime};
 use gdmp_telemetry::Registry;
 
 /// The simulated wide-area environment between two sites.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct WanProfile {
     pub link: LinkSpec,
     /// Long-lived cross-traffic flows sharing the bottleneck.
@@ -28,7 +32,11 @@ pub struct WanProfile {
     /// clients open sockets milliseconds apart).
     pub stream_stagger: SimDuration,
     /// Warm-up before the session starts, letting cross traffic reach
-    /// steady state.
+    /// steady state. It is the same history for every transfer of one
+    /// recipe (this profile plus the session shape), so it is simulated
+    /// once per recipe per thread and each transfer continues from a copy
+    /// of the paused simulation; the reported event counts include it
+    /// either way.
     pub warmup: SimDuration,
     /// Control-channel round trips before data flows (auth + SPAS + RETR).
     pub control_rtts: u32,
@@ -156,6 +164,23 @@ impl WanProfile {
         self.simulate_transfer_telemetry(bytes, streams, buffer, &Registry::disabled())
     }
 
+    /// Hard stop of one session's simulation — a guard against a simulation
+    /// that no longer makes progress, never a model output. The simulator's
+    /// default hour past the last stream open, plus 64 times what a single
+    /// window-limited stream would need for the whole payload, so a large
+    /// untuned transfer (2 GiB at ~4 Mb/s is ~4 300 s) is not cut short.
+    /// Never below the default, and a run that finishes is independent of
+    /// any stop beyond its finish (DESIGN §10, "warm-up checkpoint").
+    fn hard_stop(&self, bytes: u64, streams: u32, buffer: u64) -> SimDuration {
+        const SLACK: f64 = 64.0;
+        let one_stream_bps =
+            window_limited_bps(buffer.max(u64::from(wire::MSS)), self.rtt(), self.link.rate_bps);
+        let payload = SimDuration::from_secs_f64(SLACK * bytes as f64 * 8.0 / one_stream_bps);
+        let opened = self.warmup + self.stream_stagger * u64::from(streams);
+        let floor = opened + NetworkConfig::default().max_sim_time;
+        SimDuration(floor.nanos().saturating_add(payload.nanos()))
+    }
+
     /// [`WanProfile::simulate_transfer`] over an already-established
     /// session: the data channels skip the handshake and start with their
     /// congestion windows fully open (GridFTP keeps its parallel data
@@ -183,7 +208,7 @@ impl WanProfile {
         buffer: u64,
         reg: &Registry,
     ) -> SimTransferReport {
-        self.simulate(bytes, streams, buffer, reg, false).0
+        self.simulate_warm(bytes, streams, buffer, reg, false, false).0
     }
 
     /// [`WanProfile::simulate_transfer`] that also returns the session's
@@ -196,19 +221,9 @@ impl WanProfile {
         streams: u32,
         buffer: u64,
     ) -> (SimTransferReport, TransferProgress) {
-        let (report, progress) = self.simulate(bytes, streams, buffer, &Registry::disabled(), true);
+        let (report, progress) =
+            self.simulate_warm(bytes, streams, buffer, &Registry::disabled(), true, false);
         (report, progress.expect("progress requested"))
-    }
-
-    fn simulate(
-        &self,
-        bytes: u64,
-        streams: u32,
-        buffer: u64,
-        reg: &Registry,
-        want_progress: bool,
-    ) -> (SimTransferReport, Option<TransferProgress>) {
-        self.simulate_warm(bytes, streams, buffer, reg, want_progress, false)
     }
 
     fn simulate_warm(
@@ -220,40 +235,47 @@ impl WanProfile {
         want_progress: bool,
         warm: bool,
     ) -> (SimTransferReport, Option<TransferProgress>) {
-        assert!(streams >= 1, "at least one stream");
-        let mut net = Network::new(NetworkConfig {
-            fast_forward: self.fast_forward,
-            workers: self.workers,
-            ..NetworkConfig::default()
-        });
-        net.add_link(self.link);
+        let recipe = Recipe::of(self, bytes, streams, buffer, warm);
+        let mut net = recipe.opened();
+        for (id, sz) in recipe.stream_flows().zip(stream_bytes(bytes, streams)) {
+            net.set_flow_bytes(id, sz);
+        }
+        net.set_max_sim_time(self.hard_stop(bytes, streams, buffer));
+        self.run_session(net, &recipe, bytes, reg, want_progress)
+    }
+
+    /// The construction the checkpointed path must reproduce: the network
+    /// is built with the real sizes and the simulator's default hard stop,
+    /// and simulated from t = 0 in one uninterrupted run.
+    #[cfg(test)]
+    fn simulate_from_scratch(
+        &self,
+        bytes: u64,
+        streams: u32,
+        buffer: u64,
+        reg: &Registry,
+        want_progress: bool,
+        warm: bool,
+    ) -> (SimTransferReport, Option<TransferProgress>) {
+        let recipe = Recipe::of(self, bytes, streams, buffer, warm);
+        let net =
+            recipe.network(stream_bytes(bytes, streams), NetworkConfig::default().max_sim_time);
+        self.run_session(net, &recipe, bytes, reg, want_progress)
+    }
+
+    /// Run an assembled session (from wherever its network stands) to
+    /// completion, publishing into `reg`, and report on it.
+    fn run_session(
+        &self,
+        mut net: Network,
+        recipe: &Recipe,
+        bytes: u64,
+        reg: &Registry,
+        want_progress: bool,
+    ) -> (SimTransferReport, Option<TransferProgress>) {
+        let Recipe { streams, buffer, .. } = *recipe;
+        let ids: Vec<FlowId> = recipe.stream_flows().collect();
         net.set_telemetry(reg.clone());
-        for b in 0..self.background_flows {
-            net.add_flow(
-                FlowSpec::background(self.background_buffer)
-                    .open_at(SimTime::ZERO + self.background_stagger * u64::from(b)),
-            );
-        }
-        let session_open = SimTime::ZERO + self.warmup;
-        let per = bytes / u64::from(streams);
-        let mut ids = Vec::with_capacity(streams as usize);
-        for s in 0..u64::from(streams) {
-            let sz = if s == u64::from(streams) - 1 {
-                bytes - per * (u64::from(streams) - 1)
-            } else {
-                per
-            };
-            let mut flow =
-                FlowSpec::transfer(sz, buffer).open_at(session_open + self.stream_stagger * s);
-            if warm {
-                // Resume at the stream's fair share of the path BDP — the
-                // steady-state window an established connection holds.
-                let bdp_bytes = self.link.rate_bps as f64 / 8.0 * self.rtt().as_secs_f64();
-                let share = bdp_bytes / f64::from(streams) / f64::from(wire::MSS);
-                flow = flow.warm_start(share.max(2.0));
-            }
-            ids.push(net.add_flow(flow));
-        }
         if want_progress {
             net.enable_progress_trace();
         }
@@ -309,9 +331,127 @@ impl WanProfile {
             retransmitted_segments: agg.retransmitted_segments,
             timeouts: agg.timeouts,
             events_processed: net.events_processed(),
+            events_inherited: net.events_inherited(),
             events_skipped: net.events_skipped(),
         };
         (report, progress)
+    }
+}
+
+/// Payload of each of `streams` parallel streams: equal shares, the
+/// remainder on the last.
+fn stream_bytes(bytes: u64, streams: u32) -> impl Iterator<Item = u64> {
+    let n = u64::from(streams);
+    let per = bytes / n;
+    (0..n).map(move |s| if s == n - 1 { bytes - per * (n - 1) } else { per })
+}
+
+/// Everything the simulation of a session depends on before the session
+/// opens — all of it except the payload size. Two transfers with equal
+/// recipes share their history up to `warmup`, whatever they carry.
+///
+/// The session shape is part of it although no session flow has started by
+/// then: the fast-forward gate sums the receive windows (`buffer`) of the
+/// `streams` flows still to come, leaving out those that carry nothing
+/// (`empty_streams`), and a `warm` stream opens a handshake earlier, which
+/// bounds the last fast-forwarded epoch of the warm-up.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+struct Recipe {
+    profile: WanProfile,
+    streams: u32,
+    buffer: u64,
+    warm: bool,
+    /// How many of the streams carry no payload (`bytes < streams`, which
+    /// `Grid` produces for tiny files); they are the leading ones.
+    empty_streams: u32,
+}
+
+/// Paused warm-ups one thread keeps; the oldest makes room for a new one.
+/// Enough for a figure sweep, which revisits ten stream counts once per
+/// file size; a paused network is some ten kilobytes.
+const WARM_STORE_CAP: usize = 16;
+
+thread_local! {
+    /// Networks paused at their session open, by recipe, oldest first.
+    static WARMED: RefCell<VecDeque<(Recipe, Network)>> =
+        const { RefCell::new(VecDeque::new()) };
+}
+
+impl Recipe {
+    fn of(profile: &WanProfile, bytes: u64, streams: u32, buffer: u64, warm: bool) -> Recipe {
+        assert!(streams >= 1, "at least one stream");
+        let empty_streams = stream_bytes(bytes, streams).filter(|&b| b == 0).count() as u32;
+        Recipe { profile: *profile, streams, buffer, warm, empty_streams }
+    }
+
+    /// Flow ids of the session's streams: they follow the background flows.
+    fn stream_flows(&self) -> impl Iterator<Item = FlowId> {
+        let first = self.profile.background_flows as usize;
+        (first..first + self.streams as usize).map(FlowId)
+    }
+
+    /// The session's network, every flow scheduled and nothing simulated.
+    fn network(&self, sizes: impl Iterator<Item = u64>, max_sim_time: SimDuration) -> Network {
+        let p = &self.profile;
+        let mut net = Network::new(NetworkConfig {
+            fast_forward: p.fast_forward,
+            workers: p.workers,
+            max_sim_time,
+            ..NetworkConfig::default()
+        });
+        net.add_link(p.link);
+        for b in 0..p.background_flows {
+            net.add_flow(
+                FlowSpec::background(p.background_buffer)
+                    .open_at(SimTime::ZERO + p.background_stagger * u64::from(b)),
+            );
+        }
+        let session_open = SimTime::ZERO + p.warmup;
+        for ((s, sz), id) in (0u64..).zip(sizes).zip(self.stream_flows()) {
+            let mut flow =
+                FlowSpec::transfer(sz, self.buffer).open_at(session_open + p.stream_stagger * s);
+            if self.warm {
+                // Resume at the stream's fair share of the path BDP — the
+                // steady-state window an established connection holds.
+                let bdp_bytes = p.link.rate_bps as f64 / 8.0 * p.rtt().as_secs_f64();
+                let share = bdp_bytes / f64::from(self.streams) / f64::from(wire::MSS);
+                flow = flow.warm_start(share.max(2.0));
+            }
+            assert_eq!(net.add_flow(flow), id, "streams follow the background flows");
+        }
+        net
+    }
+
+    /// The session's network with the warm-up behind it: paused before the
+    /// first event at or after the session open, the streams holding
+    /// placeholder sizes (one byte, or none for an empty stream) that the
+    /// caller replaces. The warm-up is simulated the first time a thread
+    /// asks for a recipe; later calls continue from a copy. A profile with
+    /// no cross traffic or no warm-up has nothing to reuse, and a network
+    /// split over several workers cannot be copied: those are returned
+    /// unsimulated.
+    fn opened(&self) -> Network {
+        let p = &self.profile;
+        let unsimulated = || {
+            let placeholder = (0..self.streams).map(|s| u64::from(s >= self.empty_streams));
+            self.network(placeholder, p.hard_stop(0, self.streams, self.buffer))
+        };
+        if p.background_flows == 0 || p.warmup == SimDuration::ZERO || p.workers > 1 {
+            return unsimulated();
+        }
+        WARMED.with(|store| {
+            let mut store = store.borrow_mut();
+            if let Some((_, paused)) = store.iter().find(|(recipe, _)| recipe == self) {
+                return paused.fork();
+            }
+            let mut net = unsimulated();
+            net.run_until(SimTime::ZERO + p.warmup);
+            if store.len() == WARM_STORE_CAP {
+                store.pop_front();
+            }
+            store.push_back((*self, net.fork()));
+            net
+        })
     }
 }
 
@@ -366,7 +506,7 @@ impl TransferProgress {
 }
 
 /// Outcome of one simulated transfer.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SimTransferReport {
     pub bytes: u64,
     pub streams: u32,
@@ -377,8 +517,12 @@ pub struct SimTransferReport {
     pub setup_time: SimDuration,
     pub retransmitted_segments: u64,
     pub timeouts: u64,
-    /// Simulator events dispatched for this transfer.
+    /// Simulator events of this transfer's simulation, cross-traffic
+    /// warm-up included.
     pub events_processed: u64,
+    /// The part of `events_processed` this call did not dispatch itself but
+    /// took over from the warm-up an earlier call on this thread simulated.
+    pub events_inherited: u64,
     /// Events avoided by steady-state fast-forwarding (0 when exact).
     pub events_skipped: u64,
 }
@@ -403,8 +547,169 @@ impl SimTransferReport {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     const MB: u64 = 1024 * 1024;
+
+    /// Everything a caller can observe of one simulated transfer: the
+    /// report (the per-call `events_inherited` aside), the progress curve
+    /// and the telemetry export.
+    type Observed = (SimTransferReport, Vec<(SimDuration, u64)>, SimDuration, String);
+
+    fn observe(
+        run: impl FnOnce(&Registry) -> (SimTransferReport, Option<TransferProgress>),
+    ) -> Observed {
+        let reg = Registry::new();
+        let (report, progress) = run(&reg);
+        let progress = progress.expect("progress requested");
+        (
+            SimTransferReport { events_inherited: 0, ..report },
+            progress.samples().to_vec(),
+            progress.data_time(),
+            reg.export_json_lines(),
+        )
+    }
+
+    /// One transfer through the checkpointed path and through the
+    /// from-scratch reference; both observations.
+    fn both_ways(
+        p: &WanProfile,
+        bytes: u64,
+        streams: u32,
+        buffer: u64,
+        warm: bool,
+    ) -> [Observed; 2] {
+        [
+            observe(|reg| p.simulate_warm(bytes, streams, buffer, reg, true, warm)),
+            observe(|reg| p.simulate_from_scratch(bytes, streams, buffer, reg, true, warm)),
+        ]
+    }
+
+    fn arb_profile() -> impl Strategy<Value = WanProfile> {
+        let link = (
+            prop_oneof![Just(45_000_000u64), Just(20_000_000), Just(8_000_000)],
+            20_000u64..=80_000,
+            prop_oneof![Just(256usize), Just(64), Just(12)],
+        );
+        let background = (0u32..=10, prop_oneof![Just(64 * 1024u64), Just(256 * 1024)], 0u64..=200);
+        let session = (0u64..=150, prop_oneof![Just(0u64), Just(700), Just(2_500), Just(5_000)]);
+        (link, background, session, any::<bool>()).prop_map(
+            |(
+                (rate_bps, prop_us, queue_capacity),
+                (flows, bg_buffer, bg_ms),
+                (ms, warmup_ms),
+                ff,
+            )| {
+                WanProfile {
+                    link: LinkSpec {
+                        rate_bps,
+                        propagation: SimDuration::from_micros(prop_us),
+                        queue_capacity,
+                    },
+                    background_flows: flows,
+                    background_buffer: bg_buffer,
+                    background_stagger: SimDuration::from_millis(bg_ms),
+                    stream_stagger: SimDuration::from_millis(ms),
+                    warmup: SimDuration::from_millis(warmup_ms),
+                    fast_forward: if ff { FastForward::Auto } else { FastForward::Off },
+                    ..WanProfile::cern_anl_production()
+                }
+            },
+        )
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(32))]
+
+        /// A transfer continued from a stored warm-up is indistinguishable
+        /// from one simulated from t = 0. Each case runs three session
+        /// shapes, cold and warm, in random order with random sizes on one
+        /// thread, so a recipe is first seen with one size and reused with
+        /// others, empty streams and zero-byte transfers included, and
+        /// recipes that differ in one field only meet in one store.
+        #[test]
+        fn forked_prefix_equals_from_scratch(
+            profiles in collection::vec(
+                prop_oneof![Just(WanProfile::cern_anl_production()), arb_profile()],
+                2,
+            ),
+            shapes in collection::vec(
+                (
+                    0usize..2,
+                    prop_oneof![Just(1u32), Just(2), Just(4), Just(8)],
+                    prop_oneof![Just(16 * 1024u64), Just(64 * 1024), Just(MB), Just(MB)],
+                ),
+                3,
+            ),
+            transfers in collection::vec(
+                (
+                    0usize..3,
+                    any::<bool>(),
+                    prop_oneof![
+                        Just(0u64), Just(1), Just(3), Just(7), Just(8_110),
+                        Just(256 * 1024), Just(3 * MB + 17),
+                    ],
+                ),
+                10..=12,
+            ),
+        ) {
+            for (shape, warm, bytes) in transfers {
+                let (profile, streams, buffer) = shapes[shape];
+                let profile = profiles[profile];
+                let [forked, scratch] = both_ways(&profile, bytes, streams, buffer, warm);
+                prop_assert_eq!(
+                    forked, scratch,
+                    "{} bytes, {} streams, {} buffer, warm {}, {:?}",
+                    bytes, streams, buffer, warm, profile
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn warmup_is_inherited_by_later_transfers_of_a_recipe() {
+        // A buffer no other test uses: the store is per thread, but a test
+        // harness may reuse threads.
+        let p = WanProfile::cern_anl_production();
+        let first = p.simulate_transfer(8 * 1024, 3, 48 * 1024);
+        let again = p.simulate_transfer(8 * 1024, 3, 48 * 1024);
+        let other = p.simulate_transfer(5 * MB, 3, 48 * 1024);
+        assert_eq!(first.events_inherited, 0, "the first transfer simulates the warm-up itself");
+        assert!(again.events_inherited > 0);
+        assert_eq!(other.events_inherited, again.events_inherited, "one warm-up for every size");
+        assert_eq!(SimTransferReport { events_inherited: 0, ..again }, first);
+        // Nothing to reuse without cross traffic.
+        let clean = WanProfile::clean(LinkSpec::cern_anl());
+        clean.simulate_transfer(MB, 2, 64 * 1024);
+        assert_eq!(clean.simulate_transfer(MB, 2, 64 * 1024).events_inherited, 0);
+    }
+
+    #[test]
+    fn warm_store_is_bounded_and_eviction_keeps_results() {
+        let p = WanProfile::cern_anl_production();
+        // More recipes than the store holds, twice around: the second lap
+        // finds its recipe evicted every time.
+        for lap in 0..2 {
+            for k in 0..WARM_STORE_CAP as u64 + 3 {
+                let buffer = (20 + k) * 1024;
+                let [forked, scratch] = both_ways(&p, 100_000 + lap, 2, buffer, false);
+                assert_eq!(forked, scratch, "lap {lap}, buffer {buffer}");
+                assert!(WARMED.with(|s| s.borrow().len()) <= WARM_STORE_CAP);
+            }
+        }
+        assert_eq!(WARMED.with(|s| s.borrow().len()), WARM_STORE_CAP);
+    }
+
+    #[test]
+    fn large_untuned_transfer_outlives_the_default_hard_stop() {
+        // 2 GiB at the ~4 Mb/s a 64 KB window allows needs ~4 300 s, past
+        // the simulator's default one-hour stop.
+        let p = WanProfile::cern_anl_production();
+        let r = p.simulate_transfer(2 << 30, 1, 64 * 1024);
+        assert!(r.data_time > NetworkConfig::default().max_sim_time);
+        let t = r.throughput_mbps();
+        assert!((3.5..4.5).contains(&t), "expected ~4 Mb/s window-limited, got {t:.2}");
+    }
 
     #[test]
     fn clean_link_single_stream_window_limited() {

@@ -57,6 +57,7 @@ impl Key {
 }
 
 /// Flat 4-ary implicit min-heap keyed by [`Key`].
+#[derive(Clone)]
 struct Heap4<E> {
     v: Vec<(Key, E)>,
 }
@@ -135,6 +136,7 @@ impl<E> Heap4<E> {
 }
 
 /// A min-queue of timestamped events with deterministic tie-breaking.
+#[derive(Clone)]
 pub struct EventQueue<E> {
     heap: Heap4<E>,
     wheel: TimerWheel<(Key, E)>,
@@ -235,6 +237,12 @@ impl<E> EventQueue<E> {
     /// Pop the earliest event, advancing the clock to its timestamp.
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
         self.settle();
+        self.pop_settled()
+    }
+
+    /// [`EventQueue::pop`] once the heap front is the global minimum.
+    #[inline]
+    fn pop_settled(&mut self) -> Option<(SimTime, E)> {
         let (key, event) = self.heap.pop_min()?;
         let at = key.at();
         debug_assert!(at >= self.now, "clock went backwards");
@@ -264,7 +272,7 @@ impl<E> EventQueue<E> {
         if self.peek_time()? >= limit {
             return None;
         }
-        self.pop()
+        self.pop_settled()
     }
 
     /// Peek at the timestamp of the next event without popping it. Takes

@@ -10,7 +10,7 @@ use crate::queue::{DropTailQueue, Enqueue};
 use crate::time::{SimDuration, SimTime};
 
 /// Static link parameters.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct LinkSpec {
     /// Bottleneck rate in bits per second.
     pub rate_bps: u64,
@@ -39,7 +39,7 @@ impl LinkSpec {
 }
 
 /// Dynamic link state.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct Link {
     pub spec: LinkSpec,
     pub queue: DropTailQueue,

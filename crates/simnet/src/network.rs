@@ -128,7 +128,7 @@ impl FlowResult {
 /// steady-state epochs through the closed-form window model in
 /// [`crate::analytic`]; `Off` simulates every segment. Both modes are fully
 /// deterministic.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum FastForward {
     /// Packet-level simulation of every event.
     Off,
@@ -208,6 +208,7 @@ const FIT_MARGIN_FRAMES: usize = 4;
 
 /// Fast-forward bookkeeping, global across shards (quiescence and epoch
 /// decisions always consider the whole network).
+#[derive(Clone)]
 pub(crate) struct FfState {
     /// Next time the (throttled) quiescence check may run.
     pub next_check: SimTime,
@@ -251,6 +252,9 @@ pub struct Network {
     /// per-link and per-flow statistics into it once on completion.
     telemetry: Registry,
     telemetry_published: bool,
+    /// Events the network this one was forked from had already dispatched
+    /// (see [`Network::fork`]); 0 for a network built from scratch.
+    inherited: u64,
 }
 
 impl Network {
@@ -263,6 +267,31 @@ impl Network {
             ff: FfState::new(),
             telemetry: Registry::default(),
             telemetry_published: false,
+            inherited: 0,
+        }
+    }
+
+    /// A copy of a paused network (see [`Network::run_until`]) that runs on
+    /// independently of the original. The copy carries the whole simulation
+    /// state — clock, pending events, congestion windows, link queues and
+    /// every counter — so whatever it reports later is what the original
+    /// would have reported; [`Network::events_inherited`] tells the part of
+    /// [`Network::events_processed`] it did not dispatch itself. Telemetry
+    /// is not copied: attach a registry to the fork. Only a network that
+    /// has never been partitioned over workers and has not yet published
+    /// its statistics can be forked.
+    pub fn fork(&self) -> Network {
+        assert!(!self.partitioned, "cannot fork a network that has run with workers > 1");
+        assert!(!self.telemetry_published, "cannot fork a network that has published");
+        Network {
+            cfg: self.cfg,
+            shards: self.shards.clone(),
+            partitioned: false,
+            manual_partition: self.manual_partition.clone(),
+            ff: self.ff.clone(),
+            telemetry: Registry::default(),
+            telemetry_published: false,
+            inherited: self.events_processed(),
         }
     }
 
@@ -381,9 +410,55 @@ impl Network {
         id
     }
 
+    /// Change the size of a finite flow that has not started yet. On a
+    /// network that has already run (one paused by [`Network::run_until`]
+    /// before the flow's start), an empty flow must stay empty and a
+    /// non-empty one non-empty: an empty flow counts as complete from the
+    /// beginning, so the fast-forward gate has already left it out of the
+    /// demand it sums, and the history so far would differ otherwise.
+    pub fn set_flow_bytes(&mut self, id: FlowId, bytes: u64) {
+        let fresh = self.events_processed() == 0;
+        let flow = self.seed_mut("resize flows").flow_mut(id);
+        let old = flow.total_bytes.expect("a background flow has no size");
+        assert!(
+            fresh || (old == 0) == (bytes == 0),
+            "resizing flow {id:?} from {old} to {bytes} bytes would rewrite simulated history"
+        );
+        flow.spec.bytes = Some(bytes);
+        flow.total_bytes = Some(bytes);
+        flow.sender.set_total_segments(segments_for(bytes));
+    }
+
+    /// Change the hard stop (see [`NetworkConfig::max_sim_time`]) of a
+    /// network that has not reached it.
+    pub fn set_max_sim_time(&mut self, limit: SimDuration) {
+        assert!(self.now() <= SimTime::ZERO + limit, "the new limit has already passed");
+        self.cfg.max_sim_time = limit;
+    }
+
     /// Drive the simulation until every finite flow completes (or the
     /// configured time limit is hit). Returns per-flow results.
     pub fn run(&mut self) -> Vec<FlowResult> {
+        self.advance(SimTime::NEVER);
+        self.publish_telemetry();
+        self.results()
+    }
+
+    /// Drive the simulation like [`Network::run`], but pause before
+    /// dispatching the first event at or after `limit`. The pause falls
+    /// between two iterations of the event loop, so a later `run` (of this
+    /// network or of a [`Network::fork`]) continues exactly as one
+    /// uninterrupted `run` would have. Nothing is published to telemetry.
+    /// Single-shard networks only (`workers == 1`, no manual partition).
+    pub fn run_until(&mut self, limit: SimTime) {
+        assert!(
+            self.cfg.workers == 1 && self.manual_partition.is_none() && !self.partitioned,
+            "only a single-shard network can be paused"
+        );
+        self.advance(limit);
+    }
+
+    fn advance(&mut self, pause: SimTime) {
         let deadline = SimTime::ZERO + self.cfg.max_sim_time;
         if !self.partitioned && (self.cfg.workers > 1 || self.manual_partition.is_some()) {
             self.partitioned = true;
@@ -393,13 +468,11 @@ impl Network {
         }
         if self.shards.len() == 1 {
             let Network { cfg, shards, ff, .. } = self;
-            run_single(cfg, ff, &mut shards[0], deadline);
+            run_single(cfg, ff, &mut shards[0], pause, deadline);
         } else {
             let shards = std::mem::take(&mut self.shards);
             self.shards = shard::run_parallel(&self.cfg, shards, &mut self.ff, deadline);
         }
-        self.publish_telemetry();
-        self.results()
     }
 
     fn topo(&self) -> &Arc<Topo> {
@@ -511,6 +584,12 @@ impl Network {
         self.shards.iter().map(|s| s.queue.processed()).sum()
     }
 
+    /// The part of [`Network::events_processed`] that was dispatched by the
+    /// network this one was forked from, not by this one.
+    pub fn events_inherited(&self) -> u64 {
+        self.inherited
+    }
+
     /// Shards the last `run` executed on (1 until a multi-worker run).
     pub fn shard_count(&self) -> usize {
         self.shards.len()
@@ -541,10 +620,17 @@ impl Network {
 }
 
 /// The sequential event loop (workers = 1): pop, dispatch, check completion,
-/// maybe fast-forward — the reference the parallel runtime reproduces.
-fn run_single(cfg: &NetworkConfig, ff: &mut FfState, sh: &mut ShardSim, deadline: SimTime) {
+/// maybe fast-forward — the reference the parallel runtime reproduces. An
+/// event at or after `pause` stays in the queue, uncounted.
+fn run_single(
+    cfg: &NetworkConfig,
+    ff: &mut FfState,
+    sh: &mut ShardSim,
+    pause: SimTime,
+    deadline: SimTime,
+) {
     let auto = cfg.fast_forward == FastForward::Auto;
-    while let Some((now, event)) = sh.queue.pop() {
+    while let Some((now, event)) = sh.queue.pop_before(pause) {
         if now > deadline {
             break;
         }
@@ -1169,6 +1255,35 @@ mod tests {
         let results = net.run();
         assert!(results[f.0].finished.is_some());
         assert_eq!(net.link(LinkId(0)).packets_transmitted, 0);
+    }
+
+    #[test]
+    fn resized_flow_runs_like_one_built_at_that_size() {
+        // A late transfer resized while the cross traffic is paused
+        // mid-run behaves as if it had been added with the new size.
+        let run = |resize: Option<u64>| {
+            let mut net = Network::single_link(LinkSpec::cern_anl());
+            net.add_flow(FlowSpec::background(64 * 1024));
+            let late = SimTime::ZERO + SimDuration::from_secs(2);
+            let f = net.add_flow(FlowSpec::transfer(resize.map_or(MB, |_| 1), MB).open_at(late));
+            if let Some(bytes) = resize {
+                net.run_until(late);
+                net.set_flow_bytes(f, bytes);
+            }
+            (net.run(), net.events_processed(), net.events_skipped())
+        };
+        assert_eq!(run(Some(MB)), run(None));
+    }
+
+    #[test]
+    #[should_panic(expected = "would rewrite simulated history")]
+    fn emptying_a_flow_of_a_paused_network_is_refused() {
+        let mut net = Network::single_link(LinkSpec::cern_anl());
+        net.add_flow(FlowSpec::background(64 * 1024));
+        let late = SimTime::ZERO + SimDuration::from_secs(2);
+        let f = net.add_flow(FlowSpec::transfer(1, MB).open_at(late));
+        net.run_until(late);
+        net.set_flow_bytes(f, 0);
     }
 
     // ---- multi-worker byte-identity (see also tests/par_determinism.rs) ----

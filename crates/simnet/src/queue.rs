@@ -6,7 +6,7 @@ use crate::packet::Packet;
 
 /// A bounded FIFO packet queue with tail-drop semantics, as found in the
 /// routers of the paper's era. Capacity is measured in packets.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct DropTailQueue {
     buf: VecDeque<Packet>,
     capacity: usize,

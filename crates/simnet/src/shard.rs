@@ -30,7 +30,7 @@ use crate::time::{SimDuration, SimTime};
 
 /// Simulation event. Flow and link ids are global; each event is dispatched
 /// on the shard owning the link (or sender) it touches.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub(crate) enum Event {
     /// Connection handshake complete; sender may begin.
     FlowStart(FlowId),
@@ -88,6 +88,7 @@ impl Topo {
 }
 
 /// Mutable per-flow sender-side state, owned by the flow's shard.
+#[derive(Clone)]
 pub(crate) struct FlowState {
     pub spec: FlowSpec,
     pub sender: Sender,
@@ -145,6 +146,7 @@ impl EdgeSet {
 /// Vectors are full-length and indexed by *global* id; entries are `Some`
 /// only where this shard owns the object, so dispatch code reads exactly
 /// like the sequential simulator's.
+#[derive(Clone)]
 pub(crate) struct ShardSim {
     pub id: u32,
     pub topo: Arc<Topo>,

@@ -15,7 +15,7 @@ pub struct Ack {
 }
 
 /// Receiver state for one flow.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct Receiver {
     /// Next in-order segment expected.
     rcv_nxt: u64,

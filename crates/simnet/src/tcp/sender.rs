@@ -53,7 +53,7 @@ pub struct SenderStats {
     pub segments_retransmitted: u64,
 }
 
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct Sender {
     cfg: SenderConfig,
     /// Lowest unacknowledged segment.
@@ -104,6 +104,14 @@ impl Sender {
             stats: SenderStats::default(),
             cfg,
         }
+    }
+
+    /// Change how many segments a finite flow carries; only before it
+    /// starts, while no state has been derived from the old count.
+    pub fn set_total_segments(&mut self, total: u64) {
+        assert!(self.started_at.is_none(), "cannot resize a flow that has started");
+        assert!(self.cfg.total_segments.is_some(), "a background flow has no size");
+        self.cfg.total_segments = Some(total);
     }
 
     /// Begin transmitting (connection already established).

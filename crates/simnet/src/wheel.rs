@@ -30,6 +30,7 @@ fn shift(level: usize) -> u32 {
 
 /// A hierarchical timer wheel holding `(deadline, payload)` entries at or
 /// after its moving [`TimerWheel::boundary`].
+#[derive(Clone)]
 pub(crate) struct TimerWheel<T> {
     slots: Vec<Vec<(u64, T)>>,
     /// Per-level bitmask of occupied slots.
