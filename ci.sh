@@ -5,9 +5,10 @@
 #   ./ci.sh                fmt + clippy + build + test + benches compile +
 #                          the parallel-engine determinism smoke, the
 #                          scenario smoke and the whole-stack smoke (one
-#                          short `benchmark/run.sh` grid_mix run, which
-#                          must come out correct with no failed operation
-#                          and with the model digest recorded below)
+#                          short `benchmark/run.sh` run each of grid_mix
+#                          and object_analysis, which must come out
+#                          correct with no failed operation and with the
+#                          model digest recorded below)
 #   ./ci.sh --bench-smoke  additionally run the simnet perf baseline once,
 #                          regenerating BENCH_simnet.json
 #   ./ci.sh --chaos-smoke  additionally run the seeded chaos convergence
@@ -101,24 +102,28 @@ if [[ "$scenario_smoke" == 1 ]]; then
   cargo run --offline --release -q -p gdmp-bench --bin scenario_smoke
 fi
 
-echo "==> whole-stack smoke: benchmark/run.sh grid_mix is correct, no operation failed, model unmoved"
-# What the simulated model produced for this workload and seed (the
+echo "==> whole-stack smoke: benchmark/run.sh grid_mix and object_analysis are correct, no operation failed, model unmoved"
+# What the simulated model produced for each workload at seed 1 (the
 # telemetry export and the outcome counts together), as printed by the
-# binary built from commit 47dbafc. A change that claims host speed only must
-# reproduce it; a change that means to move the model records the new value
-# here.
-grid_mix_seed1_digest="sim_digest dd9384db27bb9c9a"
-smoke=$(bash benchmark/run.sh --workload grid_mix --seed 1 --seconds 1 --trace 0)
-result=$(tail -n 1 <<<"$smoke")
-if [[ "$result" != *'"correct": true'* || "$result" != *'"failed": 0,'* ]]; then
-  echo "whole-stack benchmark did not report correct/failed 0: $result" >&2
-  exit 1
-fi
-digest=$(grep '^sim_digest ' <<<"$smoke" || true)
-if [[ "$digest" != "$grid_mix_seed1_digest" ]]; then
-  echo "whole-stack benchmark: model moved: got '$digest', recorded '$grid_mix_seed1_digest'" >&2
-  exit 1
-fi
+# binary built from the commit named. A change that claims host speed only
+# must reproduce it; a change that means to move the model records the new
+# value here.
+whole_stack_smoke() { # <workload> <recorded digest line>
+  local smoke result digest
+  smoke=$(bash benchmark/run.sh --workload "$1" --seed 1 --seconds 1 --trace 0)
+  result=$(tail -n 1 <<<"$smoke")
+  if [[ "$result" != *'"correct": true'* || "$result" != *'"failed": 0,'* ]]; then
+    echo "whole-stack benchmark $1 did not report correct/failed 0: $result" >&2
+    exit 1
+  fi
+  digest=$(grep '^sim_digest ' <<<"$smoke" || true)
+  if [[ "$digest" != "$2" ]]; then
+    echo "whole-stack benchmark $1: model moved: got '$digest', recorded '$2'" >&2
+    exit 1
+  fi
+}
+whole_stack_smoke grid_mix "sim_digest dd9384db27bb9c9a"        # commit 47dbafc
+whole_stack_smoke object_analysis "sim_digest 61daa7d4a954458c" # commit 8a033fc
 
 if [[ "$bench_smoke" == 1 ]]; then
   echo "==> bench smoke: simnet perf baseline"

@@ -6,8 +6,8 @@ use bytes::Bytes;
 use gdmp_gridftp::block::{partition, Reassembler};
 use gdmp_gridftp::crc::crc32;
 use gdmp_objectstore::{
-    synth_payload, CopierSpec, DatabaseFile, Federation, LogicalOid, ObjectCopier, ObjectKind,
-    StoredObject,
+    synth_payload, CopierSpec, DatabaseFile, Federation, LogicalOid, ObjectCopier,
+    ObjectFileCatalog, ObjectKind, StoredObject,
 };
 use gdmp_replica_catalog::ldap::attrs;
 use gdmp_replica_catalog::service::{FileMeta, ReplicaCatalogService};
@@ -127,9 +127,32 @@ fn bench_objectstore(c: &mut Criterion) {
     g.finish();
 }
 
+/// The object location plane at the whole-stack benchmark's shape
+/// (`object_analysis`): 150 files × 2 000 objects, a request of ~16 700
+/// objects spread over 50 of them, half of it also in an extraction file.
+fn bench_object_view(c: &mut Criterion) {
+    let mut g = c.benchmark_group("object_view");
+    let mut view = ObjectFileCatalog::new();
+    for f in 0..150u64 {
+        let objects: Vec<_> =
+            (f * 2_000..(f + 1) * 2_000).map(|e| LogicalOid::new(e, ObjectKind::Aod)).collect();
+        view.record_file(&format!("aod.{f:04}.db"), &objects);
+    }
+    let every = |n: usize| -> Vec<LogicalOid> {
+        (0..100_000).step_by(n).map(|e| LogicalOid::new(e, ObjectKind::Aod)).collect()
+    };
+    view.record_file("objx.1.cern.to.fnal.0.db", &every(12));
+    let wanted = every(6);
+    g.bench_function("object_cover", |b| {
+        b.iter(|| view.greedy_file_cover(black_box(&wanted), |_| 1 << 20))
+    });
+    g.bench_function("object_assign", |b| b.iter(|| view.densest_sources(black_box(&wanted))));
+    g.finish();
+}
+
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(10).measurement_time(std::time::Duration::from_secs(2)).warm_up_time(std::time::Duration::from_millis(500));
-    targets = bench_crc, bench_blocks, bench_catalog, bench_objectstore
+    targets = bench_crc, bench_blocks, bench_catalog, bench_objectstore, bench_object_view
 }
 criterion_main!(benches);

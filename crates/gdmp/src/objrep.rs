@@ -123,41 +123,14 @@ impl Grid {
             });
         }
 
-        // Step 2: one collective lookup on the global view.
-        let (_, unresolved) = self.object_view.collective_lookup(&missing);
+        // Step 2: one collective lookup on the global view, assigning each
+        // object to its *densest* holder: the file with the largest wanted
+        // fraction. Extraction files created by earlier object replications
+        // are exactly such dense sources — "they too are potential object
+        // extraction sources for future requests".
+        let (per_file, unresolved) = self.object_view.densest_sources(&missing);
         if !unresolved.is_empty() {
             return Err(GdmpError::ObjectsUnavailable(unresolved.len()));
-        }
-        // Assign each object to its *densest* candidate file: the fraction
-        // of the file that is wanted. Extraction files created by earlier
-        // object replications are exactly such dense sources — "they too
-        // are potential object extraction sources for future requests".
-        let wanted_set: std::collections::BTreeSet<LogicalOid> = missing.iter().copied().collect();
-        let mut density: BTreeMap<String, (usize, usize)> = BTreeMap::new();
-        for &o in &missing {
-            for f in self.object_view.files_of(o) {
-                if !density.contains_key(f) {
-                    let objs = self.object_view.objects_in(f);
-                    let gain = objs.iter().filter(|x| wanted_set.contains(x)).count();
-                    density.insert(f.to_string(), (gain, objs.len().max(1)));
-                }
-            }
-        }
-        let mut per_file: BTreeMap<String, Vec<LogicalOid>> = BTreeMap::new();
-        for &o in &missing {
-            let best = self
-                .object_view
-                .files_of(o)
-                .into_iter()
-                .max_by(|a, b| {
-                    let (ga, ta) = density[*a];
-                    let (gb, tb) = density[*b];
-                    // density = gain/total: compare ga/ta vs gb/tb.
-                    (ga * tb).cmp(&(gb * ta)).then_with(|| b.cmp(a))
-                })
-                .expect("collective lookup resolved every object")
-                .to_string();
-            per_file.entry(best).or_default().push(o);
         }
 
         // Resolve each holding file to a source site (a replica that has
@@ -286,25 +259,17 @@ impl Grid {
     /// of objects (Section 5.1's comparison): the greedy whole-file cover
     /// over the global view, with file sizes from the replica catalog.
     pub fn file_level_cover(&mut self, wanted: &[LogicalOid]) -> gdmp_objectstore::FileCover {
-        let mut sizes: BTreeMap<String, u64> = BTreeMap::new();
-        let files: Vec<String> = {
-            let mut fs = std::collections::BTreeSet::new();
-            for o in wanted {
-                for f in self.object_view.files_of(*o) {
-                    fs.insert(f.to_string());
-                }
-            }
-            fs.into_iter().collect()
-        };
-        for f in &files {
-            if let Ok(info) = self.catalog.info(f) {
-                sizes.insert(f.clone(), info.meta.size);
-            }
-        }
-        self.object_view
-            .greedy_file_cover(wanted, |f| sizes.get(f).copied().unwrap_or(u64::MAX / 4))
+        let catalog = &mut self.catalog;
+        self.object_view.greedy_file_cover(wanted, |file| {
+            catalog.info(file).map_or(UNCATALOGUED_FILE_BYTES, |info| info.meta.size)
+        })
     }
 }
+
+/// What [`Grid::file_level_cover`] prices a file the replica catalog does
+/// not know at: dearer than any real file, so the cover avoids it (the
+/// cover's byte total saturates).
+const UNCATALOGUED_FILE_BYTES: u64 = u64::MAX / 4;
 
 impl Grid {
     /// Publish the current global object→file view as an index file

@@ -376,6 +376,74 @@ fn file_level_cover_ships_more_bytes_for_sparse_selections() {
     );
 }
 
+/// A second request whose densest sources are a first round's extraction
+/// files: the source assignment, and with it every byte moved, is pinned
+/// to what the string-keyed scan assigned (values from commit 8a033fc).
+#[test]
+fn extraction_files_are_the_densest_sources_of_a_later_request() {
+    let mut grid = three_site_grid();
+    for f in 0..4u64 {
+        let name = format!("chunk{f}.db");
+        store_events(&mut grid, "cern", &name, f * 100..(f + 1) * 100, ObjectKind::Aod, 512);
+        grid.publish_database("cern", &name).unwrap();
+    }
+    let aods = |events: &mut dyn Iterator<Item = u64>| -> Vec<LogicalOid> {
+        events.map(|e| LogicalOid::new(e, ObjectKind::Aod)).collect()
+    };
+    let first = aods(&mut (0..400).step_by(4));
+    let r1 = grid.object_replicate("anl", &first, ObjectReplicationConfig::default()).unwrap();
+    assert_eq!(r1.sources, vec!["cern".to_string()]);
+    assert_eq!(r1.chunk_files, vec!["objx.1.cern.to.anl.0.db".to_string()]);
+    assert_eq!((r1.objects_moved, r1.bytes_moved), (100, 54_764));
+
+    // Every 8th event lives both in a CERN file (1 in 8 of it wanted) and
+    // in ANL's extraction file (1 in 2 wanted): ANL serves those; the odd
+    // events only CERN has.
+    let second = aods(&mut (0..400).step_by(8).chain((1..400).step_by(40)));
+    let r2 = grid.object_replicate("lyon", &second, ObjectReplicationConfig::default()).unwrap();
+    assert_eq!(r2.sources, vec!["anl".to_string(), "cern".to_string()]);
+    assert_eq!(
+        r2.chunk_files,
+        vec!["objx.2.anl.to.lyon.0.db".to_string(), "objx.2.cern.to.lyon.0.db".to_string()]
+    );
+    assert_eq!((r2.objects_moved, r2.bytes_moved), (60, 32_949));
+}
+
+/// Landing at another site re-records nothing: the global view lists each
+/// object of a whole-file replica once, however many sites hold the file.
+#[test]
+fn whole_file_replicas_are_recorded_once_in_the_object_view() {
+    let mut grid = three_site_grid();
+    grid.add_site(SiteConfig::named("fnal", "fnal.gov", 14));
+    grid.trust_all();
+    store_events(&mut grid, "cern", "ev.db", 0..40, ObjectKind::Aod, 128);
+    grid.publish_database("cern", "ev.db").unwrap();
+    let index_bytes = |grid: &mut Grid| {
+        let idx = grid.publish_object_view_index("cern").unwrap();
+        grid.catalog.info(&idx).unwrap().meta.size
+    };
+    let before = index_bytes(&mut grid);
+    for dst in ["anl", "lyon", "fnal"] {
+        grid.replicate(dst, "ev.db").unwrap();
+    }
+    assert_eq!(grid.object_view.objects_in("ev.db").len(), 40);
+    assert_eq!(index_bytes(&mut grid), before);
+}
+
+/// Files the replica catalog does not know are priced at a quarter of
+/// `u64::MAX` each; a cover made of several saturates instead of wrapping.
+#[test]
+fn file_level_cover_saturates_over_uncatalogued_files() {
+    let mut grid = three_site_grid();
+    let wanted: Vec<_> = (0..5).map(|e| LogicalOid::new(e, ObjectKind::Aod)).collect();
+    for (i, o) in wanted.iter().enumerate() {
+        grid.object_view.record_file(&format!("ghost{i}.db"), &[*o]);
+    }
+    let cover = grid.file_level_cover(&wanted);
+    assert_eq!(cover.files.len(), 5);
+    assert_eq!(cover.total_bytes, u64::MAX);
+}
+
 #[test]
 fn rpc_round_trips_advance_the_clock() {
     let mut grid = three_site_grid();

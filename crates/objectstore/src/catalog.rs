@@ -11,7 +11,10 @@
 //! 3. the **file replica catalog** (crate `gdmp-replica-catalog`) — file
 //!    names resolve to physical site locations.
 
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::{BTreeMap, HashMap};
+use std::sync::Arc;
+
+use gdmp_intern::Interner;
 
 use crate::model::{LogicalOid, ObjectKind};
 
@@ -63,13 +66,39 @@ impl TagCatalog {
     }
 }
 
-/// Step 2: the global object→file location table.
+/// Step 2: the global object→file location table, as an id-keyed
+/// bipartite index. File names are interned once; a file's id indexes
+/// `by_file`, and every object lists the ids of the files holding it in
+/// file-*name* order, so "the first file" and every tie-break are what a
+/// name-sorted set would give, whatever order the files were recorded in.
 #[derive(Debug, Clone, Default)]
 pub struct ObjectFileCatalog {
-    by_object: HashMap<LogicalOid, BTreeSet<String>>,
-    by_file: BTreeMap<String, Vec<LogicalOid>>,
+    names: Interner,
+    /// File id → objects recorded for it (`None`: forgotten).
+    by_file: Vec<Option<Vec<LogicalOid>>>,
+    /// Object → ids of the files holding it, in file-name order, never empty.
+    by_object: HashMap<LogicalOid, Vec<u32>>,
     /// Collective lookups served (the scalability-critical operation).
     pub lookups: u64,
+}
+
+/// One pass over a request through `by_object`: everything the cover and
+/// the source assignment need, sized by the request and not by the catalog.
+struct RequestPlan<'a> {
+    /// The distinct wanted objects, sorted.
+    objects: Vec<LogicalOid>,
+    /// The ids of the files holding each of `objects`, in file-name order.
+    holders: Vec<&'a [u32]>,
+    /// The files holding any of them, in file-name order.
+    candidates: Vec<Candidate>,
+    /// File id → position in `candidates`.
+    slot: HashMap<u32, usize>,
+}
+
+struct Candidate {
+    file: u32,
+    /// The wanted objects this file holds, as indices into `objects`.
+    held: Vec<u32>,
 }
 
 impl ObjectFileCatalog {
@@ -78,41 +107,58 @@ impl ObjectFileCatalog {
     }
 
     /// Record that `file` holds `objects` (called when a file is produced,
-    /// replicated in, or created by the object copier).
+    /// replicated in, or created by the object copier). Idempotent per
+    /// (file, object): a replica landing at another site re-records
+    /// nothing.
     pub fn record_file(&mut self, file: &str, objects: &[LogicalOid]) {
-        let entry = self.by_file.entry(file.to_string()).or_default();
+        let id = self.names.intern(file);
+        if id as usize == self.by_file.len() {
+            self.by_file.push(None);
+        }
+        let names = &self.names;
+        let recorded = self.by_file[id as usize].get_or_insert_with(Vec::new);
         for &o in objects {
-            entry.push(o);
-            self.by_object.entry(o).or_default().insert(file.to_string());
+            let holders = self.by_object.entry(o).or_default();
+            if let Err(at) = holders.binary_search_by(|h| names.resolve(*h).cmp(file)) {
+                holders.insert(at, id);
+                recorded.push(o);
+            }
         }
     }
 
     /// Remove a file (deleted or retired) from the table.
     pub fn forget_file(&mut self, file: &str) {
-        if let Some(objects) = self.by_file.remove(file) {
-            for o in objects {
-                if let Some(files) = self.by_object.get_mut(&o) {
-                    files.remove(file);
-                    if files.is_empty() {
-                        self.by_object.remove(&o);
-                    }
+        let Some(id) = self.names.try_id(file) else { return };
+        for o in self.by_file[id as usize].take().unwrap_or_default() {
+            if let Some(holders) = self.by_object.get_mut(&o) {
+                holders.retain(|h| *h != id);
+                if holders.is_empty() {
+                    self.by_object.remove(&o);
                 }
             }
         }
     }
 
-    /// Files holding one object.
+    fn holders(&self, o: LogicalOid) -> &[u32] {
+        self.by_object.get(&o).map_or(&[], Vec::as_slice)
+    }
+
+    fn recorded(&self, file: &str) -> Option<&Vec<LogicalOid>> {
+        self.by_file[self.names.try_id(file)? as usize].as_ref()
+    }
+
+    /// Files holding one object, in name order.
     pub fn files_of(&self, o: LogicalOid) -> Vec<&str> {
-        self.by_object.get(&o).map(|s| s.iter().map(String::as_str).collect()).unwrap_or_default()
+        self.holders(o).iter().map(|id| self.names.resolve(*id)).collect()
     }
 
     /// Objects recorded for one file.
     pub fn objects_in(&self, file: &str) -> &[LogicalOid] {
-        self.by_file.get(file).map(Vec::as_slice).unwrap_or(&[])
+        self.recorded(file).map_or(&[], Vec::as_slice)
     }
 
     pub fn file_count(&self) -> usize {
-        self.by_file.len()
+        self.by_file.iter().flatten().count()
     }
 
     pub fn object_count(&self) -> usize {
@@ -122,6 +168,7 @@ impl ObjectFileCatalog {
     /// "One single collective lookup operation on the global view"
     /// (Section 5.2): resolve a whole request at once, returning
     /// `(file → objects of the request found in it, unresolved objects)`.
+    /// Each object resolves to the first (by name) of the files holding it.
     pub fn collective_lookup(
         &mut self,
         wanted: &[LogicalOid],
@@ -130,19 +177,33 @@ impl ObjectFileCatalog {
         let mut per_file: BTreeMap<String, Vec<LogicalOid>> = BTreeMap::new();
         let mut missing = Vec::new();
         for &o in wanted {
-            match self.by_object.get(&o).and_then(|files| files.iter().next()) {
-                Some(f) => per_file.entry(f.clone()).or_default().push(o),
-                None => missing.push(o),
+            let Some(&first) = self.holders(o).first() else {
+                missing.push(o);
+                continue;
+            };
+            let name = self.names.resolve(first);
+            match per_file.get_mut(name) {
+                Some(found) => found.push(o),
+                None => {
+                    per_file.insert(name.to_string(), vec![o]);
+                }
             }
         }
         (per_file, missing)
     }
 
-    /// Serializable snapshot of the file→objects table — the contents of
-    /// the "index files" of Section 5.2, which are themselves replicated
-    /// between sites with ordinary file replication.
+    /// Serializable snapshot of the file→objects table, in file-name
+    /// order — the contents of the "index files" of Section 5.2, which are
+    /// themselves replicated between sites with ordinary file replication.
     pub fn snapshot(&self) -> Vec<(String, Vec<LogicalOid>)> {
-        self.by_file.iter().map(|(f, o)| (f.clone(), o.clone())).collect()
+        let mut files: Vec<(String, Vec<LogicalOid>)> = (0u32..)
+            .zip(&self.by_file)
+            .filter_map(|(id, objects)| {
+                Some((self.names.resolve(id).to_string(), objects.clone()?))
+            })
+            .collect();
+        files.sort_by(|a, b| a.0.cmp(&b.0));
+        files
     }
 
     /// Merge a snapshot (from a replicated index file) into this view.
@@ -150,7 +211,7 @@ impl ObjectFileCatalog {
     pub fn merge_snapshot(&mut self, snapshot: &[(String, Vec<LogicalOid>)]) -> usize {
         let mut added = 0;
         for (file, objects) in snapshot {
-            if !self.by_file.contains_key(file) {
+            if self.recorded(file).is_none() {
                 self.record_file(file, objects);
                 added += 1;
             }
@@ -165,50 +226,116 @@ impl ObjectFileCatalog {
         c
     }
 
-    /// Greedy minimum-ish file cover: the smallest set of whole files that
-    /// together contain every wanted object — what *file-level* replication
-    /// would have to ship (Section 5.1's thought experiment). Returns
-    /// `(files, covered, total_bytes_of_cover)` where `bytes_of` gives each
-    /// file's size.
-    pub fn greedy_file_cover<F: Fn(&str) -> u64>(
-        &self,
-        wanted: &[LogicalOid],
-        bytes_of: F,
-    ) -> FileCover {
-        let wanted_set: BTreeSet<LogicalOid> = wanted.iter().copied().collect();
-        let mut uncovered = wanted_set.clone();
-        let mut chosen = Vec::new();
-        let mut total_bytes = 0u64;
-        while !uncovered.is_empty() {
-            // Pick the file covering the most uncovered objects per byte.
-            let best = self
-                .by_file
-                .iter()
-                .filter_map(|(f, objs)| {
-                    let gain = objs.iter().filter(|o| uncovered.contains(o)).count();
-                    if gain == 0 {
-                        return None;
-                    }
-                    let size = bytes_of(f).max(1);
-                    Some((f.clone(), gain, size))
-                })
-                .max_by(|(fa, ga, sa), (fb, gb, sb)| {
-                    // gain/size, deterministic tie-break on name.
-                    let x = (*ga as u128 * *sb as u128).cmp(&(*gb as u128 * *sa as u128));
-                    x.then_with(|| fb.cmp(fa))
+    fn plan(&self, wanted: &[LogicalOid]) -> RequestPlan<'_> {
+        let mut objects = wanted.to_vec();
+        objects.sort_unstable();
+        objects.dedup();
+        let holders: Vec<&[u32]> = objects.iter().map(|o| self.holders(*o)).collect();
+        let mut candidates: Vec<Candidate> = Vec::new();
+        let mut slot: HashMap<u32, usize> = HashMap::new();
+        for (i, files) in (0u32..).zip(&holders) {
+            for &file in *files {
+                let at = *slot.entry(file).or_insert_with(|| {
+                    candidates.push(Candidate { file, held: Vec::new() });
+                    candidates.len() - 1
                 });
-            match best {
-                None => break, // some objects exist in no file
-                Some((f, _, size)) => {
-                    for o in self.by_file[&f].iter() {
-                        uncovered.remove(o);
-                    }
-                    total_bytes += size;
-                    chosen.push(f);
-                }
+                candidates[at].held.push(i);
             }
         }
-        FileCover { files: chosen, uncovered: uncovered.into_iter().collect(), total_bytes }
+        candidates.sort_by_key(|c| self.names.resolve(c.file));
+        for (at, c) in candidates.iter().enumerate() {
+            slot.insert(c.file, at);
+        }
+        RequestPlan { objects, holders, candidates, slot }
+    }
+
+    /// Greedy minimum-ish file cover: the smallest set of whole files that
+    /// together contain every wanted object — what *file-level* replication
+    /// would have to ship (Section 5.1's thought experiment). Each round
+    /// takes the file covering the most still-uncovered objects per byte,
+    /// the smaller name on a tie. `bytes_of` gives a file's size and is
+    /// asked once per file holding a wanted object, in name order; the
+    /// work is sized by the request, not by the catalog.
+    pub fn greedy_file_cover<F: FnMut(&str) -> u64>(
+        &self,
+        wanted: &[LogicalOid],
+        mut bytes_of: F,
+    ) -> FileCover {
+        let RequestPlan { objects, holders, candidates, slot } = self.plan(wanted);
+        let size: Vec<u64> =
+            candidates.iter().map(|c| bytes_of(self.names.resolve(c.file)).max(1)).collect();
+        // Live counters: the still-uncovered wanted objects each file holds.
+        let mut gain: Vec<usize> = candidates.iter().map(|c| c.held.len()).collect();
+        let mut covered = vec![false; objects.len()];
+        let mut files = Vec::new();
+        let mut total_bytes = 0u64;
+        loop {
+            // Most uncovered objects per byte. Candidates are in name order
+            // and `max_by` keeps the last of equals, hence backwards: the
+            // smaller name wins a tie.
+            let best = (0..candidates.len()).rev().filter(|at| gain[*at] > 0).max_by(|&a, &b| {
+                (gain[a] as u128 * size[b] as u128).cmp(&(gain[b] as u128 * size[a] as u128))
+            });
+            let Some(best) = best else { break }; // the rest exist in no file
+            for &i in &candidates[best].held {
+                if !std::mem::replace(&mut covered[i as usize], true) {
+                    for file in holders[i as usize] {
+                        gain[slot[file]] -= 1;
+                    }
+                }
+            }
+            total_bytes = total_bytes.saturating_add(size[best]);
+            files.push(self.names.resolve(candidates[best].file).to_string());
+        }
+        let uncovered =
+            objects.iter().zip(&covered).filter(|(_, done)| !**done).map(|(o, _)| *o).collect();
+        FileCover { files, uncovered, total_bytes }
+    }
+
+    /// The collective lookup object replication makes (Section 5.2): every
+    /// wanted object is assigned to its *densest* holder — the file with
+    /// the largest fraction of its recorded objects wanted, the smaller
+    /// name on a tie. Returns `(file → objects to extract from it, in name
+    /// order; objects held by no file)`.
+    #[allow(clippy::type_complexity)]
+    pub fn densest_sources(
+        &mut self,
+        wanted: &[LogicalOid],
+    ) -> (Vec<(Arc<str>, Vec<LogicalOid>)>, Vec<LogicalOid>) {
+        self.lookups += 1;
+        let RequestPlan { objects, holders, candidates, slot } = self.plan(wanted);
+        let density: Vec<(usize, usize)> = candidates
+            .iter()
+            .map(|c| {
+                let recorded = self.by_file[c.file as usize].as_ref().map_or(0, Vec::len);
+                (c.held.len(), recorded.max(1))
+            })
+            .collect();
+        // Holders are in name order; backwards, as in the cover's rounds.
+        let densest: Vec<Option<usize>> = holders
+            .iter()
+            .map(|files| {
+                files.iter().rev().map(|file| slot[file]).max_by(|&a, &b| {
+                    (density[a].0 * density[b].1).cmp(&(density[b].0 * density[a].1))
+                })
+            })
+            .collect();
+        let mut assigned: Vec<Vec<LogicalOid>> = vec![Vec::new(); candidates.len()];
+        let mut unresolved = Vec::new();
+        for &o in wanted {
+            let i = objects.binary_search(&o).expect("the plan lists every wanted object");
+            match densest[i] {
+                Some(at) => assigned[at].push(o),
+                None => unresolved.push(o),
+            }
+        }
+        let per_file = candidates
+            .iter()
+            .zip(assigned)
+            .filter(|(_, objects)| !objects.is_empty())
+            .map(|(c, objects)| (self.names.resolve_arc(c.file), objects))
+            .collect();
+        (per_file, unresolved)
     }
 }
 
@@ -218,7 +345,7 @@ pub struct FileCover {
     pub files: Vec<String>,
     /// Wanted objects not present in any file.
     pub uncovered: Vec<LogicalOid>,
-    /// Total bytes of the chosen files.
+    /// Total bytes of the chosen files (saturating).
     pub total_bytes: u64,
 }
 
@@ -278,6 +405,61 @@ mod tests {
     }
 
     #[test]
+    fn record_file_is_idempotent_per_file_and_object() {
+        let mut c = ObjectFileCatalog::new();
+        c.record_file("a.db", &[lo(0), lo(1)]);
+        let once = c.snapshot();
+        c.record_file("a.db", &[lo(0), lo(1)]);
+        c.record_file("a.db", &[lo(1), lo(2)]);
+        assert_eq!(c.objects_in("a.db"), &[lo(0), lo(1), lo(2)]);
+        assert_eq!(c.files_of(lo(1)), vec!["a.db"]);
+        c.forget_file("a.db");
+        c.record_file("a.db", &[lo(0), lo(1)]);
+        assert_eq!(c.snapshot(), once);
+    }
+
+    #[test]
+    fn a_forgotten_name_can_be_recorded_again() {
+        let mut c = ObjectFileCatalog::new();
+        c.record_file("b.db", &[lo(1)]);
+        c.record_file("a.db", &[lo(0), lo(1)]);
+        c.forget_file("a.db");
+        assert_eq!(c.objects_in("a.db"), &[]);
+        c.record_file("a.db", &[lo(1), lo(2)]);
+        assert_eq!(c.file_count(), 2);
+        assert_eq!(c.objects_in("a.db"), &[lo(1), lo(2)]);
+        assert!(c.files_of(lo(0)).is_empty());
+        assert_eq!(c.files_of(lo(1)), vec!["a.db", "b.db"], "name order, not recording order");
+        assert_eq!(c.collective_lookup(&[lo(1)]).0.keys().next().unwrap(), "a.db");
+    }
+
+    #[test]
+    fn cover_total_saturates() {
+        let mut c = ObjectFileCatalog::new();
+        for e in 0..5 {
+            c.record_file(&format!("huge{e}.db"), &[lo(e)]);
+        }
+        let wanted: Vec<_> = (0..5).map(lo).collect();
+        let cover = c.greedy_file_cover(&wanted, |_| u64::MAX / 4);
+        assert_eq!(cover.files.len(), 5);
+        assert_eq!(cover.total_bytes, u64::MAX);
+    }
+
+    #[test]
+    fn densest_source_wins_and_ties_go_to_the_smaller_name() {
+        let mut c = ObjectFileCatalog::new();
+        c.record_file("bulk.db", &(0..10).map(lo).collect::<Vec<_>>());
+        c.record_file("z-extract.db", &[lo(0), lo(1)]);
+        c.record_file("a-extract.db", &[lo(0), lo(1)]);
+        let (per_file, unresolved) = c.densest_sources(&[lo(0), lo(1), lo(5), lo(99)]);
+        let per_file: Vec<(&str, &[LogicalOid])> =
+            per_file.iter().map(|(f, o)| (&**f, o.as_slice())).collect();
+        assert_eq!(per_file, vec![("a-extract.db", &[lo(0), lo(1)][..]), ("bulk.db", &[lo(5)])]);
+        assert_eq!(unresolved, vec![lo(99)]);
+        assert_eq!(c.lookups, 1);
+    }
+
+    #[test]
     fn greedy_cover_prefers_dense_files() {
         let mut c = ObjectFileCatalog::new();
         // One fat file holds everything; two lean files hold halves.
@@ -316,6 +498,7 @@ mod tests {
         c.record_file("b.db", &[lo(2)]);
         let snap = c.snapshot();
         let rebuilt = ObjectFileCatalog::from_snapshot(&snap);
+        assert_eq!(rebuilt.snapshot(), snap);
         assert_eq!(rebuilt.file_count(), 2);
         assert_eq!(rebuilt.files_of(lo(1)), vec!["a.db"]);
         // Merge is idempotent and additive.

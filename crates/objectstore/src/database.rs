@@ -109,12 +109,19 @@ impl DatabaseFile {
     /// Serialize to the flat byte image stored in disk pools and shipped by
     /// GridFTP.
     pub fn encode(&self) -> Bytes {
+        self.encode_requiring(&self.required_schema)
+    }
+
+    /// [`encode`](Self::encode) with `required_schema` stamped into the
+    /// image in place of the file's own — what a federation exporting a
+    /// file it keeps attached needs, without copying the file first.
+    pub fn encode_requiring(&self, required_schema: &[(String, u32)]) -> Bytes {
         let mut buf = BytesMut::with_capacity(64 + self.payload_bytes() as usize);
         buf.put_slice(MAGIC);
         buf.put_u32_le(self.db_id);
         put_str(&mut buf, &self.name);
-        buf.put_u16_le(self.required_schema.len() as u16);
-        for (ty, v) in &self.required_schema {
+        buf.put_u16_le(required_schema.len() as u16);
+        for (ty, v) in required_schema {
             put_str(&mut buf, ty);
             buf.put_u32_le(*v);
         }

@@ -86,9 +86,13 @@ impl From<SchemaError> for FedError {
 pub struct Federation {
     pub name: String,
     next_db_id: u32,
-    attached: BTreeMap<String, DatabaseFile>,
-    /// logical → (file name, physical oid, version): highest version wins.
-    index: HashMap<LogicalOid, (String, Oid, u32)>,
+    /// Attached files by database id — the `db` of every [`Oid`] in them.
+    attached: HashMap<u32, DatabaseFile>,
+    /// File name → database id, sorted by name.
+    db_ids: BTreeMap<String, u32>,
+    /// logical → (physical oid, version): highest version wins. The oid's
+    /// `db` names the file, so no file name is stored per object.
+    index: HashMap<LogicalOid, (Oid, u32)>,
     /// The type descriptors this federation knows (attach precondition).
     pub schema: SchemaRegistry,
     /// Reads served through `get`/`navigate` (I/O accounting).
@@ -109,42 +113,47 @@ impl Federation {
 
     /// Create a fresh, empty database file in this federation.
     pub fn create_database(&mut self, file_name: &str) -> Result<(), FedError> {
-        if self.attached.contains_key(file_name) {
+        if self.is_attached(file_name) {
             return Err(FedError::AlreadyAttached(file_name.to_string()));
         }
-        let db = DatabaseFile::new(self.next_db_id, file_name);
-        self.next_db_id += 1;
-        self.attached.insert(file_name.to_string(), db);
+        self.adopt(DatabaseFile::new(0, file_name));
         Ok(())
     }
 
     /// Attach a database image produced elsewhere (GDMP post-processing).
     /// The file's objects become navigable locally. Returns the file name.
     pub fn attach(&mut self, image: Bytes) -> Result<String, FedError> {
-        let mut db = DatabaseFile::decode(image)?;
-        if self.attached.contains_key(&db.name) {
+        let db = DatabaseFile::decode(image)?;
+        if self.is_attached(&db.name) {
             return Err(FedError::AlreadyAttached(db.name.clone()));
         }
         // Schema gate: the file's classes must be known here (Section 4.1
         // pre-processing installs them).
         self.schema.satisfies(&db.required_schema)?;
-        // Re-home the database id into this federation's id space.
+        let name = db.name.clone();
+        self.adopt(db);
+        Ok(name)
+    }
+
+    /// Home a file into this federation's database id space and index its
+    /// objects.
+    fn adopt(&mut self, mut db: DatabaseFile) {
         db.db_id = self.next_db_id;
         self.next_db_id += 1;
-        let name = db.name.clone();
         for (oid, obj) in db.iter() {
-            Self::index_insert(&mut self.index, &name, oid, obj);
+            Self::index_insert(&mut self.index, oid, obj);
         }
-        self.attached.insert(name.clone(), db);
-        Ok(name)
+        self.db_ids.insert(db.name.clone(), db.db_id);
+        self.attached.insert(db.db_id, db);
     }
 
     /// Detach a file (its objects stop being navigable); returns the image.
     pub fn detach(&mut self, file_name: &str) -> Result<Bytes, FedError> {
-        let mut db = self
-            .attached
+        let id = self
+            .db_ids
             .remove(file_name)
             .ok_or_else(|| FedError::NotAttached(file_name.to_string()))?;
+        let mut db = self.attached.remove(&id).expect("named files are attached");
         db.required_schema = self.schema_requirements_of(&db);
         let image = db.encode();
         self.reindex();
@@ -155,13 +164,9 @@ impl Federation {
     /// performs when replicating a (read-only) database file. The image is
     /// stamped with the schema requirements of the kinds it contains.
     pub fn export(&self, file_name: &str) -> Result<Bytes, FedError> {
-        let db = self
-            .attached
-            .get(file_name)
-            .ok_or_else(|| FedError::NotAttached(file_name.to_string()))?;
-        let mut stamped = db.clone();
-        stamped.required_schema = self.schema_requirements_of(db);
-        Ok(stamped.encode())
+        let db =
+            self.file(file_name).ok_or_else(|| FedError::NotAttached(file_name.to_string()))?;
+        Ok(db.encode_requiring(&self.schema_requirements_of(db)))
     }
 
     /// The `(type, version)` pairs a file needs, per this federation's
@@ -173,16 +178,16 @@ impl Federation {
     }
 
     pub fn is_attached(&self, file_name: &str) -> bool {
-        self.attached.contains_key(file_name)
+        self.db_ids.contains_key(file_name)
     }
 
     /// Attached file names, sorted.
     pub fn files(&self) -> Vec<String> {
-        self.attached.keys().cloned().collect()
+        self.db_ids.keys().cloned().collect()
     }
 
     pub fn file(&self, file_name: &str) -> Option<&DatabaseFile> {
-        self.attached.get(file_name)
+        self.db_ids.get(file_name).map(|id| &self.attached[id])
     }
 
     // ---- objects -----------------------------------------------------------
@@ -196,29 +201,30 @@ impl Federation {
         obj: StoredObject,
     ) -> Result<Oid, FedError> {
         // Check read-only violation against every attached copy.
-        if let Some((_, _, v)) = self.index.get(&obj.logical) {
+        if let Some((_, v)) = self.index.get(&obj.logical) {
             if *v >= obj.version {
                 return Err(FedError::ReadOnlyViolation(obj.logical));
             }
         }
-        let db = self
-            .attached
-            .get_mut(file_name)
+        let id = self
+            .db_ids
+            .get(file_name)
             .ok_or_else(|| FedError::NotAttached(file_name.to_string()))?;
+        let db = self.attached.get_mut(id).expect("named files are attached");
         let logical = obj.logical;
         let version = obj.version;
         let oid = db.insert(container, obj);
-        self.index.insert(logical, (file_name.to_string(), oid, version));
+        self.index.insert(logical, (oid, version));
         Ok(oid)
     }
 
     /// Fetch the (latest version of the) object with this logical id.
     pub fn get(&mut self, logical: LogicalOid) -> Result<&StoredObject, FedError> {
         self.lookups += 1;
-        let (file, oid, _) = self.index.get(&logical).ok_or(FedError::UnknownObject(logical))?;
+        let (oid, _) = self.index.get(&logical).ok_or(FedError::UnknownObject(logical))?;
         Ok(self
             .attached
-            .get(file)
+            .get(&oid.db)
             .and_then(|db| db.get(*oid))
             .expect("index points at attached object"))
     }
@@ -229,7 +235,7 @@ impl Federation {
 
     /// Which attached file holds the object.
     pub fn file_of(&self, logical: LogicalOid) -> Option<&str> {
-        self.index.get(&logical).map(|(f, _, _)| f.as_str())
+        self.index.get(&logical).map(|(oid, _)| self.attached[&oid.db].name.as_str())
     }
 
     /// Follow the association `label` from `from`. Fails with
@@ -259,25 +265,22 @@ impl Federation {
         self.index.len()
     }
 
-    fn index_insert(
-        index: &mut HashMap<LogicalOid, (String, Oid, u32)>,
-        file: &str,
-        oid: Oid,
-        obj: &StoredObject,
-    ) {
+    fn index_insert(index: &mut HashMap<LogicalOid, (Oid, u32)>, oid: Oid, obj: &StoredObject) {
         match index.get(&obj.logical) {
-            Some((_, _, v)) if *v >= obj.version => {}
+            Some((_, v)) if *v >= obj.version => {}
             _ => {
-                index.insert(obj.logical, (file.to_string(), oid, obj.version));
+                index.insert(obj.logical, (oid, obj.version));
             }
         }
     }
 
+    /// Rebuild the index, files in name order (the earlier name wins an
+    /// equal version).
     fn reindex(&mut self) {
         self.index.clear();
-        for (name, db) in &self.attached {
-            for (oid, obj) in db.iter() {
-                Self::index_insert(&mut self.index, name, oid, obj);
+        for id in self.db_ids.values() {
+            for (oid, obj) in self.attached[id].iter() {
+                Self::index_insert(&mut self.index, oid, obj);
             }
         }
     }
@@ -356,6 +359,22 @@ mod tests {
         let img = fed.export("aod.db").unwrap();
         assert!(!img.is_empty());
         assert!(fed.is_attached("aod.db"));
+    }
+
+    #[test]
+    fn export_stamps_the_schema_without_touching_the_file() {
+        // A mixed-kind file: the image must be what encoding a stamped
+        // copy gives.
+        let mut fed = fed_with_aods(0..3);
+        for e in 0..3 {
+            fed.store("aod.db", 1, obj(e, ObjectKind::Esd)).unwrap();
+        }
+        let db = fed.file("aod.db").unwrap();
+        assert!(db.required_schema.is_empty());
+        let mut stamped = db.clone();
+        stamped.required_schema = fed.schema_requirements_of(db);
+        assert_eq!(stamped.required_schema.len(), 2);
+        assert_eq!(fed.export("aod.db").unwrap(), stamped.encode());
     }
 
     #[test]
