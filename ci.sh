@@ -5,10 +5,10 @@
 #   ./ci.sh                fmt + clippy + build + test + benches compile +
 #                          the parallel-engine determinism smoke, the
 #                          scenario smoke and the whole-stack smoke (one
-#                          short `benchmark/run.sh` run each of grid_mix
-#                          and object_analysis, which must come out
-#                          correct with no failed operation and with the
-#                          model digest recorded below)
+#                          short `benchmark/run.sh` run of each of the
+#                          four workloads, which must come out correct
+#                          with no failed operation and with the model
+#                          digest recorded below)
 #   ./ci.sh --bench-smoke  additionally run the simnet perf baseline once,
 #                          regenerating BENCH_simnet.json
 #   ./ci.sh --chaos-smoke  additionally run the seeded chaos convergence
@@ -102,7 +102,7 @@ if [[ "$scenario_smoke" == 1 ]]; then
   cargo run --offline --release -q -p gdmp-bench --bin scenario_smoke
 fi
 
-echo "==> whole-stack smoke: benchmark/run.sh grid_mix and object_analysis are correct, no operation failed, model unmoved"
+echo "==> whole-stack smoke: every benchmark/run.sh workload is correct, no operation failed, model unmoved"
 # What the simulated model produced for each workload at seed 1 (the
 # telemetry export and the outcome counts together), as printed by the
 # binary built from the commit named. A change that claims host speed only
@@ -123,6 +123,8 @@ whole_stack_smoke() { # <workload> <recorded digest line>
   fi
 }
 whole_stack_smoke grid_mix "sim_digest dd9384db27bb9c9a"        # commit 47dbafc
+whole_stack_smoke push_soak "sim_digest adfd48b6c8c434e0"       # commit 6156a39
+whole_stack_smoke bulk_wan "sim_digest 311d553d4b163b09"        # commit 6156a39
 whole_stack_smoke object_analysis "sim_digest 61daa7d4a954458c" # commit 8a033fc
 
 if [[ "$bench_smoke" == 1 ]]; then
