@@ -1,4 +1,4 @@
-//! Event-queue micro-benchmarks: the sharded engine's flat 4-ary heap +
+//! Event-queue micro-benchmarks: the engine's flat 4-ary heap +
 //! hierarchical timer wheel (`gdmp_simnet::engine::EventQueue`) against a
 //! plain `std::collections::BinaryHeap`, on the TCP simulator's actual
 //! event mix: a steady band of near-future data/ACK events plus RTO
@@ -47,38 +47,8 @@ fn churn_indexed() -> u64 {
     acc
 }
 
-/// The identical churn on a `BinaryHeap` carrying the sharded engine's
-/// full determinism key (`at << 64 | created`, then `seq`) — what a naive
-/// implementation of the cross-shard ordering contract would use. This is
-/// the apples-to-apples structural baseline.
-fn churn_binary_heap_wide_key() -> u64 {
-    let mut q: BinaryHeap<Reverse<(u128, u64, u64)>> = BinaryHeap::new();
-    let mut seq = 0u64;
-    let mut push = |q: &mut BinaryHeap<Reverse<(u128, u64, u64)>>, at: u64, ev: u64| {
-        q.push(Reverse(((u128::from(at) << 64) | u128::from(seq), seq, ev)));
-        seq += 1;
-    };
-    let mut rng = 0x9E3779B97F4A7C15u64;
-    for f in 0..FLOWS {
-        push(&mut q, 1 + f, f);
-        push(&mut q, RTO_NS + f * 1000, f | 1 << 32);
-    }
-    let mut acc = 0u64;
-    for op in 0..OPS {
-        let Reverse((key, _, ev)) = q.pop().expect("queue never drains");
-        let t = (key >> 64) as u64;
-        acc = acc.wrapping_add(t ^ ev);
-        let jitter = lcg(&mut rng) % 50_000;
-        push(&mut q, t + 1_000 + jitter, ev);
-        if op % 4 == 0 {
-            push(&mut q, t + RTO_NS + jitter, ev | 1 << 33);
-        }
-    }
-    acc
-}
-
-/// The identical churn on `BinaryHeap<Reverse<(at, seq, payload)>>` — the
-/// pre-sharding engine's storage, with its narrower single-shard FIFO key.
+/// The identical churn on `BinaryHeap<Reverse<(at, seq, payload)>>`: the
+/// same `(at, seq)` key in the standard library's structure.
 fn churn_binary_heap() -> u64 {
     let mut q: BinaryHeap<Reverse<(u64, u64, u64)>> = BinaryHeap::new();
     let mut seq = 0u64;
@@ -108,9 +78,6 @@ fn bench_event_queue(c: &mut Criterion) {
     let mut g = c.benchmark_group("event_queue");
     g.throughput(Throughput::Elements(OPS));
     g.bench_function("indexed_heap_plus_wheel", |b| b.iter(|| black_box(churn_indexed())));
-    g.bench_function("std_binary_heap_wide_key", |b| {
-        b.iter(|| black_box(churn_binary_heap_wide_key()))
-    });
     g.bench_function("std_binary_heap_narrow_key", |b| b.iter(|| black_box(churn_binary_heap())));
     g.finish();
 }

@@ -42,8 +42,8 @@ fn main() -> ExitCode {
     let dir = Path::new(&dir);
     let tol = Tolerances::from_env();
     println!(
-        "tolerances: mbps {}% events {}% speedup {}% delta ±{} pp scaling {}%",
-        tol.mbps_pct, tol.events_pct, tol.speedup_pct, tol.delta_abs, tol.scaling_pct
+        "tolerances: mbps {}% events {}% speedup {}% delta ±{} pp",
+        tol.mbps_pct, tol.events_pct, tol.speedup_pct, tol.delta_abs
     );
 
     let mut ok = true;

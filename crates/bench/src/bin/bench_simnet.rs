@@ -64,29 +64,16 @@ struct Sweep {
     max_throughput_delta_pct: f64,
 }
 
-/// One worker count of the sharded-engine scaling sweep. Only `workers`
-/// is deterministic; wall time and events/sec move with the host (and are
-/// excluded from the regression gate — the baseline's `host_cores` records
-/// how much parallelism the numbers could even express).
+/// The `fanout` scenario run packet-exact: the one multi-link network of
+/// the baseline. The event count is deterministic and gated exactly; wall
+/// time and events/sec move with the host.
 #[derive(serde::Serialize)]
-struct ScalingPoint {
-    workers: usize,
-    wall_ms: f64,
-    events_per_sec: u64,
-}
-
-/// The `fanout` scenario run packet-exact at 1/2/4/8 engine workers. The
-/// event count is identical at every worker count (the byte-identity
-/// contract of the sharded engine); the speedup is events/sec at the best
-/// worker count over events/sec serial.
-#[derive(serde::Serialize)]
-struct Scaling {
-    scenario: &'static str,
+struct Fanout {
     sites: u32,
     bytes_per_site: u64,
     events_processed: u64,
-    points: Vec<ScalingPoint>,
-    speedup_at_max: f64,
+    wall_ms: f64,
+    events_per_sec: u64,
 }
 
 #[derive(serde::Serialize)]
@@ -104,16 +91,15 @@ struct Totals {
 #[derive(serde::Serialize)]
 struct Baseline {
     schema: &'static str,
+    /// Threads the figure sweeps fanned out over (`default_workers`).
     workers: usize,
-    /// Cores available on the host that produced this baseline. The gate
-    /// skips the scaling comparison when either host has fewer cores than
-    /// the sweep's worker counts — the ratio cannot be expressed there.
+    /// Cores available on the host that produced this baseline.
     host_cores: usize,
     /// Reference wall time of the seed simulator's serial figure sweeps.
     seed_sweep_ms: f64,
     scenarios: Vec<Scenario>,
     sweeps: Vec<Sweep>,
-    scaling: Scaling,
+    fanout: Fanout,
     totals: Totals,
 }
 
@@ -184,36 +170,17 @@ fn sweep(name: &'static str, grid: FigureSweep) -> Sweep {
     }
 }
 
-fn scaling_sweep() -> Scaling {
+fn fanout_run() -> Fanout {
     let spec = FanoutSpec::bench_default();
-    let mut points = Vec::new();
-    let mut events = 0u64;
-    let mut eps_serial = 0.0f64;
-    let mut eps_best = 0.0f64;
-    for workers in [1usize, 2, 4, 8] {
-        let t0 = Instant::now();
-        let run = run_fanout(&spec.with_workers(workers));
-        let wall = t0.elapsed();
-        let eps = run.events_processed as f64 / wall.as_secs_f64().max(1e-9);
-        if workers == 1 {
-            events = run.events_processed;
-            eps_serial = eps;
-        } else {
-            assert_eq!(
-                events, run.events_processed,
-                "sharded engine event count diverged at {workers} workers"
-            );
-        }
-        eps_best = eps_best.max(eps);
-        points.push(ScalingPoint { workers, wall_ms: ms(wall), events_per_sec: eps as u64 });
-    }
-    Scaling {
-        scenario: "fanout",
+    let t0 = Instant::now();
+    let run = run_fanout(&spec);
+    let wall = t0.elapsed();
+    Fanout {
         sites: spec.sites,
         bytes_per_site: spec.bytes_per_site,
-        events_processed: events,
-        points,
-        speedup_at_max: (eps_best / eps_serial.max(1e-9) * 100.0).round() / 100.0,
+        events_processed: run.events_processed,
+        wall_ms: ms(wall),
+        events_per_sec: (run.events_processed as f64 / wall.as_secs_f64().max(1e-9)) as u64,
     }
 }
 
@@ -238,20 +205,20 @@ fn main() {
         sweep("figure5_untuned", FigureSweep::figure5()),
         sweep("figure6_tuned", FigureSweep::figure6()),
     ];
-    let scaling = scaling_sweep();
+    let fanout = fanout_run();
     let wall_exact: f64 = scenarios.iter().map(|s| s.exact.wall_ms).sum::<f64>()
         + sweeps.iter().map(|s| s.wall_ms_exact).sum::<f64>();
     let wall_auto: f64 = scenarios.iter().map(|s| s.auto.wall_ms).sum::<f64>()
         + sweeps.iter().map(|s| s.wall_ms_auto).sum::<f64>();
     let sweep_auto: f64 = sweeps.iter().map(|s| s.wall_ms_auto).sum::<f64>();
     let baseline = Baseline {
-        schema: "gdmp-bench-simnet/2",
+        schema: "gdmp-bench-simnet/3",
         workers: default_workers(),
         host_cores: std::thread::available_parallelism().map_or(1, |n| n.get()),
         seed_sweep_ms: seed_ms,
         scenarios,
         sweeps,
-        scaling,
+        fanout,
         totals: Totals {
             wall_ms_exact: (wall_exact * 1e3).round() / 1e3,
             wall_ms_auto: (wall_auto * 1e3).round() / 1e3,
@@ -287,19 +254,13 @@ fn main() {
             s.max_throughput_delta_pct,
         );
     }
-    for p in &baseline.scaling.points {
-        println!(
-            "{:>16}: {} workers        {:>9.1} ms  {:>9} events/s  ({} events)",
-            baseline.scaling.scenario,
-            p.workers,
-            p.wall_ms,
-            p.events_per_sec,
-            baseline.scaling.events_processed,
-        );
-    }
     println!(
-        "{:>16}: {:.2}x events/s at best worker count ({} host cores)",
-        "scaling", baseline.scaling.speedup_at_max, baseline.host_cores,
+        "{:>16}: {:>2} sites           exact {:>9.1} ms / {:>9} ev   {:>9} events/s",
+        "fanout",
+        baseline.fanout.sites,
+        baseline.fanout.wall_ms,
+        baseline.fanout.events_processed,
+        baseline.fanout.events_per_sec,
     );
     println!(
         "{:>16}: exact {:.1} ms → auto {:.1} ms ({:.1}x; sweeps {:.1}x vs seed {:.0} ms; {} workers)",

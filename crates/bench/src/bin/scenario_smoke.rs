@@ -1,5 +1,5 @@
-//! Scenario smoke for the CI gate (`ci.sh --scenario-smoke`, part of the
-//! default gate; release build, < 10 s): every committed `scenarios/`
+//! Scenario smoke for the CI gate (part of `ci.sh`'s default gate;
+//! release build, < 10 s): every committed `scenarios/`
 //! file must load and validate, and the quick ones must replay twice with
 //! held invariants (convergence, never-wrong) and byte-identical
 //! telemetry exports — the determinism contract end to end, from JSON on

@@ -1,4 +1,4 @@
-//! The perf-regression gate behind `ci.sh --bench-compare`: re-run the
+//! The perf-regression gate behind `ci.sh --full`: re-run the
 //! deterministic metrics of the committed `BENCH_simnet.json`,
 //! `BENCH_fetch.json`, `BENCH_catalog.json`, and `BENCH_grid.json`
 //! baselines and fail on drift beyond per-metric tolerance bands.
@@ -14,15 +14,6 @@
 //! | `GDMP_TOL_EVENTS_PCT`  | 10      | event/byte/retry counts            |
 //! | `GDMP_TOL_SPEEDUP_PCT` | 10      | striping speedup, event reduction  |
 //! | `GDMP_TOL_DELTA_ABS`   | 1       | fidelity deltas (percentage points)|
-//! | `GDMP_TOL_SCALING_PCT` | 50      | multi-worker events/sec speedup    |
-//!
-//! The scaling speedup is the one deliberately wall-derived gate: it
-//! re-measures the fan-out scenario's events/sec at 1 and at the sweep's
-//! best worker count, and is **skipped** (recorded in [`Gate::skipped`])
-//! whenever either the current host or the baseline host has fewer cores
-//! than the sweep's worker counts — the ratio cannot be expressed there.
-
-use std::time::Instant;
 
 use gdmp_gridftp::sim::WanProfile;
 use gdmp_simnet::LinkSpec;
@@ -41,7 +32,6 @@ pub struct Tolerances {
     pub events_pct: f64,
     pub speedup_pct: f64,
     pub delta_abs: f64,
-    pub scaling_pct: f64,
 }
 
 fn env_f64(key: &str, default: f64) -> f64 {
@@ -50,13 +40,7 @@ fn env_f64(key: &str, default: f64) -> f64 {
 
 impl Default for Tolerances {
     fn default() -> Self {
-        Tolerances {
-            mbps_pct: 5.0,
-            events_pct: 10.0,
-            speedup_pct: 10.0,
-            delta_abs: 1.0,
-            scaling_pct: 50.0,
-        }
+        Tolerances { mbps_pct: 5.0, events_pct: 10.0, speedup_pct: 10.0, delta_abs: 1.0 }
     }
 }
 
@@ -68,7 +52,6 @@ impl Tolerances {
             events_pct: env_f64("GDMP_TOL_EVENTS_PCT", d.events_pct),
             speedup_pct: env_f64("GDMP_TOL_SPEEDUP_PCT", d.speedup_pct),
             delta_abs: env_f64("GDMP_TOL_DELTA_ABS", d.delta_abs),
-            scaling_pct: env_f64("GDMP_TOL_SCALING_PCT", d.scaling_pct),
         }
     }
 }
@@ -185,26 +168,18 @@ struct SimnetSweep {
 }
 
 #[derive(serde::Deserialize)]
-struct SimnetScalingPoint {
-    workers: usize,
-}
-
-#[derive(serde::Deserialize)]
-struct SimnetScaling {
+struct SimnetFanout {
     sites: u32,
     bytes_per_site: u64,
     events_processed: u64,
-    points: Vec<SimnetScalingPoint>,
-    speedup_at_max: f64,
 }
 
 #[derive(serde::Deserialize)]
 struct SimnetBaseline {
     schema: String,
-    host_cores: usize,
     scenarios: Vec<SimnetScenario>,
     sweeps: Vec<SimnetSweep>,
-    scaling: SimnetScaling,
+    fanout: SimnetFanout,
 }
 
 #[derive(serde::Deserialize)]
@@ -489,7 +464,7 @@ pub fn compare_simnet(baseline_json: &str, tol: &Tolerances) -> Result<Gate, Str
     let base: SimnetBaseline =
         serde_json::from_str(baseline_json).map_err(|e| format!("BENCH_simnet.json: {e}"))?;
     let mut gate = Gate::default();
-    gate.exact("simnet.schema", "gdmp-bench-simnet/2".to_string(), base.schema);
+    gate.exact("simnet.schema", "gdmp-bench-simnet/3".to_string(), base.schema);
 
     for s in &base.scenarios {
         let p = format!("simnet.{}", s.name);
@@ -572,47 +547,18 @@ pub fn compare_simnet(baseline_json: &str, tol: &Tolerances) -> Result<Gate, Str
         );
     }
 
-    // The sharded-engine scaling sweep. The event count and the
-    // worker-count byte-identity are pure sim-time and always gated; the
-    // events/sec speedup is wall-derived and only meaningful when both the
-    // baseline host and this host actually have the cores.
+    // The fan-out is the only committed event count over a multi-link
+    // network: any reordered tie between events of different links moves it.
     let spec = FanoutSpec {
-        sites: base.scaling.sites,
-        bytes_per_site: base.scaling.bytes_per_site,
+        sites: base.fanout.sites,
+        bytes_per_site: base.fanout.bytes_per_site,
         ..FanoutSpec::bench_default()
     };
-    let t0 = Instant::now();
-    let serial = run_fanout(&spec);
-    let wall_serial = t0.elapsed();
-    gate.within_pct(
+    gate.exact(
         "simnet.fanout.events_processed",
-        base.scaling.events_processed as f64,
-        serial.events_processed as f64,
-        tol.events_pct,
+        base.fanout.events_processed,
+        run_fanout(&spec).events_processed,
     );
-    let par = run_fanout(&spec.with_workers(2));
-    gate.exact("simnet.fanout.workers_deterministic", true, serial == par);
-    let max_workers = base.scaling.points.iter().map(|p| p.workers).max().unwrap_or(1);
-    let host_cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-    if host_cores >= max_workers && base.host_cores >= max_workers {
-        let t1 = Instant::now();
-        let best = run_fanout(&spec.with_workers(max_workers));
-        let wall_best = t1.elapsed();
-        debug_assert_eq!(serial.events_processed, best.events_processed);
-        let speedup = wall_serial.as_secs_f64() / wall_best.as_secs_f64().max(1e-9);
-        gate.within_pct(
-            "simnet.fanout.speedup_at_max",
-            base.scaling.speedup_at_max,
-            speedup,
-            tol.scaling_pct,
-        );
-    } else {
-        gate.skipped.push(format!(
-            "simnet.fanout.speedup_at_max: needs {max_workers} cores (host has {host_cores}, \
-             baseline host had {})",
-            base.host_cores
-        ));
-    }
     Ok(gate)
 }
 

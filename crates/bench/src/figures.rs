@@ -3,7 +3,7 @@
 use gdmp_gridftp::sim::WanProfile;
 use gdmp_workloads::FigureSweep;
 
-use crate::parallel::{par_map, workers_for};
+use crate::parallel::{default_workers, par_map};
 
 /// One data point of a throughput figure.
 #[derive(Debug, Clone, Copy, PartialEq, serde::Serialize)]
@@ -25,11 +25,9 @@ pub fn fig_sweep(sweep: &FigureSweep) -> Vec<FigRow> {
 }
 
 /// [`fig_sweep`] against an explicit profile (e.g. [`WanProfile::exact`]
-/// for a packet-level reference run). Sweep parallelism is divided by the
-/// profile's engine worker count so scenario threads × event-loop threads
-/// never oversubscribe the machine.
+/// for a packet-level reference run).
 pub fn fig_sweep_on(sweep: &FigureSweep, profile: WanProfile) -> Vec<FigRow> {
-    sweep_rows(sweep, profile, workers_for(profile.workers))
+    sweep_rows(sweep, profile, default_workers())
 }
 
 fn sweep_rows(sweep: &FigureSweep, profile: WanProfile, workers: usize) -> Vec<FigRow> {

@@ -24,7 +24,7 @@ pub use grid::{
     run_control_plane_bench, run_control_plane_grid, run_grid_soak_bench, run_grid_soak_points,
     ControlPlanePoint, GridSoakPoint, GRID_OPS, GRID_SITES, SOAK_SCALES,
 };
-pub use parallel::{default_workers, par_map, workers_for};
+pub use parallel::{default_workers, par_map};
 pub use report::{Cell, Report};
 pub use tables::{
     buffer_sweep, motivation_table, objcost_table, objrep_table, staging_table, stripe_table,

@@ -22,15 +22,6 @@ pub fn default_workers() -> usize {
     std::thread::available_parallelism().map_or(1, |n| n.get())
 }
 
-/// Sweep-worker count when each scenario itself runs `engine_workers`
-/// event-loop threads (`NetworkConfig::workers`): divide the machine so
-/// scenario-parallelism × engine-parallelism never oversubscribes the
-/// available cores. `engine_workers = 1` degenerates to
-/// [`default_workers`].
-pub fn workers_for(engine_workers: usize) -> usize {
-    (default_workers() / engine_workers.max(1)).max(1)
-}
-
 /// Map `f` over `items` on up to `workers` scoped threads, returning results
 /// in input order.
 ///
@@ -80,19 +71,6 @@ mod tests {
     fn handles_empty_and_single() {
         assert_eq!(par_map::<u32, u32, _>(&[], 4, |x| *x), Vec::<u32>::new());
         assert_eq!(par_map(&[7u32], 4, |x| x + 1), vec![8]);
-    }
-
-    #[test]
-    fn workers_for_caps_total_thread_product() {
-        let cores = default_workers();
-        for engine in [1, 2, 4, 8, 64] {
-            let sweep = workers_for(engine);
-            assert!(sweep >= 1);
-            // The product may exceed the core count only through the
-            // mandatory floor of one sweep thread.
-            assert!(sweep == 1 || sweep * engine <= cores, "sweep {sweep} × engine {engine}");
-        }
-        assert_eq!(workers_for(1), cores);
     }
 
     #[test]

@@ -1484,14 +1484,10 @@ impl Grid {
                     }
                 }
             }
-            // Pre-processing (Section 4.1, file-type specific): Objectivity
-            // files need the source's schema installed at the destination
-            // before the post-transfer attach can succeed.
             if info.meta.file_type == "objectivity" {
                 let pre_span = reg.span_start("preprocess", self.clock.nanos());
                 reg.span_note(pre_span, "step", "schema_import");
-                let src_schema = self.site(&source)?.federation.schema.clone();
-                self.site_mut(dst)?.federation.schema.import_from(&src_schema);
+                self.import_schema(&source, dst)?;
                 reg.span_end(pre_span, self.clock.nanos());
             }
             // Pin at the source for the duration of the attempts.
@@ -1902,6 +1898,9 @@ impl Grid {
                         self.site_mut(&source)?.storage.pool.pin(lfn)?;
                         source_data[idx] =
                             Some(self.site(&source)?.storage.pool.peek(lfn).expect("pinned"));
+                        if info.meta.file_type == "objectivity" {
+                            self.import_schema(&source, dst)?;
+                        }
                         break;
                     }
                     Some(_) => {
@@ -2311,6 +2310,15 @@ impl Grid {
             reg.series_set("site_import_queue_depth", &[("site", dst)], now_ns, depth);
         }
         reg.span_end(register_span, self.clock.nanos());
+        Ok(())
+    }
+
+    /// Pre-processing (Section 4.1, file-type specific): files of an
+    /// Objectivity source attach only where the source's schema is known,
+    /// so it is installed at the destination before anything lands.
+    pub(crate) fn import_schema(&mut self, source: &str, dst: &str) -> Result<()> {
+        let src_schema = self.site(source)?.federation.schema.clone();
+        self.site_mut(dst)?.federation.schema.import_from(&src_schema);
         Ok(())
     }
 

@@ -168,12 +168,7 @@ impl Grid {
             reg.span_note(src_span, "source", source.as_str());
             reg.span_note(src_span, "objects", objects.len() as u64);
             let prefix = format!("objx.{seq}.{source}.to.{dst}");
-            // Pre-processing: the destination must know the source's schema
-            // before extraction files can be attached.
-            {
-                let src_schema = self.site(&source)?.federation.schema.clone();
-                self.site_mut(dst)?.federation.schema.import_from(&src_schema);
-            }
+            self.import_schema(&source, dst)?;
             let (chunks, stats) = {
                 let src_site = self.site_mut(&source)?;
                 copier.extract(&mut src_site.federation, &objects, &prefix)?

@@ -573,38 +573,49 @@ fn object_view_index_files_replicate_like_any_file() {
 
 #[test]
 fn pre_processing_installs_schema_before_attach() {
+    use gdmp::FetchPolicy;
     use gdmp_objectstore::{FieldType, TypeDescriptor};
-    let mut grid = three_site_grid();
-    // CERN upgrades its AOD class to version 2 before producing data.
-    grid.site_mut("cern")
-        .unwrap()
-        .federation
-        .schema
-        .register(TypeDescriptor::new(
-            "aod",
-            2,
-            &[("event", FieldType::U64), ("btag", FieldType::F64)],
-        ))
-        .unwrap();
-    store_events(&mut grid, "cern", "v2.db", 0..10, ObjectKind::Aod, 64);
-    grid.publish_database("cern", "v2.db").unwrap();
-
-    // A bare attach at ANL (schema v1) would fail...
-    let image = grid.site("cern").unwrap().federation.export("v2.db").unwrap();
+    for policy in
+        [FetchPolicy::SingleSource, FetchPolicy::MultiSource { max_sources: 2, min_chunk: 64 }]
     {
-        let mut scratch = gdmp_objectstore::Federation::new("scratch");
-        let err = scratch.attach(image).unwrap_err();
-        assert!(matches!(err, gdmp_objectstore::FedError::Schema(_)));
+        let mut grid = three_site_grid();
+        grid.add_site(SiteConfig::named("fnal", "fnal.gov", 14));
+        grid.trust_all();
+        grid.set_fetch_policy(policy);
+        // CERN upgrades its AOD class to version 2 before producing data.
+        grid.site_mut("cern")
+            .unwrap()
+            .federation
+            .schema
+            .register(TypeDescriptor::new(
+                "aod",
+                2,
+                &[("event", FieldType::U64), ("btag", FieldType::F64)],
+            ))
+            .unwrap();
+        store_events(&mut grid, "cern", "v2.db", 0..10, ObjectKind::Aod, 64);
+        grid.publish_database("cern", "v2.db").unwrap();
+
+        // A bare attach at ANL (schema v1) would fail...
+        let image = grid.site("cern").unwrap().federation.export("v2.db").unwrap();
+        {
+            let mut scratch = gdmp_objectstore::Federation::new("scratch");
+            let err = scratch.attach(image).unwrap_err();
+            assert!(matches!(err, gdmp_objectstore::FedError::Schema(_)));
+        }
+
+        // ...but GDMP's pre-processing step imports the schema first: from
+        // the one holder, and then — striped, under `MultiSource` — from two.
+        for dst in ["anl", "lyon"] {
+            grid.replicate(dst, "v2.db").unwrap_or_else(|e| panic!("{policy:?} to {dst}: {e:?}"));
+            let site = grid.site(dst).unwrap();
+            assert!(site.federation.is_attached("v2.db"));
+            assert_eq!(site.federation.schema.version_of("aod"), Some(2));
+        }
+
+        // Object replication carries the schema too.
+        let wanted: Vec<_> = (0..5).map(|e| LogicalOid::new(e, ObjectKind::Aod)).collect();
+        grid.object_replicate("fnal", &wanted, ObjectReplicationConfig::default()).unwrap();
+        assert_eq!(grid.site("fnal").unwrap().federation.schema.version_of("aod"), Some(2));
     }
-
-    // ...but GDMP's pre-processing step imports the schema first.
-    grid.replicate("anl", "v2.db").unwrap();
-    let anl = grid.site("anl").unwrap();
-    assert!(anl.federation.is_attached("v2.db"));
-    assert_eq!(anl.federation.schema.version_of("aod"), Some(2));
-
-    // Object replication from ANL onward carries the schema too.
-    let wanted: Vec<_> = (0..5).map(|e| LogicalOid::new(e, ObjectKind::Aod)).collect();
-    grid.object_replicate("lyon", &wanted, ObjectReplicationConfig::default()).unwrap();
-    assert_eq!(grid.site("lyon").unwrap().federation.schema.version_of("aod"), Some(2));
 }

@@ -42,9 +42,6 @@ pub struct WanProfile {
     pub control_rtts: u32,
     /// Fidelity mode of the underlying simulation (see [`FastForward`]).
     pub fast_forward: FastForward,
-    /// Event-loop worker threads for the underlying simulation (see
-    /// [`NetworkConfig::workers`]); results are identical for any value.
-    pub workers: usize,
 }
 
 impl WanProfile {
@@ -59,7 +56,6 @@ impl WanProfile {
             warmup: SimDuration::from_secs(5),
             control_rtts: 8,
             fast_forward: FastForward::Auto,
-            workers: 1,
         }
     }
 
@@ -74,7 +70,6 @@ impl WanProfile {
             warmup: SimDuration::ZERO,
             control_rtts: 8,
             fast_forward: FastForward::Auto,
-            workers: 1,
         }
     }
 
@@ -84,10 +79,9 @@ impl WanProfile {
         self
     }
 
-    /// Run the underlying simulation on up to `workers` event-loop threads
-    /// (see [`NetworkConfig::workers`]); the results do not change.
-    pub fn with_workers(mut self, workers: usize) -> Self {
-        self.workers = workers.max(1);
+    /// Does nothing: the simulator has one engine (DESIGN §14). Kept only
+    /// because `benchmark/`, frozen in this PR, calls it (see ROADMAP).
+    pub fn with_workers(self, _workers: usize) -> Self {
         self
     }
 
@@ -395,7 +389,6 @@ impl Recipe {
         let p = &self.profile;
         let mut net = Network::new(NetworkConfig {
             fast_forward: p.fast_forward,
-            workers: p.workers,
             max_sim_time,
             ..NetworkConfig::default()
         });
@@ -427,8 +420,7 @@ impl Recipe {
     /// placeholder sizes (one byte, or none for an empty stream) that the
     /// caller replaces. The warm-up is simulated the first time a thread
     /// asks for a recipe; later calls continue from a copy. A profile with
-    /// no cross traffic or no warm-up has nothing to reuse, and a network
-    /// split over several workers cannot be copied: those are returned
+    /// no cross traffic or no warm-up has nothing to reuse: it is returned
     /// unsimulated.
     fn opened(&self) -> Network {
         let p = &self.profile;
@@ -436,7 +428,7 @@ impl Recipe {
             let placeholder = (0..self.streams).map(|s| u64::from(s >= self.empty_streams));
             self.network(placeholder, p.hard_stop(0, self.streams, self.buffer))
         };
-        if p.background_flows == 0 || p.warmup == SimDuration::ZERO || p.workers > 1 {
+        if p.background_flows == 0 || p.warmup == SimDuration::ZERO {
             return unsimulated();
         }
         WARMED.with(|store| {

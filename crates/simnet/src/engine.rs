@@ -1,12 +1,9 @@
 //! Deterministic discrete-event queue.
 //!
-//! Events are ordered by `(time, creation time, source shard, sequence)`:
-//! ties on the simulated clock are broken by when — and where — the event
-//! was scheduled, so a run is a pure function of the scenario. No wall-clock
-//! time or iteration-order nondeterminism can leak in, and the order is
-//! independent of *when* a cross-shard event is physically merged into its
-//! destination queue: the key carries everything needed to slot it into the
-//! same place a sequential run would have.
+//! Events are ordered by `(time, sequence)`: ties on the simulated clock are
+//! broken by the order the events were scheduled in, so a run is a pure
+//! function of the scenario. No wall-clock time or iteration-order
+//! nondeterminism can leak in.
 //!
 //! Mechanically the queue is two structures behind one API:
 //!
@@ -27,33 +24,11 @@
 use crate::time::SimTime;
 use crate::wheel::TimerWheel;
 
-/// Total order on scheduled events: `(at, created, src shard, seq)` packed
-/// into two machine words for cheap comparison.
+/// Total order on scheduled events: time, then scheduling order.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-pub(crate) struct Key {
-    /// `at << 64 | created`.
-    hi: u128,
-    /// `src << 48 | seq`.
-    lo: u64,
-}
-
-pub(crate) const SEQ_BITS: u32 = 48;
-
-impl Key {
-    #[inline]
-    pub(crate) fn new(at: SimTime, created: SimTime, src: u32, seq: u64) -> Key {
-        debug_assert!(seq < 1 << SEQ_BITS, "per-shard sequence overflow");
-        debug_assert!(u64::from(src) < 1 << (64 - SEQ_BITS), "shard id overflow");
-        Key {
-            hi: (u128::from(at.nanos()) << 64) | u128::from(created.nanos()),
-            lo: (u64::from(src) << SEQ_BITS) | seq,
-        }
-    }
-
-    #[inline]
-    pub(crate) fn at(self) -> SimTime {
-        SimTime((self.hi >> 64) as u64)
-    }
+struct Key {
+    at: SimTime,
+    seq: u64,
 }
 
 /// Flat 4-ary implicit min-heap keyed by [`Key`].
@@ -140,13 +115,9 @@ impl<E> Heap4<E> {
 pub struct EventQueue<E> {
     heap: Heap4<E>,
     wheel: TimerWheel<(Key, E)>,
-    /// Shard tag baked into every locally scheduled event's key.
-    shard: u32,
     next_seq: u64,
     now: SimTime,
     processed: u64,
-    /// Key of the most recently popped event.
-    last_key: Key,
 }
 
 impl<E> Default for EventQueue<E> {
@@ -157,20 +128,12 @@ impl<E> Default for EventQueue<E> {
 
 impl<E> EventQueue<E> {
     pub fn new() -> Self {
-        Self::with_shard(0)
-    }
-
-    /// A queue whose locally scheduled events carry `shard` in their
-    /// ordering key (see the module docs on cross-shard determinism).
-    pub fn with_shard(shard: u32) -> Self {
         EventQueue {
             heap: Heap4::new(),
             wheel: TimerWheel::new(),
-            shard,
             next_seq: 0,
             now: SimTime::ZERO,
             processed: 0,
-            last_key: Key::new(SimTime::ZERO, SimTime::ZERO, 0, 0),
         }
     }
 
@@ -196,26 +159,12 @@ impl<E> EventQueue<E> {
     /// (before the current clock) is a logic error.
     pub fn schedule(&mut self, at: SimTime, event: E) {
         debug_assert!(at >= self.now, "event scheduled in the past: {at} < {}", self.now);
-        let seq = self.next_seq;
+        let key = Key { at, seq: self.next_seq };
         self.next_seq += 1;
-        self.insert(Key::new(at, self.now, self.shard, seq), event);
-    }
-
-    /// Schedule an event carrying an explicit ordering key — used when
-    /// merging a cross-shard event whose position in the global order was
-    /// fixed by its *origin* (creation time, source shard, source sequence),
-    /// not by when this queue happens to receive it.
-    pub fn schedule_keyed(&mut self, at: SimTime, created: SimTime, src: u32, seq: u64, event: E) {
-        debug_assert!(at >= self.now, "event scheduled in the past: {at} < {}", self.now);
-        self.insert(Key::new(at, created, src, seq), event);
-    }
-
-    #[inline]
-    fn insert(&mut self, key: Key, event: E) {
-        if key.at().nanos() < self.wheel.boundary() {
+        if at.nanos() < self.wheel.boundary() {
             self.heap.push(key, event);
         } else {
-            self.wheel.insert(key.at().nanos(), (key, event));
+            self.wheel.insert(at.nanos(), (key, event));
         }
     }
 
@@ -244,25 +193,10 @@ impl<E> EventQueue<E> {
     #[inline]
     fn pop_settled(&mut self) -> Option<(SimTime, E)> {
         let (key, event) = self.heap.pop_min()?;
-        let at = key.at();
-        debug_assert!(at >= self.now, "clock went backwards");
-        self.now = at;
+        debug_assert!(key.at >= self.now, "clock went backwards");
+        self.now = key.at;
         self.processed += 1;
-        self.last_key = key;
-        Some((at, event))
-    }
-
-    /// Ordering key of the next event, if any (see [`EventQueue::peek_time`]
-    /// for the `&mut` rationale). Keys are globally comparable across
-    /// queues, which is what lets a coordinator arbitrate between shards.
-    pub(crate) fn peek_key(&mut self) -> Option<Key> {
-        self.settle();
-        self.heap.peek_key()
-    }
-
-    /// Ordering key of the most recently popped event.
-    pub(crate) fn last_key(&self) -> Key {
-        self.last_key
+        Some((key.at, event))
     }
 
     /// Pop the earliest event only if it is scheduled strictly before
@@ -279,7 +213,7 @@ impl<E> EventQueue<E> {
     /// `&mut self` because it may cascade matured wheel slots into the heap.
     pub fn peek_time(&mut self) -> Option<SimTime> {
         self.settle();
-        self.heap.peek_key().map(Key::at)
+        self.heap.peek_key().map(|k| k.at)
     }
 
     /// Remove and return the earliest event if it is scheduled strictly
@@ -291,7 +225,7 @@ impl<E> EventQueue<E> {
             return None;
         }
         let (key, event) = self.heap.pop_min()?;
-        Some((key.at(), event))
+        Some((key.at, event))
     }
 
     /// Jump the clock straight to `t` without processing an event. Every
@@ -385,23 +319,6 @@ mod tests {
         assert!(q.pop_before(SimTime(20)).is_none());
         assert_eq!(q.len(), 1);
         assert_eq!(q.pop_before(SimTime(21)).unwrap().1, "b");
-    }
-
-    #[test]
-    fn keyed_merge_is_insertion_order_independent() {
-        // Two cross-"shard" events at the same instant must pop in key
-        // order (created, src, seq) regardless of merge order.
-        let run = |flip: bool| {
-            let mut q = EventQueue::with_shard(9);
-            let (a, b) = (("early", SimTime(3), 1, 0), ("late", SimTime(4), 0, 7));
-            let order: Vec<_> = if flip { vec![b, a] } else { vec![a, b] };
-            for (tag, created, src, seq) in order {
-                q.schedule_keyed(SimTime(100), created, src, seq, tag);
-            }
-            [q.pop().unwrap().1, q.pop().unwrap().1]
-        };
-        assert_eq!(run(false), run(true));
-        assert_eq!(run(false), ["early", "late"]);
     }
 
     #[test]

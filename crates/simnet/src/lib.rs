@@ -34,7 +34,7 @@ pub mod network;
 pub mod packet;
 pub mod probe;
 pub mod queue;
-mod shard;
+mod sim;
 pub mod tcp;
 pub mod time;
 mod wheel;

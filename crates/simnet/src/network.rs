@@ -6,21 +6,15 @@
 //! queue; the ACK path is pure delay. Running the network to completion
 //! yields per-flow and per-link statistics.
 //!
-//! The simulation state lives in one or more shard partitions (the private
-//! `shard` module).
-//! With [`NetworkConfig::workers`] at its default of 1 the event loop runs
-//! inline on the calling thread; with more workers the links are split into
-//! flow-interaction groups and each shard's loop runs on its own thread,
-//! synchronised conservatively so the results are byte-identical either way.
-
-use std::sync::Arc;
+//! The simulation state lives in the private `sim` module; the event loop
+//! runs inline on the calling thread.
 
 use gdmp_telemetry::Registry;
 
 use crate::analytic::{fluid_epoch, FluidFlow, FluidLink};
 use crate::link::{Link, LinkSpec};
 use crate::packet::{segments_for, wire, wire_bytes_for, FlowId, LinkId, Path};
-use crate::shard::{self, Event, FlowState, ShardSim, Topo};
+use crate::sim::{Event, FlowState, Sim};
 use crate::tcp::{Ack, Receiver, Sender, SenderConfig};
 use crate::time::{SimDuration, SimTime};
 
@@ -147,12 +141,6 @@ pub struct NetworkConfig {
     pub max_sim_time: SimDuration,
     /// Steady-state fast-forwarding (see [`FastForward`]).
     pub fast_forward: FastForward,
-    /// Event-loop worker threads. With 1 (the default) the simulation runs
-    /// inline on the calling thread. With more, links are partitioned into
-    /// flow-interaction groups spread over up to this many shards, each
-    /// driven by its own thread under conservative-lookahead synchronisation;
-    /// every observable output is byte-identical to the single-thread run.
-    pub workers: usize,
 }
 
 impl Default for NetworkConfig {
@@ -162,7 +150,6 @@ impl Default for NetworkConfig {
             initial_cwnd: 2.0,
             max_sim_time: SimDuration::from_secs(3_600),
             fast_forward: FastForward::Auto,
-            workers: 1,
         }
     }
 }
@@ -191,12 +178,6 @@ impl NetworkConfig {
         self.fast_forward = mode;
         self
     }
-
-    /// Event-loop worker threads (see [`NetworkConfig::workers`]).
-    pub fn with_workers(mut self, workers: usize) -> Self {
-        self.workers = workers.max(1);
-        self
-    }
 }
 
 /// Frames of drop-tail headroom a link must keep below its queue capacity
@@ -206,22 +187,22 @@ impl NetworkConfig {
 /// transients really do overflow) stay packet-level.
 const FIT_MARGIN_FRAMES: usize = 4;
 
-/// Fast-forward bookkeeping, global across shards (quiescence and epoch
-/// decisions always consider the whole network).
+/// Fast-forward bookkeeping (quiescence and epoch decisions always consider
+/// the whole network).
 #[derive(Clone)]
-pub(crate) struct FfState {
+struct FfState {
     /// Next time the (throttled) quiescence check may run.
-    pub next_check: SimTime,
+    next_check: SimTime,
     /// Since when the network has continuously looked quiescent.
-    pub quiescent_since: Option<SimTime>,
+    quiescent_since: Option<SimTime>,
     /// Min/max zero-load RTT over all flows, for check/settle pacing.
-    pub rtt_min: SimDuration,
-    pub rtt_max: SimDuration,
+    rtt_min: SimDuration,
+    rtt_max: SimDuration,
     /// Number of analytically skipped epochs.
-    pub epochs: u64,
+    epochs: u64,
     /// Events the fast-forward path avoided processing (estimated from the
     /// per-segment event cost of each skipped segment).
-    pub skipped: u64,
+    skipped: u64,
 }
 
 impl FfState {
@@ -240,13 +221,7 @@ impl FfState {
 /// The assembled simulation.
 pub struct Network {
     cfg: NetworkConfig,
-    /// Before the first `run` there is exactly one (seed) shard holding
-    /// everything; `run` may split it by flow-interaction groups.
-    shards: Vec<ShardSim>,
-    partitioned: bool,
-    /// Optional explicit link→shard assignment overriding the automatic
-    /// grouping (testing/advanced use).
-    manual_partition: Option<Vec<usize>>,
+    sim: Sim,
     ff: FfState,
     /// Telemetry sink (disabled by default); [`Network::run`] publishes
     /// per-link and per-flow statistics into it once on completion.
@@ -261,9 +236,7 @@ impl Network {
     pub fn new(cfg: NetworkConfig) -> Self {
         Network {
             cfg,
-            shards: vec![ShardSim::seed()],
-            partitioned: false,
-            manual_partition: None,
+            sim: Sim::new(),
             ff: FfState::new(),
             telemetry: Registry::default(),
             telemetry_published: false,
@@ -278,16 +251,12 @@ impl Network {
     /// would have reported; [`Network::events_inherited`] tells the part of
     /// [`Network::events_processed`] it did not dispatch itself. Telemetry
     /// is not copied: attach a registry to the fork. Only a network that
-    /// has never been partitioned over workers and has not yet published
-    /// its statistics can be forked.
+    /// has not yet published its statistics can be forked.
     pub fn fork(&self) -> Network {
-        assert!(!self.partitioned, "cannot fork a network that has run with workers > 1");
         assert!(!self.telemetry_published, "cannot fork a network that has published");
         Network {
             cfg: self.cfg,
-            shards: self.shards.clone(),
-            partitioned: false,
-            manual_partition: self.manual_partition.clone(),
+            sim: self.sim.clone(),
             ff: self.ff.clone(),
             telemetry: Registry::default(),
             telemetry_published: false,
@@ -310,57 +279,37 @@ impl Network {
 
     /// Record congestion-window samples for every flow.
     pub fn enable_cwnd_trace(&mut self) {
-        let seed = self.seed_mut("enable tracing");
-        seed.cwnd_traces = Some(vec![Vec::new(); seed.flows.len()]);
+        self.sim.cwnd_traces = Some(vec![Vec::new(); self.sim.flows.len()]);
     }
 
     /// Record cumulative-bytes-acked samples for every flow (one per ACK
     /// arrival, plus one per fast-forwarded epoch boundary).
     pub fn enable_progress_trace(&mut self) {
-        let seed = self.seed_mut("enable tracing");
-        seed.progress_traces = Some(vec![Vec::new(); seed.flows.len()]);
-    }
-
-    /// Override the automatic link partition: `assignment[i]` is the shard
-    /// for link `i`. Splitting a flow's path across shards is allowed (the
-    /// shards then exchange packets through cross-shard edges) as long as
-    /// every crossing has non-zero propagation. Must be called before `run`.
-    pub fn set_link_partition(&mut self, assignment: &[usize]) {
-        assert!(!self.partitioned, "cannot repartition after the network has run");
-        self.manual_partition = Some(assignment.to_vec());
-    }
-
-    fn seed_mut(&mut self, what: &str) -> &mut ShardSim {
-        assert!(!self.partitioned, "cannot {what} after the network has run with workers > 1");
-        &mut self.shards[0]
+        self.sim.progress_traces = Some(vec![Vec::new(); self.sim.flows.len()]);
     }
 
     pub fn add_link(&mut self, spec: LinkSpec) -> LinkId {
-        let seed = self.seed_mut("add links");
-        Arc::make_mut(&mut seed.topo).link_shard.push(0);
-        seed.links.push(Some(Link::new(spec)));
-        LinkId(seed.links.len() - 1)
+        self.sim.links.push(Link::new(spec));
+        LinkId(self.sim.links.len() - 1)
     }
 
     pub fn add_flow(&mut self, spec: FlowSpec) -> FlowId {
-        let initial_cwnd = self.cfg.initial_cwnd;
-        let min_rto = self.cfg.min_rto;
-        let seed = self.seed_mut("add flows");
+        let sim = &mut self.sim;
         for hop in spec.path.iter() {
-            assert!(hop.0 < seed.links.len(), "flow references unknown link {hop:?}");
+            assert!(hop.0 < sim.links.len(), "flow references unknown link {hop:?}");
         }
-        let id = FlowId(seed.flows.len());
+        let id = FlowId(sim.flows.len());
         let segments = spec.bytes.map(segments_for);
         let rwnd = (spec.buffer_bytes / u64::from(wire::MSS)).max(1);
         let warm = spec.warm_cwnd.map(|c| c.clamp(1.0, rwnd as f64));
         let sender = Sender::new(SenderConfig {
             total_segments: segments,
             rwnd_segments: rwnd,
-            initial_cwnd: warm.unwrap_or(initial_cwnd),
+            initial_cwnd: warm.unwrap_or(self.cfg.initial_cwnd),
             initial_ssthresh: warm.unwrap_or(f64::INFINITY),
-            min_rto,
+            min_rto: self.cfg.min_rto,
         });
-        let link_spec = |l: LinkId| seed.links[l.0].as_ref().expect("seed owns all links").spec;
+        let link_spec = |l: LinkId| sim.links[l.0].spec;
         let base_rtt = spec
             .path
             .iter()
@@ -381,32 +330,28 @@ impl Network {
         let start_at =
             if spec.warm_cwnd.is_some() { spec.open_at } else { spec.open_at + prop * 2 };
         if spec.bytes.is_some() {
-            seed.incomplete_finite += 1;
+            sim.incomplete_finite += 1;
         }
-        let topo = Arc::make_mut(&mut seed.topo);
-        topo.path.push(spec.path);
-        topo.path_prop.push(prop);
-        topo.flow_shard.push(0);
-        topo.recv_shard.push(0);
-        seed.flows.push(Some(FlowState {
+        sim.flows.push(FlowState {
             spec,
             sender,
             total_bytes: spec.bytes,
             start_at,
             base_rtt,
+            path_prop: prop,
             pending_rto: None,
             counted_incomplete: spec.bytes.is_some(),
-        }));
-        seed.receivers.push(Some(Receiver::new()));
-        if let Some(traces) = &mut seed.cwnd_traces {
+        });
+        sim.receivers.push(Receiver::new());
+        if let Some(traces) = &mut sim.cwnd_traces {
             traces.push(Vec::new());
         }
-        if let Some(traces) = &mut seed.progress_traces {
+        if let Some(traces) = &mut sim.progress_traces {
             traces.push(Vec::new());
         }
+        sim.queue.schedule(start_at, Event::FlowStart(id));
         self.ff.rtt_min = self.ff.rtt_min.min(base_rtt);
         self.ff.rtt_max = self.ff.rtt_max.max(base_rtt);
-        self.shards[0].queue.schedule(start_at, Event::FlowStart(id));
         id
     }
 
@@ -418,7 +363,7 @@ impl Network {
     /// demand it sums, and the history so far would differ otherwise.
     pub fn set_flow_bytes(&mut self, id: FlowId, bytes: u64) {
         let fresh = self.events_processed() == 0;
-        let flow = self.seed_mut("resize flows").flow_mut(id);
+        let flow = &mut self.sim.flows[id.0];
         let old = flow.total_bytes.expect("a background flow has no size");
         assert!(
             fresh || (old == 0) == (bytes == 0),
@@ -439,7 +384,7 @@ impl Network {
     /// Drive the simulation until every finite flow completes (or the
     /// configured time limit is hit). Returns per-flow results.
     pub fn run(&mut self) -> Vec<FlowResult> {
-        self.advance(SimTime::NEVER);
+        self.run_until(SimTime::NEVER);
         self.publish_telemetry();
         self.results()
     }
@@ -449,34 +394,25 @@ impl Network {
     /// between two iterations of the event loop, so a later `run` (of this
     /// network or of a [`Network::fork`]) continues exactly as one
     /// uninterrupted `run` would have. Nothing is published to telemetry.
-    /// Single-shard networks only (`workers == 1`, no manual partition).
+    ///
+    /// This is the event loop: pop, dispatch, check completion, maybe
+    /// fast-forward. An event at or after `limit` stays in the queue,
+    /// uncounted.
     pub fn run_until(&mut self, limit: SimTime) {
-        assert!(
-            self.cfg.workers == 1 && self.manual_partition.is_none() && !self.partitioned,
-            "only a single-shard network can be paused"
-        );
-        self.advance(limit);
-    }
-
-    fn advance(&mut self, pause: SimTime) {
         let deadline = SimTime::ZERO + self.cfg.max_sim_time;
-        if !self.partitioned && (self.cfg.workers > 1 || self.manual_partition.is_some()) {
-            self.partitioned = true;
-            let seed = self.shards.pop().expect("seed shard present");
-            self.shards =
-                shard::partition(seed, self.cfg.workers, self.manual_partition.as_deref());
+        let auto = self.cfg.fast_forward == FastForward::Auto;
+        while let Some((now, event)) = self.sim.queue.pop_before(limit) {
+            if now > deadline {
+                break;
+            }
+            self.sim.dispatch(now, event);
+            if self.sim.incomplete_finite == 0 {
+                break;
+            }
+            if auto && now >= self.ff.next_check {
+                maybe_fast_forward(&mut self.ff, &mut self.sim, now, deadline);
+            }
         }
-        if self.shards.len() == 1 {
-            let Network { cfg, shards, ff, .. } = self;
-            run_single(cfg, ff, &mut shards[0], pause, deadline);
-        } else {
-            let shards = std::mem::take(&mut self.shards);
-            self.shards = shard::run_parallel(&self.cfg, shards, &mut self.ff, deadline);
-        }
-    }
-
-    fn topo(&self) -> &Arc<Topo> {
-        &self.shards[0].topo
     }
 
     /// Publish link and flow statistics into the attached registry.
@@ -486,12 +422,8 @@ impl Network {
             return;
         }
         self.telemetry_published = true;
-        let topo = Arc::clone(self.topo());
-        let now = self.shards.iter().map(|s| s.queue.now()).max().unwrap_or(SimTime::ZERO).nanos();
-        for i in 0..topo.link_shard.len() {
-            let link = self.shards[topo.link_shard[i] as usize].links[i]
-                .as_ref()
-                .expect("link on owning shard");
+        let now = self.now().nanos();
+        for (i, link) in self.sim.links.iter().enumerate() {
             let id = i.to_string();
             let labels = [("link", id.as_str())];
             self.telemetry.counter_add(
@@ -519,10 +451,7 @@ impl Network {
                 );
             }
         }
-        for i in 0..topo.path.len() {
-            let flow = self.shards[topo.flow_shard[i] as usize].flows[i]
-                .as_ref()
-                .expect("flow on owning shard");
+        for flow in &self.sim.flows {
             let kind = if flow.total_bytes.is_some() { "transfer" } else { "background" };
             let labels = [("kind", kind)];
             self.telemetry.counter_add(
@@ -537,19 +466,16 @@ impl Network {
                 flow.sender.stats.fast_retransmits,
             );
         }
-        let processed: u64 = self.shards.iter().map(|s| s.queue.processed()).sum();
-        self.telemetry.counter_add("simnet_events_processed", &[], processed);
+        self.telemetry.counter_add("simnet_events_processed", &[], self.events_processed());
         self.telemetry.counter_add("simnet_events_skipped", &[], self.ff.skipped);
         self.telemetry.counter_add("simnet_fastforward_epochs", &[], self.ff.epochs);
     }
 
     pub fn results(&self) -> Vec<FlowResult> {
-        let topo = self.topo();
-        (0..topo.path.len())
-            .map(|i| {
-                let f = self.shards[topo.flow_shard[i] as usize].flows[i]
-                    .as_ref()
-                    .expect("flow on owning shard");
+        self.sim
+            .flows
+            .iter()
+            .map(|f| {
                 let acked_segments = f.sender.segments_acked();
                 let bytes_acked = match f.total_bytes {
                     Some(total) => total.min(acked_segments * u64::from(wire::MSS)),
@@ -570,18 +496,15 @@ impl Network {
     }
 
     pub fn link(&self, id: LinkId) -> &Link {
-        let topo = self.topo();
-        self.shards[topo.link_shard[id.0] as usize].links[id.0]
-            .as_ref()
-            .expect("link on owning shard")
+        &self.sim.links[id.0]
     }
 
     pub fn now(&self) -> SimTime {
-        self.shards.iter().map(|s| s.queue.now()).max().unwrap_or(SimTime::ZERO)
+        self.sim.queue.now()
     }
 
     pub fn events_processed(&self) -> u64 {
-        self.shards.iter().map(|s| s.queue.processed()).sum()
+        self.sim.queue.processed()
     }
 
     /// The part of [`Network::events_processed`] that was dispatched by the
@@ -590,22 +513,15 @@ impl Network {
         self.inherited
     }
 
-    /// Shards the last `run` executed on (1 until a multi-worker run).
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
-    }
-
     /// Congestion-window trace of one flow, if tracing was enabled.
     pub fn cwnd_trace(&self, fid: FlowId) -> Option<&[(SimTime, f64)]> {
-        let owner = *self.topo().flow_shard.get(fid.0)? as usize;
-        self.shards[owner].cwnd_traces.as_ref()?.get(fid.0).map(Vec::as_slice)
+        self.sim.cwnd_traces.as_ref()?.get(fid.0).map(Vec::as_slice)
     }
 
     /// Progress trace of one flow — `(time, cumulative bytes acked)`
     /// samples — if progress tracing was enabled.
     pub fn progress_trace(&self, fid: FlowId) -> Option<&[(SimTime, u64)]> {
-        let owner = *self.topo().flow_shard.get(fid.0)? as usize;
-        self.shards[owner].progress_traces.as_ref()?.get(fid.0).map(Vec::as_slice)
+        self.sim.progress_traces.as_ref()?.get(fid.0).map(Vec::as_slice)
     }
 
     /// Events the fast-forward path avoided simulating.
@@ -619,49 +535,14 @@ impl Network {
     }
 }
 
-/// The sequential event loop (workers = 1): pop, dispatch, check completion,
-/// maybe fast-forward — the reference the parallel runtime reproduces. An
-/// event at or after `pause` stays in the queue, uncounted.
-fn run_single(
-    cfg: &NetworkConfig,
-    ff: &mut FfState,
-    sh: &mut ShardSim,
-    pause: SimTime,
-    deadline: SimTime,
-) {
-    let auto = cfg.fast_forward == FastForward::Auto;
-    while let Some((now, event)) = sh.queue.pop_before(pause) {
-        if now > deadline {
-            break;
-        }
-        sh.dispatch(now, event, None);
-        if sh.incomplete_finite == 0 {
-            break;
-        }
-        if auto && now >= ff.next_check {
-            let topo = Arc::clone(&sh.topo);
-            let mut refs = [&mut *sh];
-            maybe_fast_forward(cfg, ff, &topo, &mut refs, None, now, deadline);
-        }
-    }
-}
-
 /// Throttled quiescence check: runs at most every half of the smallest
 /// zero-load RTT. An epoch is attempted only after the network has looked
 /// quiescent continuously for two of the largest RTTs, so every transient
 /// (slow start, recovery, queue drain) settles at packet level before the
 /// analytic model takes over.
-pub(crate) fn maybe_fast_forward(
-    _cfg: &NetworkConfig,
-    ff: &mut FfState,
-    topo: &Topo,
-    shards: &mut [&mut ShardSim],
-    edges: Option<&shard::EdgeSet>,
-    now: SimTime,
-    deadline: SimTime,
-) {
+fn maybe_fast_forward(ff: &mut FfState, sim: &mut Sim, now: SimTime, deadline: SimTime) {
     ff.next_check = now + ff.rtt_min / 2;
-    if !ff_eligible(topo, shards) {
+    if !ff_eligible(sim) {
         ff.quiescent_since = None;
         return;
     }
@@ -669,7 +550,7 @@ pub(crate) fn maybe_fast_forward(
     match ff.quiescent_since {
         None => ff.quiescent_since = Some(now),
         Some(since) if now.since(since) >= settle => {
-            if fast_forward_epoch(ff, topo, shards, edges, now, deadline) {
+            if fast_forward_epoch(ff, sim, now, deadline) {
                 ff.quiescent_since = None;
             } else {
                 // Too close to a boundary to be worth skipping; back off
@@ -691,13 +572,9 @@ pub(crate) fn maybe_fast_forward(
 ///   unchanged.
 /// * **Per-flow quiescence** — every started flow is in the regime the
 ///   closed-form model describes (see `Sender::is_quiescent`).
-fn ff_eligible(topo: &Topo, shards: &[&mut ShardSim]) -> bool {
-    let flow = |i: usize| {
-        shards[topo.flow_shard[i] as usize].flows[i].as_ref().expect("flow on owning shard")
-    };
+fn ff_eligible(sim: &Sim) -> bool {
     let mut any_active = false;
-    for i in 0..topo.path.len() {
-        let f = flow(i);
+    for f in &sim.flows {
         if f.sender.is_complete() || f.sender.started_at().is_none() {
             continue;
         }
@@ -710,11 +587,11 @@ fn ff_eligible(topo: &Topo, shards: &[&mut ShardSim]) -> bool {
         return false;
     }
     let frame = u64::from(wire::FULL_FRAME);
-    for (li, &owner) in topo.link_shard.iter().enumerate() {
-        let link = shards[owner as usize].links[li].as_ref().expect("link on owning shard");
-        let demand: u64 = (0..topo.path.len())
-            .filter_map(|i| {
-                let f = flow(i);
+    for (li, link) in sim.links.iter().enumerate() {
+        let demand: u64 = sim
+            .flows
+            .iter()
+            .filter_map(|f| {
                 let crosses = !f.sender.is_complete() && f.spec.path.iter().any(|h| h.0 == li);
                 crosses.then(|| f.sender.rwnd_segments().max(2))
             })
@@ -729,27 +606,14 @@ fn ff_eligible(topo: &Topo, shards: &[&mut ShardSim]) -> bool {
 
 /// Skip one steady-state epoch analytically. Returns `false` (leaving the
 /// simulation untouched) when the epoch would be too short to pay for
-/// itself; otherwise advances every shard's clock to the epoch end, credits
-/// flows and links with the traffic the fluid model moved, and re-primes
-/// the ack clock so packet-level simulation resumes seamlessly. Flows and
-/// links are visited in global id order regardless of sharding, so the
-/// synthetic event schedule is identical however the network is split.
-fn fast_forward_epoch(
-    ff: &mut FfState,
-    topo: &Topo,
-    shards: &mut [&mut ShardSim],
-    edges: Option<&shard::EdgeSet>,
-    now: SimTime,
-    deadline: SimTime,
-) -> bool {
-    let n_flows = topo.path.len();
-    let n_links = topo.link_shard.len();
+/// itself; otherwise advances the clock to the epoch end, credits flows
+/// and links with the traffic the fluid model moved, and re-primes the ack
+/// clock so packet-level simulation resumes seamlessly.
+fn fast_forward_epoch(ff: &mut FfState, sim: &mut Sim, now: SimTime, deadline: SimTime) -> bool {
     // The epoch may not run past a pending flow admission: new demand is a
     // discontinuity the packet-level loop must see.
     let mut horizon_end = deadline;
-    for i in 0..n_flows {
-        let f =
-            shards[topo.flow_shard[i] as usize].flows[i].as_ref().expect("flow on owning shard");
+    for f in &sim.flows {
         if f.sender.started_at().is_none() {
             horizon_end = horizon_end.min(f.start_at);
         }
@@ -759,9 +623,7 @@ fn fast_forward_epoch(
     }
     let mut idx = Vec::new();
     let mut fluid_flows = Vec::new();
-    for i in 0..n_flows {
-        let f =
-            shards[topo.flow_shard[i] as usize].flows[i].as_ref().expect("flow on owning shard");
+    for (i, f) in sim.flows.iter().enumerate() {
         if f.sender.is_complete() || f.sender.started_at().is_none() {
             continue;
         }
@@ -780,12 +642,12 @@ fn fast_forward_epoch(
         });
         idx.push(i);
     }
-    let links: Vec<FluidLink> = (0..n_links)
-        .map(|li| {
-            let l = shards[topo.link_shard[li] as usize].links[li]
-                .as_ref()
-                .expect("link on owning shard");
-            FluidLink { rate_bps: l.spec.rate_bps as f64, bdp_bytes: l.spec.bdp_bytes() as f64 }
+    let links: Vec<FluidLink> = sim
+        .links
+        .iter()
+        .map(|l| FluidLink {
+            rate_bps: l.spec.rate_bps as f64,
+            bdp_bytes: l.spec.bdp_bytes() as f64,
         })
         .collect();
     let horizon = horizon_end.since(now).as_secs_f64();
@@ -800,35 +662,19 @@ fn fast_forward_epoch(
     // The credit must cover every in-flight segment, or the post-epoch
     // window refill would rewind the connection.
     for (j, &i) in idx.iter().enumerate() {
-        let f =
-            shards[topo.flow_shard[i] as usize].flows[i].as_ref().expect("flow on owning shard");
-        if plan.credits[j] < f.sender.flight() {
+        if plan.credits[j] < sim.flows[i].sender.flight() {
             return false;
         }
     }
     // Point of no return: every event inside the epoch — in-flight data and
-    // ACKs, timer pops — is subsumed by the analytic credit. Cross-shard
-    // edges are empty here (the coordinator drains them before the check),
-    // so draining each shard's queue covers every pending event.
-    if let Some(edges) = edges {
-        for sh in shards.iter_mut() {
-            sh.drain_inbound(edges);
-        }
+    // ACKs, timer pops — is subsumed by the analytic credit.
+    while let Some((_, ev)) = sim.queue.extract_before(t_end) {
+        debug_assert!(!matches!(ev, Event::FlowStart(_)), "fast-forward drained a flow admission");
+        ff.skipped += 1;
     }
-    let mut drained = 0u64;
-    for sh in shards.iter_mut() {
-        while let Some((_, ev)) = sh.queue.extract_before(t_end) {
-            debug_assert!(
-                !matches!(ev, Event::FlowStart(_)),
-                "fast-forward drained a flow admission"
-            );
-            drained += 1;
-        }
-        sh.queue.advance_to(t_end);
-    }
-    ff.skipped += drained;
+    sim.queue.advance_to(t_end);
     let frame = u64::from(wire::FULL_FRAME);
-    let mut link_extra = vec![(0u64, 0u64); n_links];
+    let mut link_extra = vec![(0u64, 0u64); sim.links.len()];
     // Synthetic ack bursts are tiled back-to-back across flows: the
     // aggregate resume traffic then arrives at exactly the bottleneck
     // rate (one frame per serialization slot), so the post-epoch burst
@@ -836,10 +682,9 @@ fn fast_forward_epoch(
     let mut burst_offset = SimDuration::ZERO;
     for (j, &i) in idx.iter().enumerate() {
         let fid = FlowId(i);
-        let owner = topo.flow_shard[i] as usize;
         let acked = plan.credits[j];
         let (gap, gap_bytes, path, flight, una, new_nxt) = {
-            let flow = shards[owner].flows[i].as_mut().expect("flow on owning shard");
+            let flow = &mut sim.flows[i];
             let old_nxt = flow.sender.segments_acked() + flow.sender.flight();
             flow.sender.fast_forward(acked, plan.final_wnd[j], t_end);
             let new_nxt = flow.sender.segments_acked() + flow.sender.flight();
@@ -872,11 +717,8 @@ fn fast_forward_epoch(
         // wire (their ACKs are synthesized below) — so the receiver advances
         // past them; the first real post-epoch packet then arrives exactly
         // in order.
-        shards[topo.recv_shard[i] as usize].receivers[i]
-            .as_mut()
-            .expect("receiver on owning shard")
-            .fast_forward_to(new_nxt);
-        shards[owner].trace_progress(fid, t_end);
+        sim.receivers[i].fast_forward_to(new_nxt);
+        sim.trace_progress(fid, t_end);
         for hop in path.iter() {
             link_extra[hop.0].0 += gap_bytes;
             link_extra[hop.0].1 += gap;
@@ -894,32 +736,22 @@ fn fast_forward_epoch(
             // feed the RTT estimator (Karn's rule for analytic segments).
             let spacing = path
                 .iter()
-                .map(|l| {
-                    let rate = shards[topo.link_shard[l.0] as usize].links[l.0]
-                        .as_ref()
-                        .expect("link on owning shard")
-                        .spec
-                        .rate_bps;
-                    SimDuration::serialization(u64::from(wire::FULL_FRAME), rate)
-                })
+                .map(|l| SimDuration::serialization(frame, sim.links[l.0].spec.rate_bps))
                 .fold(SimDuration::ZERO, SimDuration::max);
             for k in 1..=flight {
-                shards[owner].queue.schedule(
+                sim.queue.schedule(
                     t_end + burst_offset + spacing * k,
                     Event::AckArrival { flow: fid, ack: Ack { ackno: una + k, ts_echo: None } },
                 );
             }
             burst_offset = burst_offset + spacing * flight;
         }
-        shards[owner].sync_timer(fid);
-        shards[owner].trace_cwnd(fid, t_end);
-        shards[owner].note_completion(fid);
+        sim.sync_timer(fid);
+        sim.trace_cwnd(fid, t_end);
+        sim.note_completion(fid);
     }
-    for (li, (bytes, pkts)) in link_extra.iter().enumerate() {
-        shards[topo.link_shard[li] as usize].links[li]
-            .as_mut()
-            .expect("link on owning shard")
-            .fast_forward(*bytes, *pkts, t_end);
+    for (link, (bytes, pkts)) in sim.links.iter_mut().zip(link_extra) {
+        link.fast_forward(bytes, pkts, t_end);
     }
     ff.epochs += 1;
     true
@@ -1284,68 +1116,5 @@ mod tests {
         let f = net.add_flow(FlowSpec::transfer(1, MB).open_at(late));
         net.run_until(late);
         net.set_flow_bytes(f, 0);
-    }
-
-    // ---- multi-worker byte-identity (see also tests/par_determinism.rs) ----
-
-    /// Everything observable from one run, for exact comparison.
-    fn run_capture(workers: usize, build: impl Fn(&mut Network)) -> (Vec<FlowResult>, u64, u64) {
-        let mut net = Network::new(NetworkConfig::default().with_workers(workers));
-        build(&mut net);
-        let results = net.run();
-        (results, net.events_processed(), net.events_skipped())
-    }
-
-    #[test]
-    fn two_site_pairs_identical_across_workers() {
-        let build = |net: &mut Network| {
-            let a = net.add_link(LinkSpec::cern_anl());
-            let b = net.add_link(LinkSpec {
-                rate_bps: 10_000_000,
-                propagation: SimDuration::from_millis(20),
-                queue_capacity: 64,
-            });
-            net.add_flow(FlowSpec::transfer(4 * MB, 256 * 1024).on_link(a));
-            net.add_flow(FlowSpec::transfer(4 * MB, 128 * 1024).on_link(b));
-            net.add_flow(FlowSpec::background(MB).on_link(b).open_at(SimTime(7_000)));
-        };
-        let seq = run_capture(1, build);
-        let par = run_capture(2, build);
-        assert_eq!(seq, par);
-    }
-
-    #[test]
-    fn manual_split_path_identical_across_workers() {
-        // Force a flow's two hops onto different shards: packets cross a
-        // shard edge every hop, exercising the conservative sync path.
-        let build_net = || {
-            let mut net = Network::new(NetworkConfig::default().with_workers(2));
-            let a = net.add_link(LinkSpec {
-                rate_bps: 20_000_000,
-                propagation: SimDuration::from_millis(3),
-                queue_capacity: 128,
-            });
-            let b = net.add_link(LinkSpec {
-                rate_bps: 15_000_000,
-                propagation: SimDuration::from_millis(11),
-                queue_capacity: 64,
-            });
-            net.add_flow(FlowSpec::transfer(3 * MB, 512 * 1024).via(&[a, b]));
-            net
-        };
-        let seq = {
-            let mut net = build_net();
-            net.set_link_partition(&[0, 0]); // both hops on one shard
-            let r = net.run();
-            (r, net.events_processed())
-        };
-        let par = {
-            let mut net = build_net();
-            net.set_link_partition(&[0, 1]); // split the path
-            let r = net.run();
-            assert_eq!(net.shard_count(), 2);
-            (r, net.events_processed())
-        };
-        assert_eq!(seq, par);
     }
 }

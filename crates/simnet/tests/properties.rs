@@ -3,10 +3,12 @@
 use proptest::prelude::*;
 
 use gdmp_simnet::link::LinkSpec;
-use gdmp_simnet::network::{FlowSpec, Network};
+use gdmp_simnet::network::{FastForward, FlowResult, FlowSpec, Network, NetworkConfig};
+use gdmp_simnet::packet::FlowId;
 use gdmp_simnet::queue::{DropTailQueue, Enqueue};
 use gdmp_simnet::tcp::Receiver;
 use gdmp_simnet::time::{SimDuration, SimTime};
+use gdmp_telemetry::Registry;
 
 fn arb_link() -> impl Strategy<Value = LinkSpec> {
     (1u64..=1000, 1u64..=200, 16usize..=512).prop_map(|(mbps, delay_ms, queue)| LinkSpec {
@@ -15,6 +17,125 @@ fn arb_link() -> impl Strategy<Value = LinkSpec> {
         queue_capacity: queue,
     })
 }
+
+/// Everything observable from one run, comparable with `==`.
+#[derive(Debug, PartialEq)]
+struct Observed {
+    flows: Vec<FlowResult>,
+    events_processed: u64,
+    events_skipped: u64,
+    ff_epochs: u64,
+    now: SimTime,
+    cwnd: Vec<Vec<(SimTime, f64)>>,
+    progress: Vec<Vec<(SimTime, u64)>>,
+    telemetry: String,
+}
+
+/// Run an assembled (possibly paused) network to completion and capture it.
+fn finish(mut net: Network, traced: &[FlowId]) -> Observed {
+    let reg = Registry::new();
+    net.set_telemetry(reg.clone());
+    let flows = net.run();
+    Observed {
+        flows,
+        events_processed: net.events_processed(),
+        events_skipped: net.events_skipped(),
+        ff_epochs: net.fastforward_epochs(),
+        now: net.now(),
+        cwnd: traced.iter().map(|&f| net.cwnd_trace(f).unwrap_or(&[]).to_vec()).collect(),
+        progress: traced.iter().map(|&f| net.progress_trace(f).unwrap_or(&[]).to_vec()).collect(),
+        telemetry: reg.export_json_lines(),
+    }
+}
+
+/// A lossy link: small queue relative to the BDP, forcing drops, fast
+/// retransmits, and RTOs.
+fn lossy_link(i: u64) -> LinkSpec {
+    LinkSpec {
+        rate_bps: 10_000_000 + i * 3_000_000,
+        propagation: SimDuration::from_millis(20 + 9 * i),
+        queue_capacity: 24 + 4 * i as usize,
+    }
+}
+
+/// Four lossy links, each with one finite transfer and one cross-traffic
+/// flow.
+fn lossy_multi_group(net: &mut Network) -> Vec<FlowId> {
+    let mut traced = Vec::new();
+    for i in 0..4u64 {
+        let l = net.add_link(lossy_link(i));
+        traced.push(
+            net.add_flow(
+                FlowSpec::transfer(600_000 + i * 70_000, 512 * 1024)
+                    .on_link(l)
+                    .open_at(SimTime(i * 3_100_000)),
+            ),
+        );
+        net.add_flow(FlowSpec::background(64 * 1024).on_link(l).open_at(SimTime(1 + i * 500_000)));
+    }
+    traced
+}
+
+/// Clean links so the lossless-fit gate engages and epochs actually run.
+fn fast_forwarding(net: &mut Network) -> Vec<FlowId> {
+    let mut traced = Vec::new();
+    for i in 0..3u64 {
+        let l = net.add_link(LinkSpec {
+            rate_bps: 45_000_000,
+            propagation: SimDuration::from_millis(30 + 10 * i),
+            queue_capacity: 512,
+        });
+        traced.push(
+            net.add_flow(
+                FlowSpec::transfer(4_000_000, 2 * 1024 * 1024)
+                    .on_link(l)
+                    .open_at(SimTime(i * 1_000_000)),
+            ),
+        );
+    }
+    traced
+}
+
+/// One two-hop flow plus cross traffic on the second hop. The propagation
+/// delays are irregular (non-divisible nanosecond counts) so no two events
+/// collide on an exact tick.
+fn two_hop(net: &mut Network) -> Vec<FlowId> {
+    let a = net.add_link(LinkSpec {
+        rate_bps: 30_000_000,
+        propagation: SimDuration::from_micros(17_311),
+        queue_capacity: 64,
+    });
+    let b = net.add_link(LinkSpec {
+        rate_bps: 22_000_000,
+        propagation: SimDuration::from_micros(29_877),
+        queue_capacity: 48,
+    });
+    let main = net.add_flow(FlowSpec::transfer(900_000, 256 * 1024).via(&[a, b]));
+    net.add_flow(FlowSpec::background(96 * 1024).on_link(b).open_at(SimTime(777_777)));
+    vec![main]
+}
+
+/// A late transfer over warmed-up cross traffic that fast-forwards while
+/// it waits — the shape whose warm-up `gdmp-gridftp` pauses and forks.
+fn late_transfer_over_cross_traffic(net: &mut Network) -> Vec<FlowId> {
+    let l = net.add_link(LinkSpec::cern_anl());
+    for b in 0..8u64 {
+        net.add_flow(FlowSpec::background(64 * 1024).on_link(l).open_at(SimTime(b * 137_000_000)));
+    }
+    vec![net.add_flow(
+        FlowSpec::transfer(500_000, 256 * 1024).on_link(l).open_at(SimTime(5_000_000_000)),
+    )]
+}
+
+type Fixture = fn(&mut Network) -> Vec<FlowId>;
+
+/// The fixtures a pause is tried on, with their fidelity mode.
+const PAUSE_FIXTURES: [(FastForward, Fixture); 4] = [
+    (FastForward::Off, lossy_multi_group),
+    (FastForward::Auto, fast_forwarding),
+    (FastForward::Off, two_hop),
+    (FastForward::Auto, late_transfer_over_cross_traffic),
+];
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
@@ -127,6 +248,45 @@ proptest! {
                 expected_front = pkt.seq + 1;
             }
         }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// Pausing anywhere before the end changes nothing: `run_until(t)` then
+    /// `run()` is one `run()`, the fork of the paused network agrees with
+    /// it too, and the original is none the wiser for having been forked.
+    #[test]
+    fn pause_and_fork_equal_one_run(which in 0usize..4, permille in 0u64..1000) {
+        let (mode, build) = PAUSE_FIXTURES[which];
+        let cfg = NetworkConfig::default().with_fast_forward(mode);
+        let assemble = || {
+            let mut net = Network::new(cfg);
+            net.enable_cwnd_trace();
+            net.enable_progress_trace();
+            let traced = build(&mut net);
+            (net, traced)
+        };
+        let (net, traced) = assemble();
+        let whole = finish(net, &traced);
+        let pause = SimTime(whole.now.nanos() / 1000 * permille);
+
+        let (mut net, traced) = assemble();
+        net.run_until(pause);
+        let paused_at = (net.now(), net.events_processed(), net.events_skipped(), net.results());
+
+        let fork = net.fork();
+        prop_assert_eq!(fork.events_inherited(), net.events_processed());
+        prop_assert_eq!(net.events_inherited(), 0);
+        let forked = finish(fork, &traced);
+        prop_assert_eq!(
+            &paused_at,
+            &(net.now(), net.events_processed(), net.events_skipped(), net.results()),
+            "running the fork moved the original"
+        );
+        prop_assert_eq!(&forked, &whole, "fork diverged, paused at {}", pause);
+        prop_assert_eq!(&finish(net, &traced), &whole, "resumed run diverged, paused at {}", pause);
     }
 }
 

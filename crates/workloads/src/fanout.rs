@@ -2,11 +2,10 @@
 //!
 //! The paper's data grid pushes files from CERN outward to many regional
 //! centres at once; each CERN→site path has its own bottleneck link and its
-//! own cross traffic, and the paths do not share queues. That topology is
-//! the best case for the sharded simnet engine — the partitioner finds one
-//! flow-interaction group per site pair — so this module doubles as the
-//! scaling scenario for `bench_simnet` and as a determinism fixture: the
-//! outcome must be byte-identical for any worker count.
+//! own cross traffic, and the paths do not share queues. It is the only
+//! committed scenario with many links in one network, so its exact event
+//! count (`bench_simnet`, gated by `bench_compare`) is what shows that no
+//! tie between events of different links was ever reordered.
 //!
 //! Rates, delays, and staggers are deliberately irregular across sites
 //! (derived from the site index) so no two sites run in lock-step and the
@@ -30,16 +29,14 @@ pub struct FanoutSpec {
     pub buffer: u64,
     /// Background flows per site path.
     pub background: u32,
-    /// Fidelity mode; scaling measurements use [`FastForward::Off`] so the
-    /// event count is the full packet-level load.
+    /// Fidelity mode; the committed baseline uses [`FastForward::Off`] so
+    /// the event count is the full packet-level load.
     pub fast_forward: FastForward,
-    /// Event-loop worker threads (see `NetworkConfig::workers`).
-    pub workers: usize,
 }
 
 impl FanoutSpec {
-    /// The scenario used by `bench_simnet`'s workers sweep: 8 site pairs,
-    /// every packet simulated.
+    /// The scenario `bench_simnet` measures: 8 site pairs, every packet
+    /// simulated.
     pub fn bench_default() -> FanoutSpec {
         FanoutSpec {
             sites: 8,
@@ -48,18 +45,11 @@ impl FanoutSpec {
             buffer: 256 * 1024,
             background: 1,
             fast_forward: FastForward::Off,
-            workers: 1,
         }
-    }
-
-    pub fn with_workers(mut self, workers: usize) -> FanoutSpec {
-        self.workers = workers.max(1);
-        self
     }
 }
 
-/// Everything observable from one fan-out run, comparable with `==` across
-/// worker counts.
+/// Everything observable from one fan-out run, comparable with `==`.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FanoutOutcome {
     pub flows: Vec<FlowResult>,
@@ -82,9 +72,7 @@ fn site_link(site: u32) -> LinkSpec {
 /// Run the fan-out and capture every observable output.
 pub fn run_fanout(spec: &FanoutSpec) -> FanoutOutcome {
     let reg = Registry::new();
-    let mut net = Network::new(
-        NetworkConfig::default().with_fast_forward(spec.fast_forward).with_workers(spec.workers),
-    );
+    let mut net = Network::new(NetworkConfig::default().with_fast_forward(spec.fast_forward));
     net.set_telemetry(reg.clone());
     for site in 0..spec.sites {
         let link = net.add_link(site_link(site));
@@ -142,15 +130,5 @@ mod tests {
             out.flows.iter().filter(|f| f.spec.bytes.is_some() && f.finished.is_some()).count();
         assert_eq!(finished, 3 * spec.streams as usize);
         assert!(out.events_processed > 0);
-    }
-
-    #[test]
-    fn fanout_identical_for_any_worker_count() {
-        let base = FanoutSpec { sites: 5, ..FanoutSpec::bench_default() };
-        let one = run_fanout(&base.with_workers(1));
-        for workers in [2, 4] {
-            let par = run_fanout(&base.with_workers(workers));
-            assert_eq!(one, par, "fan-out outcome diverged at {workers} workers");
-        }
     }
 }

@@ -16,7 +16,7 @@
 //! * [`fetch`] — the multi-source fetch scenario: striped pulls over
 //!   asymmetric WAN paths, with and without a mid-transfer source crash;
 //! * [`fanout`] — many independent CERN→site pushes in one network, the
-//!   scaling scenario for the sharded simnet engine;
+//!   multi-link event-count fixture of the simnet baseline;
 //! * [`observe`] — grid-level time-series sampling (tape staging backlog,
 //!   replica disk-hit rate) for the scenario drivers;
 //! * [`scenario`] — the declarative scenario DSL: a strict JSON schema

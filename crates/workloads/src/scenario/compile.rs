@@ -37,7 +37,7 @@ pub(super) fn assemble(scenario: &Scenario) -> Result<Compiled, ScenarioError> {
 
     let mut builder = Grid::builder(&scenario.control.collection)
         .telemetry_sink(registry.clone())
-        .default_profile(scenario.links.default.to_profile().with_workers(scenario.links.workers));
+        .default_profile(scenario.links.default.to_profile());
     for edge in &scenario.links.edges {
         builder = builder.profile(&edge.a, &edge.b, edge.profile.to_profile());
     }

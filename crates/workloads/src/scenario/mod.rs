@@ -186,8 +186,8 @@ impl StorageDecl {
 pub struct Links {
     /// Profile for every pair without an explicit edge.
     pub default: ProfileDecl,
-    /// Engine worker threads per transfer (results are identical for any
-    /// value; see `NetworkConfig::workers`).
+    /// Inert, always 1, never read from or written to a file: the field is
+    /// spelled only by `benchmark/`, frozen in this PR (see ROADMAP).
     pub workers: usize,
     /// Per-pair overrides, installed in both directions at build time.
     pub edges: Vec<EdgeDecl>,
@@ -540,7 +540,7 @@ impl Scenario {
             },
             links: Links {
                 default: ProfileDecl::CernAnlProduction,
-                workers: spec.workers,
+                workers: 1,
                 edges: Vec::new(),
                 tiered: None,
             },
@@ -740,7 +740,6 @@ impl Scenario {
             round_gap: SimDuration::from_nanos(*round_gap_ns),
             drain_rounds: *drain_rounds,
             chaos: self.chaos_mode()?,
-            workers: self.links.workers,
         })
     }
 
@@ -883,8 +882,10 @@ impl Scenario {
                 }
             }
         }
-        if self.links.workers == 0 {
-            return Err(ScenarioError::Schema("links.workers must be at least 1".to_string()));
+        if self.links.workers != 1 {
+            return Err(ScenarioError::Schema(
+                "links.workers must be 1: the simulator has one engine".to_string(),
+            ));
         }
         for (i, e) in self.links.edges.iter().enumerate() {
             for end in [&e.a, &e.b] {

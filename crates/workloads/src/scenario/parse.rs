@@ -275,7 +275,7 @@ fn storage(v: &Value, parent: &str) -> Result<StorageDecl, ScenarioError> {
 fn links(v: &Value) -> Result<Links, ScenarioError> {
     let ctx = "`links`";
     let fields = obj(v, ctx)?;
-    reject_unknown(fields, &["default", "workers", "edges", "tiered"], ctx)?;
+    reject_unknown(fields, &["default", "edges", "tiered"], ctx)?;
     let edges = match opt(fields, "edges") {
         Some(Value::Array(items)) => {
             items.iter().enumerate().map(|(i, e)| edge(e, i)).collect::<Result<Vec<_>, _>>()?
@@ -285,10 +285,7 @@ fn links(v: &Value) -> Result<Links, ScenarioError> {
     };
     Ok(Links {
         default: profile(require(fields, "default", ctx)?, "`links.default`")?,
-        workers: match opt(fields, "workers") {
-            Some(v) => u64_value(v, "workers", ctx)? as usize,
-            None => 1,
-        },
+        workers: 1,
         edges,
         tiered: match opt(fields, "tiered") {
             Some(v) => Some(tiered_links(v)?),

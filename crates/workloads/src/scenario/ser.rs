@@ -110,7 +110,6 @@ fn storage_decl(decl: &StorageDecl) -> Value {
 fn links(l: &Links) -> Value {
     let mut fields = vec![
         ("default", profile(&l.default)),
-        ("workers", u(l.workers as u64)),
         ("edges", Value::Array(l.edges.iter().map(edge).collect())),
     ];
     if let Some(t) = &l.tiered {

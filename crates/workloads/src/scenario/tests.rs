@@ -108,11 +108,26 @@ fn unknown_top_level_field_is_rejected_with_context() {
 #[test]
 fn unknown_nested_field_is_rejected_with_context() {
     let mut text = Scenario::fetch(&FetchSpec::default()).to_json_pretty();
-    text = text.replacen("\"workers\"", "\"wrokers\"", 1);
+    text = text.replacen("\"edges\"", "\"egdes\"", 1);
     let err = Scenario::from_json_str(&text).unwrap_err();
     let msg = err.to_string();
-    assert!(msg.contains("wrokers"), "error must name the typo: {msg}");
+    assert!(msg.contains("egdes"), "error must name the typo: {msg}");
     assert!(msg.contains("links"), "error must locate the section: {msg}");
+}
+
+#[test]
+fn retired_workers_knob_is_rejected() {
+    // Files written before the parallel engine was deleted carry the key.
+    let mut text = Scenario::fetch(&FetchSpec::default()).to_json_pretty();
+    text = text.replacen("\"edges\"", "\"workers\": 1, \"edges\"", 1);
+    let msg = Scenario::from_json_str(&text).unwrap_err().to_string();
+    assert!(msg.contains("unknown field `workers` in `links`"), "{msg}");
+    assert!(msg.contains("accepted fields: default, edges, tiered"), "{msg}");
+
+    let mut built = Scenario::fetch(&FetchSpec::default());
+    built.links.workers = 2;
+    let err = built.validate().unwrap_err();
+    assert!(matches!(err, ScenarioError::Schema(_)), "want Schema error, got {err:?}");
 }
 
 #[test]
@@ -268,12 +283,11 @@ fn grid_scenario_from_json_replays_byte_identically() {
 
 #[test]
 fn spec_inversion_recovers_the_original_spec() {
-    let soak = SoakSpec::quick(ChaosMode::Seeded(0xC0FFEE)).with_workers(2);
+    let soak = SoakSpec::quick(ChaosMode::Seeded(0xC0FFEE));
     let s = Scenario::replication_soak(&soak);
     let back = s.soak_spec().unwrap();
     assert_eq!(back.sites, soak.sites);
     assert_eq!(back.rounds, soak.rounds);
-    assert_eq!(back.workers, 2);
     assert_eq!(back.chaos, soak.chaos);
 
     let cat = CatalogSoakSpec::full(ChaosMode::EmptySchedule);

@@ -38,10 +38,6 @@ pub struct SoakSpec {
     /// Max drain iterations after the fault horizon before giving up.
     pub drain_rounds: usize,
     pub chaos: ChaosMode,
-    /// Event-loop worker threads for every simulated transfer (see
-    /// `NetworkConfig::workers`); the soak outcome is identical for any
-    /// value — asserted by the determinism tests.
-    pub workers: usize,
 }
 
 impl SoakSpec {
@@ -54,14 +50,7 @@ impl SoakSpec {
             round_gap: SimDuration::from_secs(30),
             drain_rounds: 20,
             chaos,
-            workers: 1,
         }
-    }
-
-    /// Run every simulated transfer on up to `workers` engine threads.
-    pub fn with_workers(mut self, workers: usize) -> Self {
-        self.workers = workers.max(1);
-        self
     }
 }
 
@@ -115,21 +104,6 @@ mod tests {
         assert!(out.published > 0);
         assert!(out.replicated >= out.published * 2, "full mesh fan-out");
         assert!(out.schedule_debug.is_empty());
-    }
-
-    #[test]
-    fn seeded_chaos_identical_across_workers() {
-        let one = run_soak(&SoakSpec::quick(ChaosMode::Seeded(0xC0FFEE)));
-        let par = run_soak(&SoakSpec::quick(ChaosMode::Seeded(0xC0FFEE)).with_workers(2));
-        assert_eq!(one.trace, par.trace);
-        assert_eq!(one.final_clock_ns, par.final_clock_ns);
-        assert_eq!(one.published, par.published);
-        assert_eq!(one.replicated, par.replicated);
-        assert_eq!(
-            one.registry.export_json_lines(),
-            par.registry.export_json_lines(),
-            "a seeded chaos soak must be byte-identical on 2 engine workers"
-        );
     }
 
     #[test]

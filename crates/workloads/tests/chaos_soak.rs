@@ -1,6 +1,6 @@
 //! The convergence soak: seeded chaos against a 5-site grid.
 //!
-//! Three fixed seeds (the `ci.sh --chaos-smoke` set) must each converge —
+//! Three fixed seeds (the `ci.sh --full` set) must each converge —
 //! every invariant clean after faults heal and queues drain — and the same
 //! seed must reproduce the identical event trace twice.
 

@@ -2,7 +2,7 @@
 //! single connected span tree whose critical path exactly partitions the
 //! end-to-end latency, and the whole telemetry export must be
 //! byte-identical across same-seed runs. This is the test behind
-//! `ci.sh --trace-smoke`.
+//! `ci.sh --full`.
 
 use std::sync::OnceLock;
 
