@@ -2,8 +2,8 @@
 # Local CI gate. The registry is offline (vendored shims via [patch.crates-io]),
 # so every cargo invocation runs with --offline.
 #
-#   ./ci.sh                fmt + clippy + build + test + benches compile +
-#                          docs, the scenario smoke (every committed
+#   ./ci.sh                fmt + unsafe gate + clippy + build + test + benches
+#                          compile + docs, the scenario smoke (every committed
 #                          scenarios/*.json loads, the quick ones replay
 #                          twice with clean invariants and byte-identical
 #                          telemetry exports) and the whole-stack smoke (one
@@ -54,6 +54,12 @@ done
 echo "==> cargo fmt --check"
 cargo fmt --all -- --check
 
+echo "==> unsafe gate: only the event-queue heap and the CRC kernel may use it"
+if grep -rlw unsafe crates/*/src | grep -vxF -e crates/simnet/src/engine.rs -e crates/gridftp/src/crc.rs; then
+  echo "the files above use \`unsafe\`; keep it to simnet/src/engine.rs and gridftp/src/crc.rs" >&2
+  exit 1
+fi
+
 echo "==> cargo clippy -D warnings"
 cargo clippy --offline --workspace --all-targets -- -D warnings
 
@@ -62,6 +68,7 @@ cargo build --offline --workspace --release
 
 echo "==> cargo test"
 cargo test --offline --workspace -q
+cargo test --offline -q -p bytes # the vendored shim whose copy behaviour the data path relies on
 
 echo "==> cargo bench --no-run"
 cargo bench --offline --workspace --no-run

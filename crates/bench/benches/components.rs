@@ -4,7 +4,7 @@ use criterion::{black_box, criterion_group, criterion_main, Criterion, Throughpu
 
 use bytes::Bytes;
 use gdmp_gridftp::block::{partition, Reassembler};
-use gdmp_gridftp::crc::crc32;
+use gdmp_gridftp::crc::{crc32, Crc32};
 use gdmp_objectstore::{
     synth_payload, CopierSpec, DatabaseFile, Federation, LogicalOid, ObjectCopier,
     ObjectFileCatalog, ObjectKind, StoredObject,
@@ -13,11 +13,34 @@ use gdmp_replica_catalog::ldap::attrs;
 use gdmp_replica_catalog::service::{FileMeta, ReplicaCatalogService};
 use gdmp_replica_catalog::{Directory, Filter, LdapDn, ReplicaCatalog, Scope};
 
+/// The file sizes of `grid_mix`, `push_soak` and `bulk_wan`, each through
+/// both CRC kernels. `portable` feeds `update` 112 bytes at a time: below
+/// the 128-byte threshold of the carry-less-multiply kernel, so the
+/// slice-by-16 walk does all the work on any host (the kernel itself is
+/// private to the crate).
 fn bench_crc(c: &mut Criterion) {
     let mut g = c.benchmark_group("crc32");
-    let data = vec![0xA5u8; 1 << 20];
-    g.throughput(Throughput::Bytes(data.len() as u64));
-    g.bench_function("1MiB", |b| b.iter(|| crc32(black_box(&data))));
+    let mut x = 0x9E37_79B9_7F4A_7C15u64;
+    let data: Vec<u8> = (0..64usize << 20)
+        .map(|_| {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            (x >> 24) as u8
+        })
+        .collect();
+    for (name, len) in [("8KiB", 8 << 10), ("256KiB", 256 << 10), ("64MiB", 64 << 20)] {
+        let data = &data[..len];
+        g.throughput(Throughput::Bytes(len as u64));
+        g.bench_function(format!("portable/{name}"), |b| {
+            b.iter(|| {
+                let mut crc = Crc32::new();
+                black_box(data).chunks(112).for_each(|piece| crc.update(piece));
+                crc.finalize()
+            })
+        });
+        g.bench_function(format!("dispatched/{name}"), |b| b.iter(|| crc32(black_box(data))));
+    }
     g.finish();
 }
 

@@ -2168,12 +2168,7 @@ impl Grid {
         // Reassemble from the per-source byte handles: every replica holds
         // identical content (publication CRC), and each credited range is
         // valid even if its source died afterwards.
-        let mut assembled = vec![0u8; size as usize];
-        for &(s, e, idx) in exec.completed_by() {
-            let src_bytes = source_data[idx].as_ref().expect("credited source was prepared");
-            assembled[s as usize..e as usize].copy_from_slice(&src_bytes[s as usize..e as usize]);
-        }
-        let data = Bytes::from(assembled);
+        let data = exec.assemble(&source_data);
         let crc_span = reg.span_start("crc_verify", self.clock.nanos());
         self.clock += SimDuration::from_millis(1);
         reg.span_note(crc_span, "passed", true);

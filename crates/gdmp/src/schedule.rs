@@ -18,6 +18,7 @@
 //! [`Grid::replicate`](crate::grid::Grid::replicate); keeping the range
 //! bookkeeping pure makes it property-testable in isolation.
 
+use bytes::Bytes;
 use gdmp_gridftp::ranges::ByteRanges;
 use gdmp_simnet::time::SimDuration;
 
@@ -387,6 +388,26 @@ impl PlanExecution {
         }
     }
 
+    /// The file image of a complete execution; `held[idx]` is source
+    /// `idx`'s whole file. A sole contributor's handle is passed on
+    /// uncopied; several contributors are copied once, in offset order.
+    pub(crate) fn assemble(&self, held: &[Option<Bytes>]) -> Bytes {
+        let held = |idx: usize| held[idx].as_ref().expect("credited source was prepared");
+        let mut credited = self.completed_by.clone();
+        credited.sort_unstable();
+        // A gap would shift bytes and leave the install CRC to notice.
+        let tiled = credited.iter().try_fold(0, |at, c| (c.0 == at).then_some(c.1));
+        debug_assert_eq!(tiled, Some(self.size), "credited ranges must tile [0, size)");
+        if let Some(f) = credited.first().filter(|f| credited.iter().all(|c| c.2 == f.2)) {
+            return held(f.2).slice(..self.size as usize);
+        }
+        let mut image = Vec::with_capacity(self.size as usize);
+        for &(s, e, idx) in &credited {
+            image.extend_from_slice(&held(idx)[s as usize..e as usize]);
+        }
+        Bytes::from(image)
+    }
+
     /// Invariant check used by tests: completed ranges plus pending queues
     /// exactly cover `[0, size)` with no overlap.
     pub fn coverage_is_exact(&self) -> bool {
@@ -464,6 +485,27 @@ mod tests {
         assert!(exec.coverage_is_exact());
         assert!(exec.sources().iter().all(|s| s.bytes_fetched > 0), "both sources contributed");
         assert_eq!(exec.plan_rebuilds, 0);
+    }
+
+    #[test]
+    fn assemble_orders_ranges_and_passes_a_sole_handle_on() {
+        let ests = [est("a", 20e6), est("b", 10e6)];
+        let image: Vec<u8> = (0..4 * MB).map(|i| (i % 251) as u8).collect();
+        let held = vec![Some(Bytes::from(image.clone())), Some(Bytes::from(image.clone()))];
+        let run = |max_sources| {
+            let plan = MultiSourcePlan::build("x.dat", 4 * MB, &ests, max_sources, MB);
+            let mut exec = PlanExecution::new(&plan);
+            while let Some((idx, chunk)) = exec.next_chunk() {
+                exec.chunk_succeeded(idx, chunk, SimDuration::from_millis(1 + idx as u64));
+            }
+            exec
+        };
+        let striped = run(2);
+        assert!(striped.completed_by().windows(2).any(|w| w[0].0 > w[1].0), "out of offset order");
+        assert_eq!(striped.assemble(&held), image);
+        let sole = run(1).assemble(&held);
+        assert_eq!(sole, image);
+        assert_eq!(sole.as_ptr(), held[0].as_ref().unwrap().as_ptr(), "handle, not a copy");
     }
 
     #[test]
