@@ -12,7 +12,7 @@ use std::collections::HashMap;
 
 use bytes::Bytes;
 use gdmp_gridftp::crc::crc32;
-use gdmp_gridftp::sim::WanProfile;
+use gdmp_gridftp::sim::{SessionOutcome, WanProfile};
 use gdmp_gsi::cert::CertificateAuthority;
 use gdmp_gsi::context::SecurityContext;
 use gdmp_gsi::name::DistinguishedName;
@@ -217,6 +217,12 @@ pub struct Grid {
     /// Disabled (every call a no-op) unless the builder's `telemetry()` /
     /// `telemetry_sink(reg)` attached a live registry.
     telemetry: Registry,
+    /// Outcome of every distinct session simulated so far, keyed
+    /// `(profile, bytes, streams, buffer, warm)` (see [`Grid::session`]).
+    pub(crate) sessions: HashMap<(WanProfile, u64, u32, u64, bool), SessionOutcome>,
+    /// Tests only: forget `sessions` before every session.
+    #[cfg(test)]
+    pub(crate) memo_off: bool,
 }
 
 impl Grid {
@@ -256,6 +262,9 @@ impl Grid {
             rpc_count: 0,
             objrep_seq: 0,
             telemetry: Registry::default(),
+            sessions: HashMap::new(),
+            #[cfg(test)]
+            memo_off: false,
         }
     }
 
@@ -1527,12 +1536,7 @@ impl Grid {
                     reg.span_note(xfer_span, "attempt", u64::from(attempts_total));
                     reg.span_note(xfer_span, "bytes_requested", remaining);
                     let reconnect = attempts_on_source > 1;
-                    let report = profile.simulate_transfer_telemetry(
-                        remaining.max(1),
-                        params.streams,
-                        params.buffer,
-                        reg,
-                    );
+                    let report = self.session(&profile, remaining.max(1), false, reg);
                     setup_time = setup_time + report.setup_time;
                     reg.counter_add(
                         "transfer_retransmits",
@@ -1962,8 +1966,6 @@ impl Grid {
         // Has this source ever had a data session? A cold pull after the
         // first one is a reconnect, and its setup span is named so.
         let mut ever_open = vec![false; n];
-        let mut sim_cache: HashMap<(usize, u64, bool), gdmp_gridftp::sim::SimTransferReport> =
-            HashMap::new();
         loop {
             while exec.steal_for_idle() {}
             if exec.is_complete() {
@@ -1979,13 +1981,8 @@ impl Grid {
             // slow-start; later chunks reuse the established data channels
             // (warm windows, no handshake). A failure forces a reconnect.
             let warm = session_open[idx];
-            let report = *sim_cache.entry((idx, bytes, warm)).or_insert_with(|| {
-                if warm {
-                    profile.simulate_transfer_warm(bytes, params.streams, params.buffer)
-                } else {
-                    profile.simulate_transfer(bytes, params.streams, params.buffer)
-                }
-            });
+            // (The striped path does not publish its sessions' simnet metrics.)
+            let report = self.session(&profile, bytes, warm, &Registry::disabled());
             let setup = if warm { SimDuration::ZERO } else { report.setup_time };
             let pair_labels = [("src", source.as_str()), ("dst", dst)];
             // One span per chunk attempt, anchored on this source's private

@@ -32,6 +32,7 @@ pub mod plugins;
 pub mod recovery;
 pub mod schedule;
 pub mod selection;
+mod session;
 pub mod site;
 
 pub use builder::GridBuilder;

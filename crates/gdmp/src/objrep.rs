@@ -178,19 +178,13 @@ impl Grid {
 
             // Per-chunk copy and transfer times.
             let profile = self.profile_between(&source, dst);
-            let params = self.params;
             let mut copy_times = Vec::with_capacity(chunks.len());
             let mut xfer_times = Vec::with_capacity(chunks.len());
             let mut images = Vec::with_capacity(chunks.len());
             for chunk in &chunks {
                 let image = chunk.encode();
                 copy_times.push(copier.cost(chunk.object_count(), chunk.payload_bytes()));
-                let r = profile.simulate_transfer_telemetry(
-                    image.len() as u64,
-                    params.streams,
-                    params.buffer,
-                    reg,
-                );
+                let r = self.session(&profile, image.len() as u64, false, reg);
                 xfer_times.push(r.setup_time + r.data_time);
                 transfer_time = transfer_time + r.data_time;
                 bytes_moved += image.len() as u64;

@@ -12,7 +12,9 @@ use std::collections::VecDeque;
 
 use gdmp_simnet::analytic::window_limited_bps;
 use gdmp_simnet::link::LinkSpec;
-use gdmp_simnet::network::{FastForward, FlowSpec, Network, NetworkConfig, SessionResult};
+use gdmp_simnet::network::{
+    FastForward, FlowSpec, NetStats, Network, NetworkConfig, SessionResult,
+};
 use gdmp_simnet::packet::{wire, FlowId};
 use gdmp_simnet::time::{SimDuration, SimTime};
 use gdmp_telemetry::Registry;
@@ -155,7 +157,28 @@ impl WanProfile {
     /// Simulate one GridFTP retrieval of `bytes` over `streams` parallel
     /// TCP connections with the given socket buffer.
     pub fn simulate_transfer(&self, bytes: u64, streams: u32, buffer: u64) -> SimTransferReport {
-        self.simulate_transfer_telemetry(bytes, streams, buffer, &Registry::disabled())
+        self.simulate_session(bytes, streams, buffer, false).report
+    }
+
+    /// [`WanProfile::simulate_transfer`] with what the simulation publishes
+    /// to telemetry kept beside the report (see [`SessionOutcome`]).
+    ///
+    /// `warm` runs the retrieval over an already-established session: the
+    /// data channels skip the handshake and start with their congestion
+    /// windows fully open (GridFTP keeps its parallel data connections
+    /// alive between retrievals, so a follow-up pull on the same session
+    /// does not re-pay TCP slow-start). `setup_time` in the report still
+    /// describes a cold session — callers reusing a session should charge
+    /// it zero setup, as [`SimTransferReport::data_time`] alone covers a
+    /// warm pull.
+    pub fn simulate_session(
+        &self,
+        bytes: u64,
+        streams: u32,
+        buffer: u64,
+        warm: bool,
+    ) -> SessionOutcome {
+        self.simulate_warm(bytes, streams, buffer, false, warm).0
     }
 
     /// Hard stop of one session's simulation — a guard against a simulation
@@ -175,36 +198,6 @@ impl WanProfile {
         SimDuration(floor.nanos().saturating_add(payload.nanos()))
     }
 
-    /// [`WanProfile::simulate_transfer`] over an already-established
-    /// session: the data channels skip the handshake and start with their
-    /// congestion windows fully open (GridFTP keeps its parallel data
-    /// connections alive between retrievals, so a follow-up pull on the
-    /// same session does not re-pay TCP slow-start). `setup_time` in the
-    /// report still describes a cold session — callers reusing a session
-    /// should charge it zero setup, as [`SimTransferReport::data_time`]
-    /// alone covers a warm pull.
-    pub fn simulate_transfer_warm(
-        &self,
-        bytes: u64,
-        streams: u32,
-        buffer: u64,
-    ) -> SimTransferReport {
-        self.simulate_warm(bytes, streams, buffer, &Registry::disabled(), false, true).0
-    }
-
-    /// [`WanProfile::simulate_transfer`] with a telemetry sink: the network
-    /// simulation publishes link/flow statistics into `reg`, and the
-    /// session outcome is recorded as GridFTP-level metrics.
-    pub fn simulate_transfer_telemetry(
-        &self,
-        bytes: u64,
-        streams: u32,
-        buffer: u64,
-        reg: &Registry,
-    ) -> SimTransferReport {
-        self.simulate_warm(bytes, streams, buffer, reg, false, false).0
-    }
-
     /// [`WanProfile::simulate_transfer`] that also returns the session's
     /// cumulative progress curve, for callers that need to know how many
     /// bytes had landed by a given elapsed time (mid-transfer faults,
@@ -215,9 +208,8 @@ impl WanProfile {
         streams: u32,
         buffer: u64,
     ) -> (SimTransferReport, TransferProgress) {
-        let (report, progress) =
-            self.simulate_warm(bytes, streams, buffer, &Registry::disabled(), true, false);
-        (report, progress.expect("progress requested"))
+        let (outcome, progress) = self.simulate_warm(bytes, streams, buffer, true, false);
+        (outcome.report, progress.expect("progress requested"))
     }
 
     fn simulate_warm(
@@ -225,17 +217,16 @@ impl WanProfile {
         bytes: u64,
         streams: u32,
         buffer: u64,
-        reg: &Registry,
         want_progress: bool,
         warm: bool,
-    ) -> (SimTransferReport, Option<TransferProgress>) {
+    ) -> (SessionOutcome, Option<TransferProgress>) {
         let recipe = Recipe::of(self, bytes, streams, buffer, warm);
         let mut net = recipe.opened();
         for (id, sz) in recipe.stream_flows().zip(stream_bytes(bytes, streams)) {
             net.set_flow_bytes(id, sz);
         }
         net.set_max_sim_time(self.hard_stop(bytes, streams, buffer));
-        self.run_session(net, &recipe, bytes, reg, want_progress)
+        self.run_session(net, &recipe, bytes, want_progress)
     }
 
     /// The construction the checkpointed path must reproduce: the network
@@ -247,29 +238,26 @@ impl WanProfile {
         bytes: u64,
         streams: u32,
         buffer: u64,
-        reg: &Registry,
         want_progress: bool,
         warm: bool,
-    ) -> (SimTransferReport, Option<TransferProgress>) {
+    ) -> (SessionOutcome, Option<TransferProgress>) {
         let recipe = Recipe::of(self, bytes, streams, buffer, warm);
         let net =
             recipe.network(stream_bytes(bytes, streams), NetworkConfig::default().max_sim_time);
-        self.run_session(net, &recipe, bytes, reg, want_progress)
+        self.run_session(net, &recipe, bytes, want_progress)
     }
 
     /// Run an assembled session (from wherever its network stands) to
-    /// completion, publishing into `reg`, and report on it.
+    /// completion and report on it.
     fn run_session(
         &self,
         mut net: Network,
         recipe: &Recipe,
         bytes: u64,
-        reg: &Registry,
         want_progress: bool,
-    ) -> (SimTransferReport, Option<TransferProgress>) {
+    ) -> (SessionOutcome, Option<TransferProgress>) {
         let Recipe { streams, buffer, .. } = *recipe;
         let ids: Vec<FlowId> = recipe.stream_flows().collect();
-        net.set_telemetry(reg.clone());
         if want_progress {
             net.enable_progress_trace();
         }
@@ -279,15 +267,6 @@ impl WanProfile {
             SessionResult::aggregate(&session).expect("all session flows are finite and complete");
         let data_time = agg.finished.since(agg.started);
         let setup = SimDuration(self.rtt().nanos() * u64::from(self.control_rtts));
-        if reg.is_enabled() {
-            let streams_label = streams.to_string();
-            let labels = [("streams", streams_label.as_str())];
-            reg.counter_add("gridftp_sessions", &labels, 1);
-            reg.counter_add("gridftp_bytes", &labels, bytes);
-            reg.counter_add("gridftp_retransmitted_segments", &labels, agg.retransmitted_segments);
-            reg.counter_add("gridftp_timeouts", &labels, agg.timeouts);
-            reg.observe("gridftp_data_time_ns", &[], data_time.nanos());
-        }
         let progress = want_progress.then(|| {
             // Merge the per-stream traces into one monotone session curve:
             // every sample becomes a delta at its timestamp, sorted and
@@ -328,7 +307,37 @@ impl WanProfile {
             events_inherited: net.events_inherited(),
             events_skipped: net.events_skipped(),
         };
-        (report, progress)
+        (SessionOutcome { report, stats: net.stats() }, progress)
+    }
+}
+
+/// One simulated session: the report, and the simulator's counters as
+/// plain data. The simulation is a pure function of the profile and the
+/// session's shape, so a caller may keep an outcome and
+/// [`publish`](SessionOutcome::publish) it once per identical session it
+/// stands for; telemetry then reads as if each had been simulated.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct SessionOutcome {
+    /// `events_inherited` is that of the call that ran the simulation.
+    pub report: SimTransferReport,
+    pub stats: NetStats,
+}
+
+impl SessionOutcome {
+    /// Publish the network's statistics, then the session's own metrics.
+    pub fn publish(&self, reg: &Registry) {
+        if !reg.is_enabled() {
+            return;
+        }
+        self.stats.publish(reg);
+        let r = &self.report;
+        let streams_label = r.streams.to_string();
+        let labels = [("streams", streams_label.as_str())];
+        reg.counter_add("gridftp_sessions", &labels, 1);
+        reg.counter_add("gridftp_bytes", &labels, r.bytes);
+        reg.counter_add("gridftp_retransmitted_segments", &labels, r.retransmitted_segments);
+        reg.counter_add("gridftp_timeouts", &labels, r.timeouts);
+        reg.observe("gridftp_data_time_ns", &[], r.data_time.nanos());
     }
 }
 
@@ -548,18 +557,21 @@ mod tests {
     /// and the telemetry export.
     type Observed = (SimTransferReport, Vec<(SimDuration, u64)>, SimDuration, String);
 
-    fn observe(
-        run: impl FnOnce(&Registry) -> (SimTransferReport, Option<TransferProgress>),
-    ) -> Observed {
-        let reg = Registry::new();
-        let (report, progress) = run(&reg);
+    fn observe((outcome, progress): (SessionOutcome, Option<TransferProgress>)) -> Observed {
         let progress = progress.expect("progress requested");
         (
-            SimTransferReport { events_inherited: 0, ..report },
+            SimTransferReport { events_inherited: 0, ..outcome.report },
             progress.samples().to_vec(),
             progress.data_time(),
-            reg.export_json_lines(),
+            published(&outcome),
         )
+    }
+
+    /// What `outcome` leaves in a fresh registry.
+    fn published(outcome: &SessionOutcome) -> String {
+        let reg = Registry::new();
+        outcome.publish(&reg);
+        reg.export_json_lines()
     }
 
     /// One transfer through the checkpointed path and through the
@@ -572,8 +584,8 @@ mod tests {
         warm: bool,
     ) -> [Observed; 2] {
         [
-            observe(|reg| p.simulate_warm(bytes, streams, buffer, reg, true, warm)),
-            observe(|reg| p.simulate_from_scratch(bytes, streams, buffer, reg, true, warm)),
+            observe(p.simulate_warm(bytes, streams, buffer, true, warm)),
+            observe(p.simulate_from_scratch(bytes, streams, buffer, true, warm)),
         ]
     }
 
@@ -650,12 +662,53 @@ mod tests {
                 let profile = profiles[profile];
                 let [forked, scratch] = both_ways(&profile, bytes, streams, buffer, warm);
                 prop_assert_eq!(
-                    forked, scratch,
+                    &forked, &scratch,
                     "{} bytes, {} streams, {} buffer, warm {}, {:?}",
                     bytes, streams, buffer, warm, profile
                 );
+                // The public entry keeps the same outcome: what it publishes
+                // is what the reference published.
+                let kept = profile.simulate_session(bytes, streams, buffer, warm);
+                prop_assert_eq!(SimTransferReport { events_inherited: 0, ..kept.report }, scratch.0);
+                prop_assert_eq!(published(&kept), scratch.3);
             }
         }
+    }
+
+    /// The export of one lossy session as the commit before
+    /// `SessionOutcome` wrote it, when the network published from its live
+    /// state: `publish` must not lose, rename or restamp a record.
+    const LOSSY_SESSION_EXPORT: &str = include_str!("../tests/fixtures/lossy_session.jsonl");
+
+    #[test]
+    fn kept_outcome_publishes_the_recorded_export() {
+        let p = WanProfile {
+            link: LinkSpec {
+                rate_bps: 8_000_000,
+                propagation: SimDuration::from_millis(30),
+                queue_capacity: 12,
+            },
+            background_flows: 2,
+            background_buffer: 256 * 1024,
+            warmup: SimDuration::from_millis(700),
+            ..WanProfile::cern_anl_production()
+        };
+        let outcome = p.simulate_session(300_000, 2, MB, false);
+        assert!(outcome.stats.links[0].drops > 0, "the fixture is a lossy session");
+        let export = published(&outcome);
+        assert!(export.contains(r#""kind":"link_drops""#));
+        assert_eq!(export, LOSSY_SESSION_EXPORT);
+        assert_eq!(published(&outcome), export, "a second publication is the same again");
+        // Publishing twice into one registry is two sessions.
+        let reg = Registry::new();
+        outcome.publish(&reg);
+        outcome.publish(&reg);
+        assert_eq!(reg.counter_value("gridftp_sessions", &[("streams", "2")]), 2);
+        assert_eq!(
+            reg.counter_value("simnet_events_processed", &[]),
+            2 * outcome.report.events_processed
+        );
+        assert_eq!(reg.recent_events().len(), 2);
     }
 
     #[test]

@@ -422,53 +422,41 @@ impl Network {
             return;
         }
         self.telemetry_published = true;
-        let now = self.now().nanos();
-        for (i, link) in self.sim.links.iter().enumerate() {
-            let id = i.to_string();
-            let labels = [("link", id.as_str())];
-            self.telemetry.counter_add(
-                "simnet_packets_transmitted",
-                &labels,
-                link.packets_transmitted,
-            );
-            self.telemetry.counter_add("simnet_bytes_transmitted", &labels, link.bytes_transmitted);
-            self.telemetry.counter_add("simnet_link_drops", &labels, link.queue.drops);
-            self.telemetry.gauge_set(
-                "simnet_queue_max_depth",
-                &labels,
-                link.queue.max_depth as i64,
-            );
-            if link.queue.drops > 0 {
-                self.telemetry.record(
-                    now,
-                    "link_drops",
-                    format!(
-                        "link {i}: {} dropped of {} offered, peak queue {}",
-                        link.queue.drops,
-                        link.queue.accepted + link.queue.drops,
-                        link.queue.max_depth
-                    ),
-                );
-            }
+        self.stats().publish(&self.telemetry);
+    }
+
+    /// The counters [`Network::run`] publishes, as plain data: what a
+    /// caller keeps of a finished simulation to publish it again later.
+    pub fn stats(&self) -> NetStats {
+        NetStats {
+            now: self.now(),
+            links: self
+                .sim
+                .links
+                .iter()
+                .map(|l| LinkStats {
+                    packets: l.packets_transmitted,
+                    bytes: l.bytes_transmitted,
+                    drops: l.queue.drops,
+                    accepted: l.queue.accepted,
+                    max_depth: l.queue.max_depth as u64,
+                })
+                .collect(),
+            flows: self
+                .sim
+                .flows
+                .iter()
+                .map(|f| FlowStats {
+                    finite: f.total_bytes.is_some(),
+                    retransmits: f.sender.stats.segments_retransmitted,
+                    timeouts: f.sender.stats.timeouts,
+                    fast_retransmits: f.sender.stats.fast_retransmits,
+                })
+                .collect(),
+            events_processed: self.events_processed(),
+            events_skipped: self.ff.skipped,
+            epochs: self.ff.epochs,
         }
-        for flow in &self.sim.flows {
-            let kind = if flow.total_bytes.is_some() { "transfer" } else { "background" };
-            let labels = [("kind", kind)];
-            self.telemetry.counter_add(
-                "simnet_segments_retransmitted",
-                &labels,
-                flow.sender.stats.segments_retransmitted,
-            );
-            self.telemetry.counter_add("simnet_timeouts", &labels, flow.sender.stats.timeouts);
-            self.telemetry.counter_add(
-                "simnet_fast_retransmits",
-                &labels,
-                flow.sender.stats.fast_retransmits,
-            );
-        }
-        self.telemetry.counter_add("simnet_events_processed", &[], self.events_processed());
-        self.telemetry.counter_add("simnet_events_skipped", &[], self.ff.skipped);
-        self.telemetry.counter_add("simnet_fastforward_epochs", &[], self.ff.epochs);
     }
 
     pub fn results(&self) -> Vec<FlowResult> {
@@ -532,6 +520,80 @@ impl Network {
     /// Analytically skipped epochs.
     pub fn fastforward_epochs(&self) -> u64 {
         self.ff.epochs
+    }
+}
+
+/// One link's counters in a [`NetStats`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct LinkStats {
+    pub packets: u64,
+    pub bytes: u64,
+    pub drops: u64,
+    pub accepted: u64,
+    pub max_depth: u64,
+}
+
+/// One flow's counters in a [`NetStats`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct FlowStats {
+    /// A sized transfer (`kind="transfer"`), not unbounded cross traffic.
+    pub finite: bool,
+    pub retransmits: u64,
+    pub timeouts: u64,
+    pub fast_retransmits: u64,
+}
+
+/// Everything a finished [`Network`] publishes to telemetry, detached from
+/// the simulation (see [`Network::stats`]).
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct NetStats {
+    /// The network's clock when the snapshot was taken.
+    pub now: SimTime,
+    pub links: Vec<LinkStats>,
+    pub flows: Vec<FlowStats>,
+    pub events_processed: u64,
+    pub events_skipped: u64,
+    pub epochs: u64,
+}
+
+impl NetStats {
+    /// Publish into `reg`. This is the only list of the simulator's
+    /// counters: [`Network::run`] publishes through it, and a caller that
+    /// stands in for a simulation it has already run calls it again, so
+    /// both leave the same export behind.
+    pub fn publish(&self, reg: &Registry) {
+        if !reg.is_enabled() {
+            return;
+        }
+        for (i, link) in self.links.iter().enumerate() {
+            let id = i.to_string();
+            let labels = [("link", id.as_str())];
+            reg.counter_add("simnet_packets_transmitted", &labels, link.packets);
+            reg.counter_add("simnet_bytes_transmitted", &labels, link.bytes);
+            reg.counter_add("simnet_link_drops", &labels, link.drops);
+            reg.gauge_set("simnet_queue_max_depth", &labels, link.max_depth as i64);
+            if link.drops > 0 {
+                reg.record(
+                    self.now.nanos(),
+                    "link_drops",
+                    format!(
+                        "link {i}: {} dropped of {} offered, peak queue {}",
+                        link.drops,
+                        link.accepted + link.drops,
+                        link.max_depth
+                    ),
+                );
+            }
+        }
+        for flow in &self.flows {
+            let labels = [("kind", if flow.finite { "transfer" } else { "background" })];
+            reg.counter_add("simnet_segments_retransmitted", &labels, flow.retransmits);
+            reg.counter_add("simnet_timeouts", &labels, flow.timeouts);
+            reg.counter_add("simnet_fast_retransmits", &labels, flow.fast_retransmits);
+        }
+        reg.counter_add("simnet_events_processed", &[], self.events_processed);
+        reg.counter_add("simnet_events_skipped", &[], self.events_skipped);
+        reg.counter_add("simnet_fastforward_epochs", &[], self.epochs);
     }
 }
 
@@ -1072,6 +1134,10 @@ mod tests {
         );
         assert!(reg.counter_value("simnet_link_drops", &[("link", "0")]) > 0);
         assert!(reg.counter_value("simnet_events_processed", &[]) > 0);
+        // The detached snapshot publishes what the network itself did.
+        let replay = gdmp_telemetry::Registry::new();
+        net.stats().publish(&replay);
+        assert_eq!(replay.export_json_lines(), reg.export_json_lines());
         // A second run() call must not double-publish.
         net.run();
         assert_eq!(

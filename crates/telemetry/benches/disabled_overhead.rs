@@ -5,7 +5,7 @@
 //! bounds the *time* overhead so a regression to "cheap but measurable"
 //! still shows up in `cargo bench`.
 
-use criterion::{black_box, criterion_group, criterion_main, Criterion};
+use criterion::{black_box, criterion_group, criterion_main, Criterion, Throughput};
 use gdmp_telemetry::Registry;
 
 fn bench_disabled(c: &mut Criterion) {
@@ -32,6 +32,32 @@ fn bench_disabled(c: &mut Criterion) {
     let reg = Registry::new();
     g.bench_function("counter_add", |b| {
         b.iter(|| reg.counter_add(black_box("transfer_bytes"), &[("src", "cern")], 1024))
+    });
+    // What a span costs with telemetry on, storage growth included: one
+    // iteration fills a fresh registry with about as many spans as one
+    // repetition of the whole-stack benchmark records. 1e9 / (elem/s) is
+    // ns per span.
+    const SPANS: u64 = 10_000;
+    let fill = |reg: &Registry| {
+        for i in 0..SPANS {
+            let sp = reg.span_start(black_box("transfer"), i);
+            reg.span_note(sp, "source", black_box("cern"));
+            reg.span_note(sp, "attempt", i);
+            reg.span_end(sp, i + 1);
+        }
+    };
+    g.throughput(Throughput::Elements(SPANS));
+    g.bench_function("span_with_two_notes", |b| {
+        b.iter(|| {
+            let reg = Registry::new();
+            fill(&reg);
+            reg
+        })
+    });
+    g.bench_function("span_export", |b| {
+        let reg = Registry::new();
+        fill(&reg);
+        b.iter(|| reg.export_json_lines())
     });
     g.finish();
 }

@@ -9,10 +9,19 @@ use crate::{FieldValue, Inner};
 /// (name, labels), spans in creation order, and retained flight-recorder
 /// events oldest first. Identical runs produce byte-identical output.
 pub(crate) fn json_lines(inner: &mut Inner) -> String {
-    let mut out = String::new();
+    // Reserve the whole dump up front: a string that doubles its way to a
+    // multi-megabyte export holds the old and the new buffer at each step.
+    // The per-record sizes err high; reserved pages that are never written
+    // are never resident.
+    let mut out = String::with_capacity(
+        1024 + 512 * (inner.metrics.iter().count() + inner.series.len())
+            + 128 * inner.spans.len()
+            + 40 * inner.spans.note_count()
+            + 256 * inner.recorder.retained(),
+    );
     let meta = JsonObject::new()
         .str("record", "meta")
-        .u64("spans", inner.spans.records.len() as u64)
+        .u64("spans", inner.spans.len() as u64)
         .u64("metrics", inner.metrics.iter().count() as u64)
         .u64("timeseries", inner.series.len() as u64)
         .u64("events_recorded", inner.recorder.recorded())
@@ -54,16 +63,16 @@ pub(crate) fn json_lines(inner: &mut Inner) -> String {
         out.push('\n');
     }
 
-    for span in &inner.spans.records {
+    for span in inner.spans.iter() {
         let mut obj = JsonObject::new()
             .str("record", "span")
             .u64("id", span.id.0)
             .u64("trace", span.trace.0)
             .opt_u64("parent", span.parent.map(|p| p.0))
-            .str("name", &span.name)
+            .str("name", span.name)
             .u64("start_ns", span.start_ns)
             .opt_u64("end_ns", span.end_ns);
-        for (key, value) in &span.fields {
+        for (key, value) in span.fields() {
             obj = obj.field(key, value);
         }
         out.push_str(&obj.finish());
@@ -102,7 +111,7 @@ pub(crate) fn summary(inner: &mut Inner) -> String {
             out.push_str(&format!("{name:<36} {labels:<28} {rendered:>14}\n"));
         }
     }
-    let tree = render_span_tree(&inner.spans.records);
+    let tree = render_span_tree(&inner.spans.records());
     if !tree.is_empty() {
         if !out.is_empty() {
             out.push('\n');

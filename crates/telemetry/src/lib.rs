@@ -177,7 +177,7 @@ impl Registry {
 
     /// Snapshot of all spans recorded so far, in creation order.
     pub fn spans(&self) -> Vec<SpanRecord> {
-        self.with_inner(|i| i.spans.records.clone()).unwrap_or_default()
+        self.with_inner(|i| i.spans.records()).unwrap_or_default()
     }
 
     // ---- metrics --------------------------------------------------------
@@ -299,7 +299,7 @@ impl Registry {
 
     /// Just the span tree, rendered with indentation and sim-time stamps.
     pub fn span_tree(&self) -> String {
-        self.with_inner(|i| export::render_span_tree(&i.spans.records)).unwrap_or_default()
+        self.with_inner(|i| export::render_span_tree(&i.spans.records())).unwrap_or_default()
     }
 }
 

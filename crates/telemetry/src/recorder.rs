@@ -40,6 +40,11 @@ impl Recorder {
         self.next_seq
     }
 
+    /// How many events are retained.
+    pub(crate) fn retained(&self) -> usize {
+        self.next_seq.min(self.ring.len() as u64) as usize
+    }
+
     /// Retained events, oldest first. Does not consume them.
     pub(crate) fn drain_ordered(&self) -> Vec<Event> {
         let mut events: Vec<Event> = self.ring.iter().flatten().cloned().collect();
