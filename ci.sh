@@ -30,11 +30,13 @@
 #                            emissions must be byte-identical
 #                          - bench compare: diff the deterministic bench
 #                            metrics against the committed BENCH_*.json
-#                            baselines; fails on drift. Tolerance bands
-#                            (see crates/bench/src/compare.rs):
+#                            baselines; fails on drift. BENCH_fetch.json is
+#                            checked exactly (floats at its 3 decimals); the
+#                            others within tolerance bands (see
+#                            crates/bench/src/compare.rs):
 #                              GDMP_TOL_MBPS_PCT    throughputs/elapsed (5)
-#                              GDMP_TOL_EVENTS_PCT  event/byte counts  (10)
-#                              GDMP_TOL_SPEEDUP_PCT speedups/reductions (10)
+#                              GDMP_TOL_EVENTS_PCT  event counts       (10)
+#                              GDMP_TOL_SPEEDUP_PCT event reductions   (10)
 #                              GDMP_TOL_DELTA_ABS   fidelity deltas, pp  (1)
 #                          - the resident-set canary: one 30 s `push_soak`
 #                            run of `benchmark/run.sh` must report

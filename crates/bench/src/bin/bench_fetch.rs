@@ -18,6 +18,7 @@
 
 use gdmp::FetchPolicy;
 use gdmp_bench::cli::ScenarioArgs;
+use gdmp_bench::compare::round3;
 use gdmp_workloads::fetch::{FetchOutcome, FetchSpec};
 use gdmp_workloads::scenario::{run_fetch_scenario, ProfileDecl, WorkloadDecl};
 use gdmp_workloads::{Scenario, MB};
@@ -60,8 +61,8 @@ fn mode(name: &'static str, out: &FetchOutcome) -> Mode {
     let total: u64 = out.per_source_bytes.iter().map(|(_, b)| b).sum();
     Mode {
         name,
-        elapsed_s: (out.elapsed.as_secs_f64() * 1e3).round() / 1e3,
-        mbps: (out.agg_mbps * 1e3).round() / 1e3,
+        elapsed_s: round3(out.elapsed.as_secs_f64()),
+        mbps: round3(out.agg_mbps),
         sources: out
             .per_source_bytes
             .iter()
@@ -130,7 +131,7 @@ fn main() {
         file_mb: spec.size / MB,
         path_mbps: path_rates(&base),
         modes: vec![mode("single", &single), mode("multi", &multi), mode("multi_crash", &crash)],
-        striping_speedup: (multi.agg_mbps / single.agg_mbps * 1e3).round() / 1e3,
+        striping_speedup: round3(multi.agg_mbps / single.agg_mbps),
     };
     for m in &baseline.modes {
         let shares: Vec<String> =

@@ -6,13 +6,15 @@
 //! Wall-clock fields (`wall_ms`, `events_per_sec`, the wall-derived
 //! `speedup`s) move with the host and are **excluded** from the gate; the
 //! event counts, throughputs, source splits, and fidelity deltas are pure
-//! sim-time and must reproduce. Tolerances are configurable via env:
+//! sim-time and must reproduce. The fetch baseline is checked exactly
+//! (floats at the 3-decimal rounding `bench_fetch` writes); the other
+//! baselines keep tolerances, configurable via env:
 //!
 //! | env                    | default | applied to                         |
 //! |------------------------|---------|------------------------------------|
 //! | `GDMP_TOL_MBPS_PCT`    | 5       | throughputs and elapsed times      |
 //! | `GDMP_TOL_EVENTS_PCT`  | 10      | event/byte/retry counts            |
-//! | `GDMP_TOL_SPEEDUP_PCT` | 10      | striping speedup, event reduction  |
+//! | `GDMP_TOL_SPEEDUP_PCT` | 10      | event reduction                    |
 //! | `GDMP_TOL_DELTA_ABS`   | 1       | fidelity deltas (percentage points)|
 
 use gdmp_gridftp::sim::WanProfile;
@@ -234,9 +236,14 @@ struct GridBaseline {
 
 // ---- fetch comparison ----------------------------------------------------
 
-/// Re-run the three fetch modes and gate their deterministic metrics
-/// against the committed `BENCH_fetch.json` contents.
-pub fn compare_fetch(baseline_json: &str, tol: &Tolerances) -> Result<Gate, String> {
+/// The 3-decimal rounding `BENCH_fetch.json` stores its floats at.
+pub fn round3(x: f64) -> f64 {
+    (x * 1e3).round() / 1e3
+}
+
+/// Re-run the three fetch modes and check their deterministic metrics
+/// exactly against the committed `BENCH_fetch.json` contents.
+pub fn compare_fetch(baseline_json: &str) -> Result<Gate, String> {
     let base: FetchBaseline =
         serde_json::from_str(baseline_json).map_err(|e| format!("BENCH_fetch.json: {e}"))?;
     let mut gate = Gate::default();
@@ -262,44 +269,22 @@ pub fn compare_fetch(baseline_json: &str, tol: &Tolerances) -> Result<Gate, Stri
         }
         let p = format!("fetch.{name}");
         gate.exact(&format!("{p}.name"), b.name.clone(), name.to_string());
-        gate.within_pct(&format!("{p}.mbps"), b.mbps, out.agg_mbps, tol.mbps_pct);
-        gate.within_pct(
-            &format!("{p}.elapsed_s"),
-            b.elapsed_s,
-            out.elapsed.as_secs_f64(),
-            tol.mbps_pct,
-        );
+        gate.exact(&format!("{p}.mbps"), b.mbps, round3(out.agg_mbps));
+        gate.exact(&format!("{p}.elapsed_s"), b.elapsed_s, round3(out.elapsed.as_secs_f64()));
         for site in FETCH_SOURCES {
-            let base_bytes =
-                b.sources.iter().find(|s| s.site == site).map_or(0, |s| s.bytes) as f64;
+            let base_bytes = b.sources.iter().find(|s| s.site == site).map_or(0, |s| s.bytes);
             let actual_bytes =
-                out.per_source_bytes.iter().find(|(s, _)| s == site).map_or(0, |(_, n)| *n) as f64;
-            gate.within_pct(
-                &format!("{p}.bytes[{site}]"),
-                base_bytes,
-                actual_bytes,
-                tol.events_pct,
-            );
+                out.per_source_bytes.iter().find(|(s, _)| s == site).map_or(0, |(_, n)| *n);
+            gate.exact(&format!("{p}.bytes[{site}]"), base_bytes, actual_bytes);
         }
-        gate.within_pct(
-            &format!("{p}.ranges_reassigned"),
-            b.ranges_reassigned as f64,
-            out.ranges_reassigned as f64,
-            tol.events_pct,
-        );
-        gate.within_pct(
-            &format!("{p}.plan_rebuilds"),
-            b.plan_rebuilds as f64,
-            out.plan_rebuilds as f64,
-            tol.events_pct,
-        );
+        gate.exact(&format!("{p}.ranges_reassigned"), b.ranges_reassigned, out.ranges_reassigned);
+        gate.exact(&format!("{p}.plan_rebuilds"), b.plan_rebuilds, out.plan_rebuilds);
         gate.exact(&format!("{p}.converged"), b.converged, out.converged);
     }
-    gate.within_pct(
+    gate.exact(
         "fetch.striping_speedup",
         base.striping_speedup,
-        multi_mbps / single_mbps.max(1e-9),
-        tol.speedup_pct,
+        round3(multi_mbps / single_mbps.max(1e-9)),
     );
     Ok(gate)
 }
@@ -587,7 +572,7 @@ mod tests {
     #[test]
     fn malformed_baseline_is_an_error_not_a_pass() {
         let tol = Tolerances::default();
-        assert!(compare_fetch("{not json", &tol).is_err());
+        assert!(compare_fetch("{not json").is_err());
         assert!(compare_simnet("{\"schema\": 3}", &tol).is_err());
         assert!(compare_catalog("[]", &tol).is_err());
         assert!(compare_grid("{\"schema\": \"gdmp-bench-grid/1\"}", &tol).is_err());

@@ -27,14 +27,12 @@ use gdmp_telemetry::Registry;
 
 use crate::chaos::{ChaosState, FaultEvent, FaultSchedule};
 use crate::error::{GdmpError, Result};
-use crate::failure::{FaultPlan, FaultState, Verdict};
+use crate::failure::FaultState;
 use crate::message::{FileNotice, Request, Response};
-use crate::plugins::PluginCtx;
 use crate::recovery::{
     BreakerConfig, CircuitBreaker, FailureCtx, FailureKind, RecoveryAction, RecoveryStrategy,
-    SimpleRetry,
 };
-use crate::schedule::{FetchPolicy, MultiSourcePlan, PlanExecution};
+use crate::schedule::FetchPolicy;
 use crate::selection::{CostModel, HistoryCostModel};
 use crate::site::{Site, SiteConfig};
 
@@ -57,7 +55,7 @@ impl Default for TransferConfig {
 }
 
 /// Outcome of one file replication.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct ReplicationReport {
     pub lfn: String,
     pub from: String,
@@ -157,26 +155,26 @@ impl FederationFaults for ChaosFaultView<'_> {
 /// The assembled data grid.
 pub struct Grid {
     pub ca: CertificateAuthority,
-    clock: SimTime,
+    pub(crate) clock: SimTime,
     /// The central replica catalog (one LDAP server, as in the paper).
     pub catalog: ReplicaCatalogService,
     /// The federated catalog (per-site LRCs + RLI tree), when enabled:
     /// lookups route through it with bounded-staleness semantics, while
     /// the central catalog above stays authoritative for metadata. `None`
     /// keeps the pre-federation paths bit-identical.
-    federation: Option<FederatedCatalog>,
+    pub(crate) federation: Option<FederatedCatalog>,
     /// Site storage in insertion order, addressed through `slot`.
-    sites: Vec<Site>,
+    pub(crate) sites: Vec<Site>,
     /// Interned site names. Profiles and faults may name a site before it
     /// is added, so an id's `slot` entry stays `None` until then.
-    site_ids: SymbolTable<SiteId>,
+    pub(crate) site_ids: SymbolTable<SiteId>,
     /// `SiteId` index → position in `sites` (`None` until the site exists).
     slot: Vec<Option<usize>>,
     /// Site ids sorted by name — the iteration order the old name-keyed
     /// map gave, so clocks and serialized output stay byte-identical.
     order: Vec<SiteId>,
     /// Interned logical file names (fault and defer keys).
-    lfns: SymbolTable<Lfn>,
+    pub(crate) lfns: SymbolTable<Lfn>,
     /// Directed WAN profiles; missing pairs fall back to the default.
     profiles: HashMap<(SiteId, SiteId), WanProfile>,
     default_profile: WanProfile,
@@ -185,24 +183,23 @@ pub struct Grid {
     pub object_view: ObjectFileCatalog,
     pub params: TransferConfig,
     /// Faults keyed by `(lfn, site)`; `None` site applies to any source.
-    faults: HashMap<(Lfn, Option<SiteId>), FaultState>,
+    pub(crate) faults: HashMap<(Lfn, Option<SiteId>), FaultState>,
     /// Pluggable error recovery; `None` = SimpleRetry(params.max_attempts).
-    recovery: Option<Box<dyn RecoveryStrategy>>,
+    pub(crate) recovery: Option<Box<dyn RecoveryStrategy>>,
     /// Grid-level fault timeline (site crashes, link cuts, partitions).
     /// Inert until the builder's `fault_schedule` (or
     /// [`Grid::inject_fault_schedule`]) installs a non-empty one.
-    chaos: ChaosState,
+    pub(crate) chaos: ChaosState,
     /// Per-source circuit breaker for the Data Mover; disabled by default.
-    breaker: CircuitBreaker,
+    pub(crate) breaker: CircuitBreaker,
     /// How [`Grid::replicate`] fetches: classic single-source (default) or
     /// striped multi-source pulls.
-    fetch: FetchPolicy,
+    pub(crate) fetch: FetchPolicy,
     /// Replica-ranking cost model consulted by the selection phase.
     cost_model: Box<dyn CostModel>,
-    /// Observed per-link throughput EWMA, bits/s, keyed `(src, dst)`. Fed
-    /// by multi-source transfers (and [`Grid::note_observed_throughput`]);
-    /// the single-source pipeline leaves it untouched so the default path
-    /// stays bit-stable run over run.
+    /// Observed per-link throughput EWMA, bits/s, keyed `(src, dst)`, fed
+    /// by clean attempts under `MultiSource` (and [`Grid::note_observed_throughput`]).
+    /// `SingleSource` never touches it: the default path stays bit-stable.
     history: HashMap<(SiteId, SiteId), f64>,
     /// Backoff deadlines for deferred `replicate_pending` files, keyed
     /// `(dst, lfn)`: `(next_eligible, consecutive_defers)`.
@@ -216,7 +213,7 @@ pub struct Grid {
     /// Telemetry sink shared by the grid, its sites, and their storage.
     /// Disabled (every call a no-op) unless the builder's `telemetry()` /
     /// `telemetry_sink(reg)` attached a live registry.
-    telemetry: Registry,
+    pub(crate) telemetry: Registry,
     /// Outcome of every distinct session simulated so far, keyed
     /// `(profile, bytes, streams, buffer, warm)` (see [`Grid::session`]).
     pub(crate) sessions: HashMap<(WanProfile, u64, u32, u64, bool), SessionOutcome>,
@@ -290,7 +287,7 @@ impl Grid {
 
     /// Intern a site name, growing the id → slot map alongside. The site
     /// itself may not exist yet (profiles and faults can name it first).
-    fn intern_site(&mut self, name: &str) -> SiteId {
+    pub(crate) fn intern_site(&mut self, name: &str) -> SiteId {
         let id = self.site_ids.intern(name);
         if self.slot.len() <= id.index() as usize {
             self.slot.resize(id.index() as usize + 1, None);
@@ -299,7 +296,7 @@ impl Grid {
     }
 
     /// The `sites` index of a site by name, allocation-free.
-    fn site_slot(&self, name: &str) -> Option<usize> {
+    pub(crate) fn site_slot(&self, name: &str) -> Option<usize> {
         self.site_ids
             .try_id(name)
             .and_then(|id| self.slot.get(id.index() as usize).copied().flatten())
@@ -563,7 +560,7 @@ impl Grid {
     /// that site's volatile state immediately; restart *resyncs* are
     /// deferred to [`Grid::run_recovery`] — they issue RPCs and must not
     /// run re-entrantly under [`Grid::rpc`].
-    fn apply_due_faults(&mut self) {
+    pub(crate) fn apply_due_faults(&mut self) {
         let fired = self.chaos.apply_until(self.clock);
         if fired.is_empty() {
             return;
@@ -1081,7 +1078,8 @@ impl Grid {
                         sources_remaining: 0,
                         kind: FailureKind::Unreachable,
                     };
-                    let action = self.handle_failure(site, &ctx, reg);
+                    let (action, wait) = self.handle_failure(site, self.clock, &ctx, reg);
+                    self.clock += wait;
                     if action == RecoveryAction::RetrySameSource && attempts < 2 {
                         continue;
                     }
@@ -1184,1157 +1182,6 @@ impl Grid {
         };
         self.object_view.record_file(file_name, &objects);
         self.publish_file(site_name, file_name, image, "objectivity")
-    }
-
-    // ---- the Data Mover ----------------------------------------------------
-
-    /// Inject a fault plan for a file's future transfers from any source.
-    pub fn inject_fault(&mut self, lfn: &str, plan: FaultPlan) {
-        let lfn = self.lfns.intern(lfn);
-        self.faults.insert((lfn, None), FaultState::new(plan));
-    }
-
-    /// Inject a fault plan for transfers of `lfn` sourced from `site` only
-    /// (models a flaky path or bad disks at one replica).
-    pub fn inject_fault_at(&mut self, lfn: &str, site: &str, plan: FaultPlan) {
-        let lfn = self.lfns.intern(lfn);
-        let site = self.intern_site(site);
-        self.faults.insert((lfn, Some(site)), FaultState::new(plan));
-    }
-
-    /// Install a pluggable error-recovery strategy (Section 4.3's future
-    /// work) via `Grid::builder(..).recovery`. Default: retry the same
-    /// source `params.max_attempts` times.
-    pub(crate) fn install_recovery(&mut self, strategy: Box<dyn RecoveryStrategy>) {
-        self.recovery = Some(strategy);
-    }
-
-    /// The next injected-fault verdict for a transfer of `lfn` from
-    /// `source`. Probes are allocation-free: an lfn or site never named by
-    /// an injection is not interned, so unknown names short-circuit clean.
-    fn fault_verdict(&mut self, lfn: &str, source: &str) -> Verdict {
-        if self.faults.is_empty() {
-            return Verdict::Clean;
-        }
-        let Some(lfn) = self.lfns.try_id(lfn) else { return Verdict::Clean };
-        if let Some(site) = self.site_ids.try_id(source) {
-            if let Some(state) = self.faults.get_mut(&(lfn, Some(site))) {
-                return state.next_verdict();
-            }
-        }
-        match self.faults.get_mut(&(lfn, None)) {
-            Some(state) => state.next_verdict(),
-            None => Verdict::Clean,
-        }
-    }
-
-    fn decide_recovery(&self, ctx: &FailureCtx) -> RecoveryAction {
-        match &self.recovery {
-            Some(s) => s.decide(ctx),
-            None => SimpleRetry { max_attempts: self.params.max_attempts }.decide(ctx),
-        }
-    }
-
-    /// One failed attempt against `source`: feed the circuit breaker, ask
-    /// the recovery strategy for a verdict, and serve any backoff wait on
-    /// the sim clock. Returns the action for the caller to execute.
-    fn handle_failure(&mut self, source: &str, ctx: &FailureCtx, reg: &Registry) -> RecoveryAction {
-        if self.breaker.record_failure(source, self.clock) {
-            reg.counter_add("breaker_trips", &[("src", source)], 1);
-            reg.series_set("breaker_open", &[("src", source)], self.clock.nanos(), 1);
-            reg.record(
-                self.clock.nanos(),
-                "breaker_open",
-                format!("{source}: circuit opened after consecutive failures"),
-            );
-        }
-        let action = self.decide_recovery(ctx);
-        let verdict_label = match action {
-            RecoveryAction::RetrySameSource => "retry_same_source",
-            RecoveryAction::FailoverToNextSource => "failover",
-            RecoveryAction::GiveUp => "give_up",
-        };
-        reg.counter_add("recovery_verdicts", &[("action", verdict_label)], 1);
-        if action == RecoveryAction::RetrySameSource {
-            let wait = match &self.recovery {
-                Some(s) => s.backoff(ctx),
-                None => SimDuration::ZERO,
-            };
-            if wait > SimDuration::ZERO {
-                let backoff_span = reg.span_start("backoff", self.clock.nanos());
-                reg.span_note(backoff_span, "src", source);
-                self.clock += wait;
-                reg.span_end(backoff_span, self.clock.nanos());
-                reg.counter_add("backoff_waits", &[("src", source)], 1);
-                reg.observe("backoff_wait_ns", &[], wait.nanos());
-            }
-        }
-        action
-    }
-
-    /// Bytes landed on the `src -> dst` path at the current sim time:
-    /// feed the per-link utilisation and per-destination fetch-throughput
-    /// time-series. A no-op unless the registry has time-series enabled.
-    fn series_transfer(&self, reg: &Registry, src: &str, dst: &str, now_ns: u64, bytes: u64) {
-        reg.series_add("link_bytes", &[("src", src), ("dst", dst)], now_ns, bytes);
-        reg.series_add("fetch_bytes", &[("dst", dst)], now_ns, bytes);
-    }
-
-    /// Unpin a file at a source, tolerating the pin having vanished (a
-    /// crash clears all pins, so a failover after a source crash must not
-    /// turn the bookkeeping cleanup into a second error).
-    fn unpin_quiet(&mut self, site: &str, lfn: &str) {
-        if let Ok(s) = self.site_mut(site) {
-            let _ = s.storage.pool.unpin(lfn);
-        }
-    }
-
-    /// Replicate `lfn` to `dst` from the best available source, running
-    /// the full GDMP pipeline: source selection → staging → space
-    /// allocation → parallel WAN transfer with restart/retry → CRC
-    /// verification → post-processing → catalog registration. On repeated
-    /// failure the installed [`RecoveryStrategy`] may fail over to the
-    /// next-cheapest replica; GridFTP restart markers stay valid across
-    /// sources (every replica has identical content), so progress carries
-    /// over.
-    pub fn replicate(&mut self, dst: &str, lfn: &str) -> Result<ReplicationReport> {
-        let started_at = self.clock;
-        let info = self.catalog.info(lfn).map_err(|_| GdmpError::NotPublished(lfn.to_string()))?;
-        if info.replicas.iter().any(|r| r.location == dst) {
-            return Err(GdmpError::AlreadyReplicated {
-                lfn: lfn.to_string(),
-                site: dst.to_string(),
-            });
-        }
-        if !self.has_site(dst) {
-            return Err(GdmpError::NoSuchSite(dst.to_string()));
-        }
-        // When the federation is live, source discovery routes through the
-        // lookup ladder: every candidate is confirmed against its
-        // authoritative LRC, so the flow never pulls from a site whose copy
-        // is stale catalog fiction. An unreachable-catalog error surfaces as
-        // retryable and defers to `replicate_pending` like any other outage.
-        let info = if self.federation.is_some() {
-            let lookup = self.lookup_replicas(dst, lfn)?;
-            let mut filtered = info;
-            filtered.replicas.retain(|r| lookup.holders.contains(&r.location));
-            if filtered.replicas.is_empty() {
-                return Err(GdmpError::NotPublished(lfn.to_string()));
-            }
-            filtered
-        } else {
-            info
-        };
-        let reg = self.telemetry.clone();
-        let root = reg.span_start("replicate", started_at.nanos());
-        reg.span_note(root, "lfn", lfn);
-        reg.span_note(root, "dst", dst);
-        let result = match self.fetch {
-            FetchPolicy::SingleSource => self.replicate_flow(dst, lfn, &info, started_at, &reg),
-            FetchPolicy::MultiSource { max_sources, min_chunk } => {
-                self.replicate_multi_flow(dst, lfn, &info, started_at, &reg, max_sources, min_chunk)
-            }
-        };
-        match &result {
-            Ok(r) => {
-                reg.span_note(root, "src", r.from.as_str());
-                reg.span_note(root, "attempts", u64::from(r.attempts));
-                reg.span_note(root, "bytes_moved", r.bytes_moved);
-                reg.counter_add("replications_total", &[("result", "ok")], 1);
-                reg.observe("replicate_duration_ns", &[], r.total_time().nanos());
-                reg.record(
-                    self.clock.nanos(),
-                    "replicated",
-                    format!("{lfn} {} -> {dst} ({} B)", r.from, r.bytes),
-                );
-            }
-            Err(e) => {
-                reg.span_note(root, "error", e.to_string());
-                reg.counter_add("replications_total", &[("result", "failed")], 1);
-                reg.record(self.clock.nanos(), "replicate_failed", format!("{lfn} -> {dst}: {e}"));
-            }
-        }
-        // Scope-close: this also ends any child span an error path leaked.
-        reg.span_end(root, self.clock.nanos());
-        result
-    }
-
-    /// The pipeline body of [`Grid::replicate`]; the caller owns the root
-    /// telemetry span and outcome accounting.
-    fn replicate_flow(
-        &mut self,
-        dst: &str,
-        lfn: &str,
-        info: &gdmp_replica_catalog::service::ReplicaInfo,
-        started_at: SimTime,
-        reg: &Registry,
-    ) -> Result<ReplicationReport> {
-        // Replica selection: rank sources by estimated cost.
-        let select_span = reg.span_start("select_source", self.clock.nanos());
-        let estimates = crate::selection::estimate_sources(self, dst, info)?;
-        reg.span_note(select_span, "candidates", estimates.len() as u64);
-        if let Some(best) = estimates.first() {
-            reg.span_note(select_span, "best", best.site.as_str());
-        }
-        for e in &estimates {
-            reg.span_note(select_span, e.site.as_str(), e.predicted_bps as u64);
-        }
-        reg.span_end(select_span, self.clock.nanos());
-        if estimates.is_empty() {
-            return Err(GdmpError::NotPublished(lfn.to_string()));
-        }
-        // Circuit breaker: skip sources in cooldown after repeated failures
-        // — unless every candidate is open, in which case probing the
-        // cheapest beats failing without trying.
-        let mut estimates = estimates;
-        if self.breaker.any_open(self.clock) {
-            let now = self.clock;
-            let healthy = estimates.iter().filter(|e| !self.breaker.is_open(&e.site, now)).count();
-            if healthy > 0 && healthy < estimates.len() {
-                let skipped = (estimates.len() - healthy) as u64;
-                reg.counter_add("breaker_skips", &[], skipped);
-                let breaker = &self.breaker;
-                estimates.retain(|e| !breaker.is_open(&e.site, now));
-            }
-        }
-        let size = info.meta.size;
-
-        let mut src_i = 0usize;
-        let mut attempts_total = 0u32;
-        let mut attempts_on_source = 0u32;
-        let mut bytes_moved = 0u64;
-        let mut data_time = SimDuration::ZERO;
-        let mut setup_time = SimDuration::ZERO;
-        let mut stage_latency = SimDuration::ZERO;
-        let mut staged_any = false;
-        let mut remaining = size;
-
-        let (source, data) = 'sources: loop {
-            let source = estimates[src_i].site.clone();
-            // Prologue: reachability, then ask this source to make the file
-            // disk-resident (stage if needed). The RPC costs one RTT; the
-            // rest is staging latency. A retryable failure here — source
-            // down, path cut — is an Unreachable failure of this source; no
-            // pin is held yet.
-            let prologue_err: Option<GdmpError> = 'prologue: {
-                if self.chaos.is_active() {
-                    self.apply_due_faults();
-                    if !self.chaos.can_rpc(dst, &source) || !self.chaos.can_flow(&source, dst) {
-                        break 'prologue Some(if self.chaos.is_down(&source) {
-                            GdmpError::SiteUnreachable(source.clone())
-                        } else {
-                            GdmpError::LinkDown { from: source.clone(), to: dst.to_string() }
-                        });
-                    }
-                }
-                let stage_span = reg.span_start("staging", self.clock.nanos());
-                reg.span_note(stage_span, "source", source.as_str());
-                let before = self.clock;
-                let rtt = self.profile_between(dst, &source).rtt();
-                match self.rpc(dst, &source, Request::PrepareFile { lfn: lfn.to_string() }) {
-                    Ok(Response::FileReady { was_staged, .. }) => {
-                        let total = self.clock.since(before);
-                        let staged_for = SimDuration(total.nanos().saturating_sub(rtt.nanos()));
-                        stage_latency = stage_latency + staged_for;
-                        staged_any |= was_staged;
-                        reg.span_note(stage_span, "was_staged", was_staged);
-                        reg.observe("stage_latency_ns", &[], staged_for.nanos());
-                        reg.span_end(stage_span, self.clock.nanos());
-                        None
-                    }
-                    Ok(other) => panic!("PrepareFile returned {other:?}"),
-                    Err(e) if e.is_retryable() => {
-                        reg.span_note(stage_span, "error", e.to_string());
-                        reg.span_end(stage_span, self.clock.nanos());
-                        Some(e)
-                    }
-                    Err(e) => {
-                        reg.span_end(stage_span, self.clock.nanos());
-                        return Err(e);
-                    }
-                }
-            };
-            if let Some(e) = prologue_err {
-                attempts_total += 1;
-                attempts_on_source += 1;
-                reg.counter_add("source_unreachable", &[("src", source.as_str())], 1);
-                let ctx = FailureCtx {
-                    attempts_on_source,
-                    attempts_total,
-                    sources_tried: src_i as u32 + 1,
-                    sources_remaining: (estimates.len() - 1 - src_i) as u32,
-                    kind: FailureKind::Unreachable,
-                };
-                match self.handle_failure(&source, &ctx, reg) {
-                    RecoveryAction::RetrySameSource => continue 'sources,
-                    RecoveryAction::FailoverToNextSource => {
-                        src_i += 1;
-                        attempts_on_source = 0;
-                        reg.record(
-                            self.clock.nanos(),
-                            "failover",
-                            format!("{lfn}: leaving {source} after {attempts_total} attempts"),
-                        );
-                        if src_i >= estimates.len() {
-                            return Err(GdmpError::TransferFailed {
-                                lfn: lfn.to_string(),
-                                attempts: attempts_total,
-                                last_error: e.to_string(),
-                            });
-                        }
-                        continue 'sources;
-                    }
-                    RecoveryAction::GiveUp => {
-                        return Err(GdmpError::TransferFailed {
-                            lfn: lfn.to_string(),
-                            attempts: attempts_total,
-                            last_error: e.to_string(),
-                        });
-                    }
-                }
-            }
-            if info.meta.file_type == "objectivity" {
-                let pre_span = reg.span_start("preprocess", self.clock.nanos());
-                reg.span_note(pre_span, "step", "schema_import");
-                self.import_schema(&source, dst)?;
-                reg.span_end(pre_span, self.clock.nanos());
-            }
-            // Pin at the source for the duration of the attempts.
-            self.site_mut(&source)?.storage.pool.pin(lfn)?;
-            let profile = self.profile_between(&source, dst);
-            let params = self.params;
-            let pair_labels = [("src", source.as_str()), ("dst", dst)];
-            loop {
-                attempts_total += 1;
-                attempts_on_source += 1;
-                // A fault may have fired during a backoff wait or a prior
-                // attempt: a path already severed fails the attempt before
-                // any byte moves (connection refused).
-                let blocked = self.chaos.is_active() && {
-                    self.apply_due_faults();
-                    !self.chaos.can_flow(&source, dst)
-                };
-                let kind = if blocked {
-                    reg.counter_add("source_unreachable", &[("src", source.as_str())], 1);
-                    reg.record(
-                        self.clock.nanos(),
-                        "transfer_blocked",
-                        format!("{lfn}: {source} -> {dst} unreachable"),
-                    );
-                    FailureKind::Unreachable
-                } else {
-                    // A source that crashed and restarted during a backoff
-                    // wait lost its pins with the crash: pin again, so the
-                    // file stays put while the restarted source serves it.
-                    let pool = &mut self.site_mut(&source)?.storage.pool;
-                    if !pool.is_pinned(lfn) {
-                        pool.pin(lfn)?;
-                    }
-                    let attempt_start_ns = self.clock.nanos();
-                    let xfer_span = reg.span_start("transfer", attempt_start_ns);
-                    reg.span_note(xfer_span, "source", source.as_str());
-                    reg.span_note(xfer_span, "attempt", u64::from(attempts_total));
-                    reg.span_note(xfer_span, "bytes_requested", remaining);
-                    let reconnect = attempts_on_source > 1;
-                    let report = self.session(&profile, remaining.max(1), false, reg);
-                    setup_time = setup_time + report.setup_time;
-                    reg.counter_add(
-                        "transfer_retransmits",
-                        &pair_labels,
-                        report.retransmitted_segments,
-                    );
-                    // Does a scheduled fault sever this path while the
-                    // attempt is in flight? The connection dies at that
-                    // instant; restart markers keep what had arrived.
-                    let cut_at = if self.chaos.is_active() {
-                        let window_end = self.clock + report.setup_time + report.data_time;
-                        self.chaos.first_cut_in_window(&source, dst, self.clock, window_end)
-                    } else {
-                        None
-                    };
-                    if let Some(cut) = cut_at {
-                        let data_ns = report.data_time.nanos().max(1);
-                        let elapsed = cut
-                            .nanos()
-                            .saturating_sub(self.clock.nanos() + report.setup_time.nanos())
-                            .min(data_ns);
-                        let got = (remaining as f64 * (elapsed as f64 / data_ns as f64)) as u64;
-                        let partial_time = SimDuration::from_nanos(elapsed);
-                        self.clock += report.setup_time + partial_time;
-                        data_time = data_time + partial_time;
-                        bytes_moved += got;
-                        remaining -= got.min(remaining);
-                        reg.counter_add("transfer_bytes", &pair_labels, got);
-                        self.series_transfer(reg, &source, dst, self.clock.nanos(), got);
-                        reg.counter_add("restart_events", &pair_labels, 1);
-                        profile.trace_transfer(
-                            reg,
-                            attempt_start_ns,
-                            report.setup_time,
-                            partial_time,
-                            params.streams,
-                            params.buffer,
-                            false,
-                            reconnect,
-                        );
-                        reg.span_note(xfer_span, "outcome", "severed");
-                        reg.span_note(xfer_span, "bytes_salvaged", got);
-                        reg.span_end(xfer_span, self.clock.nanos());
-                        reg.record(
-                            self.clock.nanos(),
-                            "transfer_severed",
-                            format!("{lfn} from {source}: path died mid-flight, {got} B salvaged"),
-                        );
-                        FailureKind::Unreachable
-                    } else {
-                        match self.fault_verdict(lfn, &source) {
-                            Verdict::Clean => {
-                                self.clock += report.setup_time + report.data_time;
-                                data_time = data_time + report.data_time;
-                                bytes_moved += remaining;
-                                reg.counter_add("transfer_bytes", &pair_labels, remaining);
-                                self.series_transfer(
-                                    reg,
-                                    &source,
-                                    dst,
-                                    self.clock.nanos(),
-                                    remaining,
-                                );
-                                profile.trace_transfer(
-                                    reg,
-                                    attempt_start_ns,
-                                    report.setup_time,
-                                    report.data_time,
-                                    params.streams,
-                                    params.buffer,
-                                    false,
-                                    reconnect,
-                                );
-                                reg.span_note(xfer_span, "outcome", "clean");
-                                reg.span_end(xfer_span, self.clock.nanos());
-                                let crc_span = reg.span_start("crc_verify", self.clock.nanos());
-                                self.clock += SimDuration::from_millis(1); // CRC pass
-                                reg.span_note(crc_span, "passed", true);
-                                reg.span_end(crc_span, self.clock.nanos());
-                                let data = self
-                                    .site(&source)?
-                                    .storage
-                                    .pool
-                                    .peek(lfn)
-                                    .expect("pinned file is resident");
-                                self.site_mut(&source)?.storage.pool.unpin(lfn)?;
-                                self.breaker.record_success(&source);
-                                reg.series_set(
-                                    "breaker_open",
-                                    &[("src", source.as_str())],
-                                    self.clock.nanos(),
-                                    0,
-                                );
-                                if !matches!(self.fetch, FetchPolicy::SingleSource) {
-                                    // Multi-source grids learn link throughput
-                                    // even when a fetch fell back to this
-                                    // pipeline; the default SingleSource path
-                                    // stays bit-stable by never touching the
-                                    // history.
-                                    let bps = remaining as f64 * 8.0
-                                        / report.data_time.as_secs_f64().max(1e-9);
-                                    self.note_observed_throughput(&source, dst, bps);
-                                }
-                                break 'sources (source, data);
-                            }
-                            Verdict::Abort { fraction } => {
-                                // Connection died mid-attempt; restart
-                                // markers preserve what arrived.
-                                let got = (remaining as f64 * fraction) as u64;
-                                let partial_time = SimDuration::from_secs_f64(
-                                    report.data_time.as_secs_f64() * fraction,
-                                );
-                                self.clock += report.setup_time + partial_time;
-                                data_time = data_time + partial_time;
-                                bytes_moved += got;
-                                remaining -= got.min(remaining);
-                                reg.counter_add("transfer_bytes", &pair_labels, got);
-                                self.series_transfer(reg, &source, dst, self.clock.nanos(), got);
-                                reg.counter_add("restart_events", &pair_labels, 1);
-                                profile.trace_transfer(
-                                    reg,
-                                    attempt_start_ns,
-                                    report.setup_time,
-                                    partial_time,
-                                    params.streams,
-                                    params.buffer,
-                                    false,
-                                    reconnect,
-                                );
-                                reg.span_note(xfer_span, "outcome", "aborted");
-                                reg.span_note(xfer_span, "bytes_salvaged", got);
-                                reg.span_end(xfer_span, self.clock.nanos());
-                                reg.record(
-                                    self.clock.nanos(),
-                                    "transfer_abort",
-                                    format!(
-                                        "{lfn} from {source}: {got} of {} B salvaged",
-                                        got + remaining
-                                    ),
-                                );
-                                FailureKind::Aborted
-                            }
-                            Verdict::Corrupt => {
-                                // Whole attempt completed, CRC failed:
-                                // discard and re-fetch the file.
-                                self.clock += report.setup_time + report.data_time;
-                                data_time = data_time + report.data_time;
-                                bytes_moved += remaining;
-                                remaining = size;
-                                reg.counter_add("crc_failures", &pair_labels, 1);
-                                profile.trace_transfer(
-                                    reg,
-                                    attempt_start_ns,
-                                    report.setup_time,
-                                    report.data_time,
-                                    params.streams,
-                                    params.buffer,
-                                    false,
-                                    reconnect,
-                                );
-                                reg.span_note(xfer_span, "outcome", "corrupt");
-                                reg.span_end(xfer_span, self.clock.nanos());
-                                reg.record(
-                                    self.clock.nanos(),
-                                    "crc_failure",
-                                    format!(
-                                        "{lfn} from {source}: attempt {attempts_total} discarded"
-                                    ),
-                                );
-                                FailureKind::Corrupted
-                            }
-                        }
-                    }
-                };
-                let ctx = FailureCtx {
-                    attempts_on_source,
-                    attempts_total,
-                    sources_tried: src_i as u32 + 1,
-                    sources_remaining: (estimates.len() - 1 - src_i) as u32,
-                    kind,
-                };
-                match self.handle_failure(&source, &ctx, reg) {
-                    RecoveryAction::RetrySameSource => continue,
-                    RecoveryAction::FailoverToNextSource => {
-                        self.unpin_quiet(&source, lfn);
-                        src_i += 1;
-                        attempts_on_source = 0;
-                        reg.record(
-                            self.clock.nanos(),
-                            "failover",
-                            format!("{lfn}: leaving {source} after {attempts_total} attempts"),
-                        );
-                        if src_i >= estimates.len() {
-                            return Err(GdmpError::TransferFailed {
-                                lfn: lfn.to_string(),
-                                attempts: attempts_total,
-                                last_error: "no alternate sources left".into(),
-                            });
-                        }
-                        continue 'sources;
-                    }
-                    RecoveryAction::GiveUp => {
-                        self.unpin_quiet(&source, lfn);
-                        return Err(GdmpError::TransferFailed {
-                            lfn: lfn.to_string(),
-                            attempts: attempts_total,
-                            last_error: "retry budget exhausted".into(),
-                        });
-                    }
-                }
-            }
-        };
-
-        self.install_replica(dst, lfn, info, &source, &data, reg)?;
-
-        let report = ReplicationReport {
-            lfn: lfn.to_string(),
-            from: source,
-            to: dst.to_string(),
-            bytes: size,
-            bytes_moved,
-            attempts: attempts_total,
-            staged: staged_any,
-            stage_latency,
-            data_time,
-            setup_time,
-            started_at,
-            finished_at: self.clock,
-        };
-        self.reports.push(report.clone());
-        Ok(report)
-    }
-
-    /// The striped pipeline behind [`FetchPolicy::MultiSource`]: rank the
-    /// replicas, split the byte range across the top-k, pull chunks on
-    /// per-source timelines that advance concurrently against one wall
-    /// clock, steal work from stragglers, and fail over mid-transfer by
-    /// re-assigning a dead source's ranges to the survivors (restart
-    /// markers keep every byte that already landed). Falls back to the
-    /// single-source pipeline when the file is too small to stripe or only
-    /// one source is usable.
-    #[allow(clippy::too_many_arguments)]
-    fn replicate_multi_flow(
-        &mut self,
-        dst: &str,
-        lfn: &str,
-        info: &gdmp_replica_catalog::service::ReplicaInfo,
-        started_at: SimTime,
-        reg: &Registry,
-        max_sources: usize,
-        min_chunk: u64,
-    ) -> Result<ReplicationReport> {
-        let min_chunk = min_chunk.max(1);
-        let size = info.meta.size;
-        let select_span = reg.span_start("select_source", self.clock.nanos());
-        let mut estimates = crate::selection::estimate_sources(self, dst, info)?;
-        reg.span_note(select_span, "candidates", estimates.len() as u64);
-        for e in &estimates {
-            reg.span_note(select_span, e.site.as_str(), e.predicted_bps as u64);
-        }
-        reg.span_end(select_span, self.clock.nanos());
-        if estimates.is_empty() {
-            return Err(GdmpError::NotPublished(lfn.to_string()));
-        }
-        if self.breaker.any_open(self.clock) {
-            let now = self.clock;
-            let healthy = estimates.iter().filter(|e| !self.breaker.is_open(&e.site, now)).count();
-            if healthy > 0 && healthy < estimates.len() {
-                reg.counter_add("breaker_skips", &[], (estimates.len() - healthy) as u64);
-                let breaker = &self.breaker;
-                estimates.retain(|e| !breaker.is_open(&e.site, now));
-            }
-        }
-        if estimates.len() < 2 || size < 2 * min_chunk {
-            // Not enough sources (or bytes) to stripe: the classic pipeline
-            // already does everything right, including failover.
-            return self.replicate_flow(dst, lfn, info, started_at, reg);
-        }
-        let plan = MultiSourcePlan::build(lfn, size, &estimates, max_sources, min_chunk);
-        if plan.assignments.len() < 2 {
-            return self.replicate_flow(dst, lfn, info, started_at, reg);
-        }
-        let n = plan.assignments.len();
-        let mut exec = PlanExecution::new(&plan);
-        let preds: Vec<f64> = plan
-            .assignments
-            .iter()
-            .map(|a| {
-                estimates
-                    .iter()
-                    .find(|e| e.site == a.source)
-                    .map(|e| e.predicted_bps)
-                    .unwrap_or(1.0)
-            })
-            .collect();
-        exec.set_predictions(&preds);
-        reg.counter_add("multi_fetches", &[("dst", dst)], 1);
-        reg.record(
-            self.clock.nanos(),
-            "multi_plan",
-            format!("{lfn} -> {dst}: {n} sources {:?}", plan.sources()),
-        );
-
-        // Serial control phase: reachability + PrepareFile per source on the
-        // shared clock (control RPCs are cheap; only the data phase below
-        // runs in parallel). A source that fails its prologue is dead to
-        // this plan and its range moves to the survivors.
-        let mut source_data: Vec<Option<Bytes>> = vec![None; n];
-        let mut stage_latency = SimDuration::ZERO;
-        let mut staged_any = false;
-        let mut failures_total = 0u32;
-        let mut fatal: Option<GdmpError> = None;
-        #[allow(clippy::needless_range_loop)] // exec and source_data are both indexed
-        'prologues: for idx in 0..n {
-            let source = plan.assignments[idx].source.clone();
-            let mark = plan.assignments[idx].start;
-            let mut prologue_attempts = 0u32;
-            loop {
-                let prologue_err: Option<GdmpError> = 'prologue: {
-                    if self.chaos.is_active() {
-                        self.apply_due_faults();
-                        if !self.chaos.can_rpc(dst, &source) || !self.chaos.can_flow(&source, dst) {
-                            break 'prologue Some(if self.chaos.is_down(&source) {
-                                GdmpError::SiteUnreachable(source.clone())
-                            } else {
-                                GdmpError::LinkDown { from: source.clone(), to: dst.to_string() }
-                            });
-                        }
-                    }
-                    let stage_span = reg.span_start("staging", self.clock.nanos());
-                    reg.span_note(stage_span, "source", source.as_str());
-                    let before = self.clock;
-                    let rtt = self.profile_between(dst, &source).rtt();
-                    match self.rpc(dst, &source, Request::PrepareFile { lfn: lfn.to_string() }) {
-                        Ok(Response::FileReady { was_staged, .. }) => {
-                            let total = self.clock.since(before);
-                            let staged_for = SimDuration(total.nanos().saturating_sub(rtt.nanos()));
-                            stage_latency = stage_latency + staged_for;
-                            staged_any |= was_staged;
-                            reg.span_note(stage_span, "was_staged", was_staged);
-                            reg.observe("stage_latency_ns", &[], staged_for.nanos());
-                            reg.span_end(stage_span, self.clock.nanos());
-                            None
-                        }
-                        Ok(other) => panic!("PrepareFile returned {other:?}"),
-                        Err(e) if e.is_retryable() => {
-                            reg.span_note(stage_span, "error", e.to_string());
-                            reg.span_end(stage_span, self.clock.nanos());
-                            Some(e)
-                        }
-                        Err(e) => {
-                            reg.span_end(stage_span, self.clock.nanos());
-                            fatal = Some(e);
-                            break 'prologues;
-                        }
-                    }
-                };
-                match prologue_err {
-                    None => {
-                        // Pin for the duration; keep a handle to the bytes so
-                        // reassembly still works if this source later crashes
-                        // (ranges that already landed stay valid).
-                        self.site_mut(&source)?.storage.pool.pin(lfn)?;
-                        source_data[idx] =
-                            Some(self.site(&source)?.storage.pool.peek(lfn).expect("pinned"));
-                        if info.meta.file_type == "objectivity" {
-                            self.import_schema(&source, dst)?;
-                        }
-                        break;
-                    }
-                    Some(_) => {
-                        failures_total += 1;
-                        prologue_attempts += 1;
-                        reg.counter_add("source_unreachable", &[("src", source.as_str())], 1);
-                        let alive = exec.sources().iter().filter(|s| s.alive).count() as u32;
-                        let ctx = FailureCtx {
-                            attempts_on_source: prologue_attempts,
-                            attempts_total: failures_total,
-                            sources_tried: idx as u32 + 1,
-                            sources_remaining: alive.saturating_sub(1),
-                            kind: FailureKind::Unreachable,
-                        };
-                        let (action, wait) =
-                            self.handle_failure_multi(&source, self.clock, &ctx, reg);
-                        if action == RecoveryAction::RetrySameSource {
-                            self.clock += wait;
-                            continue;
-                        }
-                        // Failover and GiveUp both mean: out of this plan.
-                        exec.source_died(idx, (mark, mark), 0, SimDuration::ZERO);
-                        reg.record(
-                            self.clock.nanos(),
-                            "multi_source_dropped",
-                            format!("{lfn}: {source} unreachable at setup; ranges reassigned"),
-                        );
-                        break;
-                    }
-                }
-            }
-        }
-        if fatal.is_none() && exec.is_stuck() {
-            fatal = Some(GdmpError::TransferFailed {
-                lfn: lfn.to_string(),
-                attempts: failures_total,
-                last_error: "no usable sources after setup".into(),
-            });
-        }
-        if let Some(e) = fatal {
-            for (idx, a) in plan.assignments.iter().enumerate() {
-                if source_data[idx].is_some() {
-                    self.unpin_quiet(&a.source, lfn);
-                }
-            }
-            return Err(e);
-        }
-
-        // Parallel data phase. Each source advances a private timeline
-        // anchored at `base`; the shared clock only moves once the slowest
-        // participant finishes.
-        let base = self.clock;
-        let params = self.params;
-        let mut attempts_chunks = 0u32;
-        let mut bytes_moved = 0u64;
-        let mut data_time = SimDuration::ZERO;
-        let mut setup_time = SimDuration::ZERO;
-        let mut session_open = vec![false; n];
-        // Has this source ever had a data session? A cold pull after the
-        // first one is a reconnect, and its setup span is named so.
-        let mut ever_open = vec![false; n];
-        loop {
-            while exec.steal_for_idle() {}
-            if exec.is_complete() {
-                break;
-            }
-            let Some((idx, chunk)) = exec.next_chunk() else { break };
-            let source = exec.sources()[idx].name.clone();
-            let bytes = chunk.1 - chunk.0;
-            attempts_chunks += 1;
-            let at = base + exec.sources()[idx].elapsed;
-            let profile = self.profile_between(&source, dst);
-            // The first pull on a source pays GridFTP session setup and TCP
-            // slow-start; later chunks reuse the established data channels
-            // (warm windows, no handshake). A failure forces a reconnect.
-            let warm = session_open[idx];
-            // (The striped path does not publish its sessions' simnet metrics.)
-            let report = self.session(&profile, bytes, warm, &Registry::disabled());
-            let setup = if warm { SimDuration::ZERO } else { report.setup_time };
-            let pair_labels = [("src", source.as_str()), ("dst", dst)];
-            // One span per chunk attempt, anchored on this source's private
-            // timeline; its gridftp children (setup/slow-start/steady) tile
-            // the attempt so the critical path can blame the slow segment.
-            let chunk_span = reg.span_start("chunk_transfer", at.nanos());
-            reg.span_note(chunk_span, "source", source.as_str());
-            reg.span_note(chunk_span, "range_start", chunk.0);
-            reg.span_note(chunk_span, "range_end", chunk.1);
-            reg.span_note(chunk_span, "warm", warm);
-            reg.span_note(chunk_span, "seq", u64::from(attempts_chunks));
-            let reconnect = !warm && ever_open[idx];
-            ever_open[idx] = true;
-            // Does a scheduled fault sever this path while the chunk is in
-            // flight, judged on this source's private timeline?
-            let cut_at = if self.chaos.is_active() {
-                self.chaos.first_cut_in_window(&source, dst, at, at + setup + report.data_time)
-            } else {
-                None
-            };
-            // Ok = clean; Err = (kind, salvaged bytes, data-phase time burned).
-            let outcome: std::result::Result<(), (FailureKind, u64, SimDuration)> =
-                if let Some(cut) = cut_at {
-                    let data_ns = report.data_time.nanos().max(1);
-                    let elapsed =
-                        cut.nanos().saturating_sub(at.nanos() + setup.nanos()).min(data_ns);
-                    let got = ((bytes as f64) * (elapsed as f64 / data_ns as f64)) as u64;
-                    Err((
-                        FailureKind::Unreachable,
-                        got.min(bytes.saturating_sub(1)),
-                        SimDuration::from_nanos(elapsed),
-                    ))
-                } else {
-                    match self.fault_verdict(lfn, &source) {
-                        Verdict::Clean => Ok(()),
-                        Verdict::Abort { fraction } => {
-                            let got = ((bytes as f64) * fraction) as u64;
-                            let partial = SimDuration::from_secs_f64(
-                                report.data_time.as_secs_f64() * fraction,
-                            );
-                            Err((FailureKind::Aborted, got.min(bytes.saturating_sub(1)), partial))
-                        }
-                        Verdict::Corrupt => Err((FailureKind::Corrupted, 0, report.data_time)),
-                    }
-                };
-            match outcome {
-                Ok(()) => {
-                    session_open[idx] = true;
-                    setup_time = setup_time + setup;
-                    data_time = data_time + report.data_time;
-                    bytes_moved += bytes;
-                    exec.chunk_succeeded(idx, chunk, setup + report.data_time);
-                    let done_ns = (at + setup + report.data_time).nanos();
-                    reg.counter_add("transfer_bytes", &pair_labels, bytes);
-                    self.series_transfer(reg, &source, dst, done_ns, bytes);
-                    reg.counter_add("multi_chunks", &pair_labels, 1);
-                    let bps = bytes as f64 * 8.0 / report.data_time.as_secs_f64().max(1e-9);
-                    let ewma = self.note_observed_throughput(&source, dst, bps);
-                    reg.gauge_set("source_throughput_ewma", &pair_labels, ewma as i64);
-                    self.breaker.record_success(&source);
-                    reg.series_set("breaker_open", &[("src", source.as_str())], done_ns, 0);
-                    profile.trace_transfer(
-                        reg,
-                        at.nanos(),
-                        setup,
-                        report.data_time,
-                        params.streams,
-                        params.buffer,
-                        warm,
-                        reconnect,
-                    );
-                    reg.span_note(chunk_span, "outcome", "clean");
-                    reg.span_end(chunk_span, done_ns);
-                }
-                Err((kind, salvaged, burned)) => {
-                    failures_total += 1;
-                    session_open[idx] = false;
-                    setup_time = setup_time + setup;
-                    data_time = data_time + burned;
-                    // Corrupt chunks crossed the wire before the CRC caught
-                    // them; severed/aborted chunks moved their salvaged
-                    // prefix.
-                    bytes_moved += if kind == FailureKind::Corrupted { bytes } else { salvaged };
-                    let ctx = {
-                        let alive = exec.sources().iter().filter(|s| s.alive).count() as u32;
-                        FailureCtx {
-                            attempts_on_source: exec.sources()[idx].attempts_on_source + 1,
-                            attempts_total: failures_total,
-                            sources_tried: (n as u32).saturating_sub(alive) + 1,
-                            sources_remaining: alive.saturating_sub(1),
-                            kind,
-                        }
-                    };
-                    let died_ns = (at + setup + burned).nanos();
-                    if salvaged > 0 {
-                        // Restart markers keep the prefix; credit it to this
-                        // source before deciding its fate.
-                        exec.chunk_succeeded(idx, (chunk.0, chunk.0 + salvaged), SimDuration::ZERO);
-                        reg.counter_add("transfer_bytes", &pair_labels, salvaged);
-                        self.series_transfer(reg, &source, dst, died_ns, salvaged);
-                        reg.counter_add("restart_events", &pair_labels, 1);
-                    }
-                    let kind_label = match kind {
-                        FailureKind::Aborted => "aborted",
-                        FailureKind::Corrupted => "corrupt",
-                        FailureKind::Unreachable => "severed",
-                    };
-                    reg.counter_add("multi_chunk_failures", &[("kind", kind_label)], 1);
-                    profile.trace_transfer(
-                        reg,
-                        at.nanos(),
-                        setup,
-                        burned,
-                        params.streams,
-                        params.buffer,
-                        warm,
-                        reconnect,
-                    );
-                    reg.span_note(chunk_span, "outcome", kind_label);
-                    reg.span_note(chunk_span, "bytes_salvaged", salvaged);
-                    // Close the chunk before any backoff, so the wait shows
-                    // up as its own top-level segment, not a clipped child.
-                    reg.span_end(chunk_span, died_ns);
-                    let (action, wait) =
-                        self.handle_failure_multi(&source, at + setup + burned, &ctx, reg);
-                    match action {
-                        RecoveryAction::RetrySameSource => {
-                            exec.chunk_retried(idx, setup + burned + wait);
-                        }
-                        RecoveryAction::FailoverToNextSource => {
-                            // In a striped fetch, "failover" means this source
-                            // leaves the plan and its ranges move to the
-                            // survivors.
-                            exec.source_died(idx, (chunk.0 + salvaged, chunk.1), 0, setup + burned);
-                            self.unpin_quiet(&source, lfn);
-                            reg.counter_add("multi_source_deaths", &[("src", source.as_str())], 1);
-                            reg.record(
-                                (at + setup + burned).nanos(),
-                                "multi_failover",
-                                format!("{lfn}: {source} left the plan; ranges reassigned"),
-                            );
-                        }
-                        RecoveryAction::GiveUp => {
-                            fatal = Some(GdmpError::TransferFailed {
-                                lfn: lfn.to_string(),
-                                attempts: attempts_chunks,
-                                last_error: "retry budget exhausted".into(),
-                            });
-                            break;
-                        }
-                    }
-                }
-            }
-        }
-
-        // The parallel data phase is over: it took as long as the slowest
-        // participant's private timeline.
-        self.clock = base + exec.finish_elapsed();
-        if self.chaos.is_active() {
-            self.apply_due_faults();
-        }
-        for (idx, a) in plan.assignments.iter().enumerate() {
-            if source_data[idx].is_some() {
-                self.unpin_quiet(&a.source, lfn);
-            }
-        }
-        reg.counter_add("ranges_reassigned", &[("dst", dst)], exec.ranges_reassigned);
-        reg.counter_add("plan_rebuilds", &[("dst", dst)], exec.plan_rebuilds);
-        if let Some(e) = fatal {
-            return Err(e);
-        }
-        if !exec.is_complete() {
-            return Err(GdmpError::TransferFailed {
-                lfn: lfn.to_string(),
-                attempts: attempts_chunks.max(1),
-                last_error: "all sources failed mid-transfer".into(),
-            });
-        }
-
-        // Reassemble from the per-source byte handles: every replica holds
-        // identical content (publication CRC), and each credited range is
-        // valid even if its source died afterwards.
-        let data = exec.assemble(&source_data);
-        let crc_span = reg.span_start("crc_verify", self.clock.nanos());
-        self.clock += SimDuration::from_millis(1);
-        reg.span_note(crc_span, "passed", true);
-        reg.span_end(crc_span, self.clock.nanos());
-
-        // The fetch of record is attributed to the biggest contributor;
-        // per-source byte counts live in the telemetry counters.
-        let from = exec
-            .sources()
-            .iter()
-            .max_by(|a, b| a.bytes_fetched.cmp(&b.bytes_fetched).then_with(|| b.name.cmp(&a.name)))
-            .map(|s| s.name.clone())
-            .expect("plan has sources");
-
-        self.install_replica(dst, lfn, info, &from, &data, reg)?;
-
-        let report = ReplicationReport {
-            lfn: lfn.to_string(),
-            from,
-            to: dst.to_string(),
-            bytes: size,
-            bytes_moved,
-            attempts: attempts_chunks,
-            staged: staged_any,
-            stage_latency,
-            data_time,
-            setup_time,
-            started_at,
-            finished_at: self.clock,
-        };
-        self.reports.push(report.clone());
-        Ok(report)
-    }
-
-    /// Multi-source cousin of [`Grid::handle_failure`]: feeds the breaker
-    /// and asks the recovery strategy, but returns the backoff instead of
-    /// serving it on the shared clock — the wait belongs to one source's
-    /// private timeline, not to the grid.
-    fn handle_failure_multi(
-        &mut self,
-        source: &str,
-        at: SimTime,
-        ctx: &FailureCtx,
-        reg: &Registry,
-    ) -> (RecoveryAction, SimDuration) {
-        if self.breaker.record_failure(source, at) {
-            reg.counter_add("breaker_trips", &[("src", source)], 1);
-            reg.series_set("breaker_open", &[("src", source)], at.nanos(), 1);
-            reg.record(
-                at.nanos(),
-                "breaker_open",
-                format!("{source}: circuit opened after consecutive failures"),
-            );
-        }
-        let action = self.decide_recovery(ctx);
-        let verdict_label = match action {
-            RecoveryAction::RetrySameSource => "retry_same_source",
-            RecoveryAction::FailoverToNextSource => "failover",
-            RecoveryAction::GiveUp => "give_up",
-        };
-        reg.counter_add("recovery_verdicts", &[("action", verdict_label)], 1);
-        let wait = if action == RecoveryAction::RetrySameSource {
-            match &self.recovery {
-                Some(s) => s.backoff(ctx),
-                None => SimDuration::ZERO,
-            }
-        } else {
-            SimDuration::ZERO
-        };
-        if wait > SimDuration::ZERO {
-            let backoff_span = reg.span_start("backoff", at.nanos());
-            reg.span_note(backoff_span, "src", source);
-            reg.span_end(backoff_span, (at + wait).nanos());
-            reg.counter_add("backoff_waits", &[("src", source)], 1);
-            reg.observe("backoff_wait_ns", &[], wait.nanos());
-        }
-        (action, wait)
-    }
-
-    /// Deliver verified bytes to the destination: CRC check, space
-    /// reservation, file-type post-processing, catalog registration, and
-    /// import-queue cleanup. Shared by the single- and multi-source paths.
-    fn install_replica(
-        &mut self,
-        dst: &str,
-        lfn: &str,
-        info: &gdmp_replica_catalog::service::ReplicaInfo,
-        origin: &str,
-        data: &Bytes,
-        reg: &Registry,
-    ) -> Result<()> {
-        let size = info.meta.size;
-        let actual_crc = crc32(data);
-        if actual_crc != info.meta.crc32 {
-            reg.counter_add("crc_failures", &[("src", origin), ("dst", dst)], 1);
-            return Err(GdmpError::IntegrityFailure { lfn: lfn.to_string() });
-        }
-        {
-            let reserve_span = reg.span_start("space_reserve", self.clock.nanos());
-            reg.span_note(reserve_span, "bytes", size);
-            let dst_site = self.site_mut(dst)?;
-            let reservation = dst_site.storage.pool.allocate(size)?;
-            dst_site.storage.pool.put_reserved(reservation, lfn, data.clone())?;
-            reg.span_end(reserve_span, self.clock.nanos());
-        }
-
-        // Post-processing per file type (attach to federation, ...).
-        {
-            let post_span = reg.span_start("post_process", self.clock.nanos());
-            reg.span_note(post_span, "file_type", info.meta.file_type.as_str());
-            self.post_process(dst, lfn, &info.meta.file_type, data)?;
-            reg.span_end(post_span, self.clock.nanos());
-        }
-
-        // Make the new replica visible to the grid.
-        let register_span = reg.span_start("catalog_register", self.clock.nanos());
-        let url = self.site(dst)?.url_prefix.clone();
-        self.catalog.add_replica(lfn, dst, &url)?;
-        if let Some(fed) = self.federation.as_mut() {
-            fed.publish(dst, lfn);
-        }
-        let notice = FileNotice {
-            lfn: lfn.to_string(),
-            meta: info.meta.clone(),
-            origin: origin.to_string(),
-        };
-        {
-            let now_ns = self.clock.nanos();
-            let dst_site = self.site_mut(dst)?;
-            dst_site.export_catalog.push(notice);
-            dst_site.import_queue.retain(|n| n.lfn != lfn);
-            let depth = dst_site.import_queue.len() as i64;
-            reg.gauge_set("site_import_queue_depth", &[("site", dst)], depth);
-            reg.series_set("site_import_queue_depth", &[("site", dst)], now_ns, depth);
-        }
-        reg.span_end(register_span, self.clock.nanos());
-        Ok(())
-    }
-
-    /// Pre-processing (Section 4.1, file-type specific): files of an
-    /// Objectivity source attach only where the source's schema is known,
-    /// so it is installed at the destination before anything lands.
-    pub(crate) fn import_schema(&mut self, source: &str, dst: &str) -> Result<()> {
-        let src_schema = self.site(source)?.federation.schema.clone();
-        self.site_mut(dst)?.federation.schema.import_from(&src_schema);
-        Ok(())
-    }
-
-    fn post_process(&mut self, dst: &str, lfn: &str, file_type: &str, data: &Bytes) -> Result<()> {
-        let mut discovered = Vec::new();
-        {
-            let slot = self.site_slot(dst).expect("checked above");
-            let site = &mut self.sites[slot];
-            // Split borrows: plugins and federation are separate fields.
-            let plugins = std::mem::take(&mut site.plugins);
-            let result = {
-                let mut ctx = PluginCtx {
-                    federation: &mut site.federation,
-                    discovered_objects: &mut discovered,
-                };
-                plugins.for_type(file_type).post_process(&mut ctx, lfn, data)
-            };
-            site.plugins = plugins;
-            result?;
-        }
-        for (file, objects) in discovered {
-            self.object_view.record_file(&file, &objects);
-        }
-        Ok(())
     }
 
     /// Drain the destination's import queue, replicating every notified

@@ -6,10 +6,10 @@
 //!   between sites, every call GSI-authenticated and gridmap-authorized;
 //! * **Replica Catalog Service** — the central catalog wrapper lives in
 //!   `gdmp-replica-catalog`; the [`grid::Grid`] owns the shared instance;
-//! * **Data Mover** ([`grid::Grid::replicate`]) — source selection,
-//!   staging, space reservation, parallel GridFTP transfer (simulated WAN)
-//!   with restart-on-failure and CRC verification, then per-file-type
-//!   post-processing ([`plugins`]);
+//! * **Data Mover** ([`grid::Grid::replicate`]) — one pipeline over a
+//!   [`schedule`] plan: source selection, staging, space reservation,
+//!   parallel GridFTP transfer (simulated WAN) with restart-on-failure and
+//!   CRC verification, then per-file-type post-processing ([`plugins`]);
 //! * **Storage Manager** — the disk-pool/tape staging integration of
 //!   `gdmp-mass-storage`, triggered by `PrepareFile` requests;
 //! * **producer/consumer replication** — subscribe, publish, notify,
@@ -27,6 +27,7 @@ pub mod failure;
 pub mod grid;
 pub mod invariants;
 pub mod message;
+mod mover;
 pub mod objrep;
 pub mod plugins;
 pub mod recovery;

@@ -1,22 +1,27 @@
-//! Multi-source replica fetching: split one file's byte ranges across the
-//! top-k replicas and re-assign ranges from straggling or failed sources
-//! mid-transfer.
+//! The fetch plan behind every replication: split one file's byte ranges
+//! across the top-k replicas, keep the other ranked replicas on standby,
+//! and re-assign ranges from straggling or failed sources mid-transfer.
 //!
 //! The paper replicates each file from a single producer, but its own
 //! machinery — GridFTP partial transfers and restart markers, the Replica
 //! Catalog's one-to-many LFN→PFN mapping — is exactly what is needed to
 //! pull one file from several replicas at once (\[VTF01\], \[ABB+01\]).
+//! The classic single-source fetch is the same plan with one member: its
+//! chunk is the whole remaining range, and failover is a standby taking
+//! over the leaver's restart marker.
 //!
-//! This module is the *pure* half of that subsystem: [`MultiSourcePlan`]
+//! This module is the *pure* half of the Data Mover: [`MultiSourcePlan`]
 //! carves `[0, size)` into contiguous per-source assignments proportional
 //! to each source's predicted throughput, and [`PlanExecution`] is a
 //! deterministic state machine that tracks per-source queues and
-//! timelines, credits completed chunks, salvages partial progress when a
-//! source dies, re-assigns orphaned ranges, and steals work for idle
-//! sources. The side-effectful driver — WAN simulation, chaos checks,
-//! retry strategies, the circuit breaker — lives in
-//! [`Grid::replicate`](crate::grid::Grid::replicate); keeping the range
-//! bookkeeping pure makes it property-testable in isolation.
+//! timelines, credits completed chunks, salvages partial progress when an
+//! attempt fails, re-assigns orphaned ranges, promotes standbys, and
+//! steals work for idle sources. The side-effectful half — WAN
+//! simulation, chaos checks, retry strategies, the circuit breaker —
+//! lives in [`Grid::replicate`](crate::grid::Grid::replicate); keeping the
+//! range bookkeeping pure makes it property-testable in isolation.
+
+use std::collections::VecDeque;
 
 use bytes::Bytes;
 use gdmp_gridftp::ranges::ByteRanges;
@@ -27,12 +32,13 @@ use crate::selection::SourceEstimate;
 /// How [`Grid::replicate`](crate::grid::Grid::replicate) fetches a file.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum FetchPolicy {
-    /// The classic GDMP pipeline: one source at a time, failover on error.
+    /// The classic GDMP fetch: a one-source plan pulling the whole
+    /// remaining range, the other ranked sources standing by for failover.
     #[default]
     SingleSource,
     /// Split the file across the top-k ranked sources and pull byte ranges
-    /// in parallel, falling back to [`FetchPolicy::SingleSource`] when only
-    /// one usable source exists or the file is too small to split.
+    /// in parallel; a one-source plan when only one usable source exists
+    /// or the file is too small to split.
     MultiSource {
         /// Upper bound on concurrent sources.
         max_sources: usize,
@@ -67,6 +73,9 @@ pub struct MultiSourcePlan {
     /// ordered by offset (and therefore by selection rank: the cheapest
     /// source gets the first — largest — share).
     pub assignments: Vec<Assignment>,
+    /// The other ranked sources, best first: each takes over when the
+    /// last live member leaves.
+    pub standbys: Vec<String>,
 }
 
 impl MultiSourcePlan {
@@ -75,7 +84,8 @@ impl MultiSourcePlan {
     /// [`estimate_sources`](crate::selection::estimate_sources)),
     /// proportionally to predicted throughput. Every share is at least
     /// `min_chunk`; fewer sources are used when the file is too small to
-    /// give each one a meaningful share.
+    /// give each one a meaningful share. A one-source plan pulls the whole
+    /// remaining range per attempt; the unpicked sources are standbys.
     pub fn build(
         lfn: &str,
         size: u64,
@@ -105,16 +115,13 @@ impl MultiSourcePlan {
                 end: bounds[i + 1],
             })
             .collect();
-        MultiSourcePlan { lfn: lfn.to_string(), size, min_chunk, assignments }
-    }
-
-    /// The distinct sources participating, in assignment order.
-    pub fn sources(&self) -> Vec<&str> {
-        self.assignments.iter().map(|a| a.source.as_str()).collect()
+        let standbys = estimates[k..].iter().map(|e| e.site.clone()).collect();
+        let min_chunk = if k == 1 { size.max(1) } else { min_chunk };
+        MultiSourcePlan { lfn: lfn.to_string(), size, min_chunk, assignments, standbys }
     }
 }
 
-/// Live state of one source during a multi-source fetch.
+/// Live state of one source during a fetch.
 #[derive(Debug, Clone)]
 pub struct SourceProgress {
     pub name: String,
@@ -126,9 +133,8 @@ pub struct SourceProgress {
     /// timeline; sources run concurrently in wall-clock terms).
     pub elapsed: SimDuration,
     pub alive: bool,
-    /// Failed attempts against the current chunk (reset on success).
+    /// Failures since this source's last clean chunk.
     pub attempts_on_source: u32,
-    pub chunks_done: u64,
     /// Bytes credited as completed from this source.
     pub bytes_fetched: u64,
 }
@@ -162,35 +168,45 @@ impl SourceProgress {
 pub struct PlanExecution {
     pub size: u64,
     pub min_chunk: u64,
+    /// Members in the order they joined: the plan's sources, then any
+    /// promoted standbys.
     sources: Vec<SourceProgress>,
+    /// Sources not yet promoted, best first.
+    standbys: VecDeque<SourceProgress>,
     completed: ByteRanges,
     /// `(start, end, source index)` attribution of every credited range.
     completed_by: Vec<(u64, u64, usize)>,
-    /// Ranges moved between sources (death reassignments + work steals).
+    /// Ranges moved between live members (death reassignments + work
+    /// steals). A standby's promotion moves none: it replaces the leaver.
     pub ranges_reassigned: u64,
-    /// Times the plan was rebuilt because a source died.
+    /// Times the plan was rebuilt because a source died while other
+    /// members lived.
     pub plan_rebuilds: u64,
 }
 
 impl PlanExecution {
-    pub fn new(plan: &MultiSourcePlan) -> PlanExecution {
+    pub fn new(plan: MultiSourcePlan) -> PlanExecution {
+        let source = |name: String, queue: Vec<(u64, u64)>, alive: bool| SourceProgress {
+            name,
+            predicted_bps: 1.0,
+            queue,
+            elapsed: SimDuration::ZERO,
+            alive,
+            attempts_on_source: 0,
+            bytes_fetched: 0,
+        };
         PlanExecution {
             size: plan.size,
             min_chunk: plan.min_chunk.max(1),
             sources: plan
                 .assignments
-                .iter()
-                .map(|a| SourceProgress {
-                    name: a.source.clone(),
-                    predicted_bps: 1.0,
-                    queue: if a.start < a.end { vec![(a.start, a.end)] } else { Vec::new() },
-                    elapsed: SimDuration::ZERO,
-                    alive: true,
-                    attempts_on_source: 0,
-                    chunks_done: 0,
-                    bytes_fetched: 0,
+                .into_iter()
+                .map(|a| {
+                    let queue = if a.start < a.end { vec![(a.start, a.end)] } else { Vec::new() };
+                    source(a.source, queue, true)
                 })
                 .collect(),
+            standbys: plan.standbys.into_iter().map(|s| source(s, Vec::new(), false)).collect(),
             completed: ByteRanges::new(),
             completed_by: Vec::new(),
             ranges_reassigned: 0,
@@ -199,15 +215,21 @@ impl PlanExecution {
     }
 
     /// Attach throughput predictions (for reassignment targeting); the
-    /// slice is matched to sources by order.
+    /// slice is matched by order to the members, then the standbys.
     pub fn set_predictions(&mut self, bps: &[f64]) {
-        for (s, &p) in self.sources.iter_mut().zip(bps) {
+        for (s, &p) in self.sources.iter_mut().chain(&mut self.standbys).zip(bps) {
             s.predicted_bps = p.max(1.0);
         }
     }
 
+    /// The members, in the order they joined.
     pub fn sources(&self) -> &[SourceProgress] {
         &self.sources
+    }
+
+    /// Standbys not yet promoted.
+    pub fn standbys(&self) -> usize {
+        self.standbys.len()
     }
 
     /// Completed coverage of `[0, size)`.
@@ -225,9 +247,11 @@ impl PlanExecution {
     }
 
     /// No source can make progress but the file is incomplete — every
-    /// participant died. The fetch has failed.
+    /// member and every standby left. The fetch has failed.
     pub fn is_stuck(&self) -> bool {
-        !self.is_complete() && self.sources.iter().all(|s| !s.alive || s.queue.is_empty())
+        !self.is_complete()
+            && self.standbys.is_empty()
+            && self.sources.iter().all(|s| !s.alive || s.queue.is_empty())
     }
 
     /// Wall-clock span of the fetch: the furthest-ahead private timeline.
@@ -250,7 +274,7 @@ impl PlanExecution {
             .min_by_key(|(i, s)| (s.elapsed, *i))
             .map(|(i, _)| i)?;
         let (start, end) = self.sources[idx].queue[0];
-        let chunk_end = end.min(start + self.min_chunk);
+        let chunk_end = end.min(start.saturating_add(self.min_chunk));
         Some((idx, (start, chunk_end)))
     }
 
@@ -313,64 +337,61 @@ impl PlanExecution {
     /// The chunk returned by [`PlanExecution::next_chunk`] landed: credit
     /// it, advance the source's timeline by `busy`, and trim its queue.
     pub fn chunk_succeeded(&mut self, idx: usize, chunk: (u64, u64), busy: SimDuration) {
+        self.credit(idx, chunk);
         let s = &mut self.sources[idx];
-        debug_assert_eq!(s.queue[0].0, chunk.0, "chunk must come off the queue front");
-        if self.completed.contains(chunk.0) {
-            // Defensive: never double-credit.
-            s.queue[0].0 = chunk.1;
-        } else {
-            self.completed.insert(chunk.0, chunk.1);
-            self.completed_by.push((chunk.0, chunk.1, idx));
-            s.bytes_fetched += chunk.1 - chunk.0;
-            s.queue[0].0 = chunk.1;
-        }
-        if s.queue[0].0 >= s.queue[0].1 {
-            s.queue.remove(0);
-        }
         s.elapsed = s.elapsed + busy;
         s.attempts_on_source = 0;
-        s.chunks_done += 1;
     }
 
-    /// A chunk attempt failed but the source stays in the plan (the driver
-    /// decided to retry): burn `busy` on its timeline (attempt + backoff)
-    /// and leave the queue untouched.
-    pub fn chunk_retried(&mut self, idx: usize, busy: SimDuration) {
+    /// An attempt by `idx` failed `busy` into its timeline, with `salvaged`
+    /// bytes off its queue front already landed (restart markers keep
+    /// them): credit that prefix and count the failure.
+    pub fn chunk_failed(&mut self, idx: usize, salvaged: u64, busy: SimDuration) {
+        if salvaged > 0 {
+            let (start, end) = self.sources[idx].queue[0];
+            self.credit(idx, (start, start + salvaged.min(end - start)));
+        }
         let s = &mut self.sources[idx];
         s.elapsed = s.elapsed + busy;
         s.attempts_on_source += 1;
     }
 
-    /// The source died `busy` into its current chunk `chunk`, with
-    /// `salvaged` bytes of that chunk already landed (restart markers keep
-    /// them). Credits the salvaged prefix, marks the source dead, and
-    /// re-assigns its orphaned ranges to the surviving source predicted to
-    /// finish earliest. Orphans stay orphaned when no source survives
-    /// ([`PlanExecution::is_stuck`] then reports failure).
-    pub fn source_died(&mut self, idx: usize, chunk: (u64, u64), salvaged: u64, busy: SimDuration) {
-        let salvaged = salvaged.min(chunk.1 - chunk.0);
-        let cut = chunk.0 + salvaged;
-        if salvaged > 0 && !self.completed.contains(chunk.0) {
-            self.completed.insert(chunk.0, cut);
-            self.completed_by.push((chunk.0, cut, idx));
-            self.sources[idx].bytes_fetched += salvaged;
+    /// Credit `chunk`, taken off the front of `idx`'s queue.
+    fn credit(&mut self, idx: usize, chunk: (u64, u64)) {
+        let s = &mut self.sources[idx];
+        debug_assert_eq!(s.queue[0].0, chunk.0, "chunk must come off the queue front");
+        // Defensive: never double-credit.
+        if !self.completed.contains(chunk.0) {
+            self.completed.insert(chunk.0, chunk.1);
+            self.completed_by.push((chunk.0, chunk.1, idx));
+            s.bytes_fetched += chunk.1 - chunk.0;
         }
-        let mut orphans = std::mem::take(&mut self.sources[idx].queue);
-        if let Some(front) = orphans.first_mut() {
-            front.0 = front.0.max(cut);
-            if front.0 >= front.1 {
-                orphans.remove(0);
-            }
+        s.queue[0].0 = chunk.1;
+        if s.queue[0].0 >= s.queue[0].1 {
+            s.queue.remove(0);
         }
-        {
+    }
+
+    /// `idx` spends `busy` on its timeline outside any pull (a prologue).
+    pub(crate) fn charge(&mut self, idx: usize, busy: SimDuration) {
+        let s = &mut self.sources[idx];
+        s.elapsed = s.elapsed + busy;
+    }
+
+    /// `idx` leaves the plan after another `busy` on its timeline. Its
+    /// orphaned ranges go to the live member predicted to finish earliest;
+    /// when it was the last live member, the next standby takes over its
+    /// timeline and its ranges instead, and its index is returned. Orphans
+    /// stay on the leaver when no one is left ([`PlanExecution::is_stuck`]
+    /// then reports failure).
+    pub fn source_died(&mut self, idx: usize, busy: SimDuration) -> Option<usize> {
+        let orphans = std::mem::take(&mut self.sources[idx].queue);
+        let elapsed = {
             let s = &mut self.sources[idx];
             s.alive = false;
             s.elapsed = s.elapsed + busy;
-        }
-        self.plan_rebuilds += 1;
-        if orphans.is_empty() {
-            return;
-        }
+            s.elapsed
+        };
         if let Some(heir) = self
             .sources
             .iter()
@@ -379,13 +400,22 @@ impl PlanExecution {
             .min_by(|(i, a), (j, b)| a.predicted_finish().cmp(&b.predicted_finish()).then(i.cmp(j)))
             .map(|(i, _)| i)
         {
+            self.plan_rebuilds += 1;
             self.ranges_reassigned += orphans.len() as u64;
             self.sources[heir].queue.extend(orphans);
-        } else {
-            // Everyone is dead; keep the orphans attached to the corpse so
-            // accounting still sees the uncovered bytes.
-            self.sources[idx].queue = orphans;
+            return None;
         }
+        let Some(mut next) = self.standbys.pop_front() else {
+            // No one is left; keep the orphans on the leaver so accounting
+            // still sees the uncovered bytes.
+            self.sources[idx].queue = orphans;
+            return None;
+        };
+        next.queue = orphans;
+        next.elapsed = elapsed;
+        next.alive = true;
+        self.sources.push(next);
+        Some(self.sources.len() - 1)
     }
 
     /// The file image of a complete execution; `held[idx]` is source
@@ -472,7 +502,7 @@ mod tests {
     fn execution_completes_without_failures() {
         let ests = [est("a", 20e6), est("b", 10e6)];
         let plan = MultiSourcePlan::build("x.dat", 8 * MB, &ests, 2, MB);
-        let mut exec = PlanExecution::new(&plan);
+        let mut exec = PlanExecution::new(plan);
         exec.set_predictions(&[20e6, 10e6]);
         while let Some((idx, chunk)) = exec.next_chunk() {
             let bytes = chunk.1 - chunk.0;
@@ -494,7 +524,7 @@ mod tests {
         let held = vec![Some(Bytes::from(image.clone())), Some(Bytes::from(image.clone()))];
         let run = |max_sources| {
             let plan = MultiSourcePlan::build("x.dat", 4 * MB, &ests, max_sources, MB);
-            let mut exec = PlanExecution::new(&plan);
+            let mut exec = PlanExecution::new(plan);
             while let Some((idx, chunk)) = exec.next_chunk() {
                 exec.chunk_succeeded(idx, chunk, SimDuration::from_millis(1 + idx as u64));
             }
@@ -512,13 +542,14 @@ mod tests {
     fn death_reassigns_orphans_and_salvages_prefix() {
         let ests = [est("a", 10e6), est("b", 10e6)];
         let plan = MultiSourcePlan::build("x.dat", 8 * MB, &ests, 2, MB);
-        let mut exec = PlanExecution::new(&plan);
+        let mut exec = PlanExecution::new(plan);
         exec.set_predictions(&[10e6, 10e6]);
         // First chunk of source 0 dies halfway through.
         let (idx, chunk) = exec.next_chunk().unwrap();
         assert_eq!(idx, 0);
         let half = (chunk.1 - chunk.0) / 2;
-        exec.source_died(idx, chunk, half, SimDuration::from_secs(1));
+        exec.chunk_failed(idx, half, SimDuration::from_secs(1));
+        assert_eq!(exec.source_died(idx, SimDuration::ZERO), None, "a member survives");
         assert_eq!(exec.plan_rebuilds, 1);
         assert!(exec.ranges_reassigned >= 1);
         assert_eq!(exec.completed().covered(), half, "salvaged prefix credited");
@@ -532,14 +563,38 @@ mod tests {
     }
 
     #[test]
+    fn one_source_plan_pulls_the_remainder_and_fails_over_to_a_standby() {
+        let ests = [est("a", 10e6), est("b", 10e6), est("c", 10e6)];
+        let plan = MultiSourcePlan::build("x.dat", 4 * MB, &ests, 1, MB);
+        assert_eq!(plan.standbys, ["b", "c"]);
+        let mut exec = PlanExecution::new(plan);
+        assert_eq!(exec.next_chunk(), Some((0, (0, 4 * MB))), "the whole file in one pull");
+        exec.chunk_failed(0, 3 * MB, SimDuration::from_secs(3));
+        assert_eq!(exec.next_chunk(), Some((0, (3 * MB, 4 * MB))), "restart from the marker");
+        assert_eq!(exec.source_died(0, SimDuration::from_secs(1)), Some(1));
+        let b = &exec.sources()[1];
+        assert_eq!((b.name.as_str(), b.elapsed), ("b", SimDuration::from_secs(4)));
+        assert_eq!(exec.next_chunk(), Some((1, (3 * MB, 4 * MB))), "b inherits the marker");
+        assert_eq!(
+            (exec.plan_rebuilds, exec.ranges_reassigned),
+            (0, 0),
+            "a takeover is no rebuild"
+        );
+        assert_eq!(exec.standbys(), 1);
+        exec.chunk_succeeded(1, (3 * MB, 4 * MB), SimDuration::from_secs(1));
+        assert!(exec.is_complete());
+        assert_eq!(exec.completed_by(), [(0, 3 * MB, 0), (3 * MB, 4 * MB, 1)]);
+    }
+
+    #[test]
     fn all_sources_dead_is_stuck() {
         let ests = [est("a", 10e6), est("b", 10e6)];
         let plan = MultiSourcePlan::build("x.dat", 4 * MB, &ests, 2, MB);
-        let mut exec = PlanExecution::new(&plan);
-        let (i0, c0) = exec.next_chunk().unwrap();
-        exec.source_died(i0, c0, 0, SimDuration::ZERO);
-        let (i1, c1) = exec.next_chunk().unwrap();
-        exec.source_died(i1, c1, 0, SimDuration::ZERO);
+        let mut exec = PlanExecution::new(plan);
+        let (i0, _) = exec.next_chunk().unwrap();
+        exec.source_died(i0, SimDuration::ZERO);
+        let (i1, _) = exec.next_chunk().unwrap();
+        exec.source_died(i1, SimDuration::ZERO);
         assert!(exec.next_chunk().is_none());
         assert!(exec.is_stuck());
         assert!(!exec.is_complete());
@@ -553,7 +608,7 @@ mod tests {
         // must shift the straggler's queue to the fast source.
         let ests = [est("fast", 10e6), est("slow", 10e6)];
         let plan = MultiSourcePlan::build("x.dat", 16 * MB, &ests, 2, MB);
-        let mut exec = PlanExecution::new(&plan);
+        let mut exec = PlanExecution::new(plan);
         exec.set_predictions(&[100e6, 1e6]);
         let drain = |exec: &mut PlanExecution| {
             while let Some((idx, chunk)) = exec.next_chunk() {
@@ -586,7 +641,7 @@ mod tests {
         // refuse the steal.
         let ests = [est("fast", 100e6), est("slow", 1e6)];
         let plan = MultiSourcePlan::build("x.dat", 16 * MB, &ests, 2, MB);
-        let mut exec = PlanExecution::new(&plan);
+        let mut exec = PlanExecution::new(plan);
         exec.set_predictions(&[100e6, 1e6]);
         // The slow source drains its whole (single-chunk) share.
         let (idx, chunk) = {
@@ -610,19 +665,15 @@ mod tests {
         let run = || {
             let ests = [est("a", 30e6), est("b", 20e6), est("c", 10e6)];
             let plan = MultiSourcePlan::build("x.dat", 24 * MB, &ests, 3, MB);
-            let mut exec = PlanExecution::new(&plan);
+            let mut exec = PlanExecution::new(plan);
             exec.set_predictions(&[30e6, 20e6, 10e6]);
             let mut trace = Vec::new();
             let mut step = 0u32;
             while let Some((idx, chunk)) = exec.next_chunk() {
                 step += 1;
                 if step == 5 {
-                    exec.source_died(
-                        idx,
-                        chunk,
-                        (chunk.1 - chunk.0) / 3,
-                        SimDuration::from_secs(2),
-                    );
+                    exec.chunk_failed(idx, (chunk.1 - chunk.0) / 3, SimDuration::from_secs(2));
+                    exec.source_died(idx, SimDuration::ZERO);
                 } else {
                     let bps = exec.sources()[idx].predicted_bps;
                     let busy = SimDuration::from_secs_f64((chunk.1 - chunk.0) as f64 * 8.0 / bps);

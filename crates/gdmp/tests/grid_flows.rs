@@ -131,6 +131,23 @@ fn data_mover_refetches_on_crc_failure() {
 }
 
 #[test]
+fn a_corrupt_attempt_discards_only_its_own_range() {
+    let mut grid = three_site_grid();
+    grid.publish_file("cern", "half.dat", flat(4 * MB as usize, 8), "flat").unwrap();
+    grid.inject_fault(
+        "half.dat",
+        FaultPlan { abort_attempts: 1, abort_fraction: 0.5, corrupt_attempts: 1 },
+    );
+    let r = grid.replicate("anl", "half.dat").unwrap();
+    assert_eq!(r.attempts, 3);
+    // Half the file lands before the abort; the restart marker survives the
+    // CRC failure of the second half, which alone is pulled again: 1.5x.
+    assert_eq!(r.bytes_moved, 6 * MB);
+    let data = grid.site("anl").unwrap().storage.pool.peek("half.dat").unwrap();
+    assert_eq!(crc32(&data), crc32(&flat(4 * MB as usize, 8)));
+}
+
+#[test]
 fn transfer_fails_when_retry_budget_exhausted() {
     let mut grid = three_site_grid();
     grid.params.max_attempts = 3;
@@ -618,4 +635,58 @@ fn pre_processing_installs_schema_before_attach() {
         grid.object_replicate("fnal", &wanted, ObjectReplicationConfig::default()).unwrap();
         assert_eq!(grid.site("fnal").unwrap().federation.schema.version_of("aod"), Some(2));
     }
+}
+
+#[test]
+fn striped_retry_refuses_a_crashed_source() {
+    use gdmp::{FaultEvent, FaultSchedule, FetchPolicy};
+    use gdmp_simnet::time::SimDuration;
+    use gdmp_telemetry::FieldValue;
+
+    let mut grid = Grid::builder("cms")
+        .site(SiteConfig::named("cern", "cern.ch", 11))
+        .site(SiteConfig::named("anl", "anl.gov", 12))
+        .site(SiteConfig::named("lyon", "in2p3.fr", 13))
+        .trust_all()
+        .telemetry()
+        .recovery(Box::new(gdmp::FailoverRetry { attempts_per_source: 3, max_total_attempts: 20 }))
+        .build();
+    grid.publish_file("cern", "hot.dat", flat(8 * MB as usize, 9), "flat").unwrap();
+    grid.replicate("anl", "hot.dat").unwrap();
+    grid.set_fetch_policy(FetchPolicy::MultiSource { max_sources: 2, min_chunk: 512 * 1024 });
+    // anl crashes 1.5 s into the striped fetch and stays down.
+    let t0 = grid.now();
+    let crash = t0 + SimDuration::from_millis(1500);
+    grid.inject_fault_schedule(
+        FaultSchedule::new().at(crash, FaultEvent::SiteDown { site: "anl".into() }),
+    );
+    let report = grid.replicate("lyon", "hot.dat").unwrap();
+    assert_eq!(report.from, "cern");
+    assert!(grid.site("lyon").unwrap().storage.on_disk("hot.dat"));
+
+    let reg = grid.telemetry();
+    let field = |s: &gdmp_telemetry::SpanRecord, key: &str| {
+        s.fields.iter().find(|(k, _)| k == key).map(|(_, v)| v.clone())
+    };
+    let mut landed_before_crash = 0;
+    for s in reg.spans().iter().filter(|s| {
+        s.name == "transfer"
+            && s.start_ns >= t0.nanos()
+            && field(s, "source") == Some(FieldValue::Str("anl".into()))
+    }) {
+        let clean = field(s, "outcome") == Some(FieldValue::Str("clean".into()));
+        if s.start_ns >= crash.nanos() {
+            assert!(!clean, "a pull from the crashed anl landed: {s:?}");
+        } else if clean {
+            let Some(FieldValue::U64(n)) = field(s, "bytes_requested") else { panic!("{s:?}") };
+            landed_before_crash += n;
+        } else if let Some(FieldValue::U64(n)) = field(s, "bytes_salvaged") {
+            landed_before_crash += n;
+        }
+    }
+    let from_anl = reg.counter_value("transfer_bytes", &[("src", "anl"), ("dst", "lyon")]);
+    assert!(
+        from_anl <= landed_before_crash,
+        "anl delivered {from_anl} B, but only {landed_before_crash} B before its crash"
+    );
 }

@@ -1,8 +1,8 @@
-//! Property tests for the multi-source fetch scheduler: the plan always
-//! partitions `[0, size)` exactly, execution never loses or double-counts
-//! a byte under arbitrary mid-transfer failures, the reassembled file is
-//! byte-identical to the original, and the whole state machine is
-//! deterministic.
+//! Property tests for the fetch plan: the plan always partitions
+//! `[0, size)` exactly, execution never loses or double-counts a byte
+//! under arbitrary mid-transfer failures, a promoted standby takes over
+//! the leaver's timeline and ranges, the reassembled file is byte-identical
+//! to the original, and the whole state machine is deterministic.
 
 use gdmp::schedule::{MultiSourcePlan, PlanExecution};
 use gdmp::selection::SourceEstimate;
@@ -22,14 +22,31 @@ fn est(site: String, bps: f64) -> SourceEstimate {
 /// Arbitrary ranked source lists: 1–5 sources, throughputs spanning three
 /// orders of magnitude, sorted cheapest-first like `estimate_sources`.
 fn arb_estimates() -> impl Strategy<Value = Vec<SourceEstimate>> {
-    proptest::collection::vec(1.0e5..1.0e8f64, 1..6).prop_map(|mut rates| {
+    arb_ranked(1..6)
+}
+
+fn arb_ranked(len: std::ops::Range<usize>) -> impl Strategy<Value = Vec<SourceEstimate>> {
+    proptest::collection::vec(1.0e5..1.0e8f64, len).prop_map(|mut rates| {
         rates.sort_by(|a, b| b.partial_cmp(a).unwrap());
         rates.into_iter().enumerate().map(|(i, bps)| est(format!("s{i}"), bps)).collect()
     })
 }
 
+/// A plan of up to five members plus 0–3 standbys (more when the file is
+/// too small to give every wanted member a share).
+fn arb_plan(
+    size: std::ops::Range<u64>,
+    min_chunk: std::ops::Range<u64>,
+) -> impl Strategy<Value = (MultiSourcePlan, Vec<SourceEstimate>)> {
+    (size, min_chunk, 1usize..6, 0usize..4).prop_flat_map(|(size, min_chunk, members, standbys)| {
+        arb_ranked(members + standbys..members + standbys + 1).prop_map(move |estimates| {
+            (MultiSourcePlan::build("p.dat", size, &estimates, members, min_chunk), estimates)
+        })
+    })
+}
+
 /// One scripted step of the driver: `kind` picks success / retry / death,
-/// `salvage_pct` is how much of the in-flight chunk a dying source lands.
+/// `salvage_pct` is how much of the in-flight chunk a failed attempt lands.
 type Op = (u8, u8);
 
 /// `(step, source index, chunk)` — one entry per `next_chunk` decision.
@@ -43,11 +60,13 @@ fn drive(
     estimates: &[SourceEstimate],
     ops: &[Op],
 ) -> Result<(PlanExecution, ChunkTrace), TestCaseError> {
-    let mut exec = PlanExecution::new(plan);
+    let mut exec = PlanExecution::new(plan.clone());
     let preds: Vec<f64> = plan
         .assignments
         .iter()
-        .map(|a| estimates.iter().find(|e| e.site == a.source).unwrap().predicted_bps)
+        .map(|a| &a.source)
+        .chain(&plan.standbys)
+        .map(|site| estimates.iter().find(|e| &e.site == site).unwrap().predicted_bps)
         .collect();
     exec.set_predictions(&preds);
     let mut trace = Vec::new();
@@ -60,13 +79,28 @@ fn drive(
         let bytes = chunk.1 - chunk.0;
         let busy =
             SimDuration::from_secs_f64(bytes as f64 * 8.0 / exec.sources()[idx].predicted_bps);
+        let salvaged = bytes * u64::from(salvage_pct % 101) / 100;
         match kind % 8 {
-            // Retries burn time without consuming the queue; keep them a
-            // minority so scripts still make progress.
-            6 => exec.chunk_retried(idx, busy),
+            // Failed attempts keep their salvaged prefix and burn time; keep
+            // them a minority so scripts still make progress.
+            6 => exec.chunk_failed(idx, salvaged, busy),
             7 => {
-                let salvaged = bytes * u64::from(salvage_pct % 101) / 100;
-                exec.source_died(idx, chunk, salvaged, busy);
+                exec.chunk_failed(idx, salvaged, busy);
+                let (left, standbys) = (exec.sources()[idx].clone(), exec.standbys());
+                let live = exec.sources().iter().filter(|s| s.alive).count();
+                match exec.source_died(idx, SimDuration::ZERO) {
+                    Some(new) => {
+                        prop_assert_eq!(live, 1, "only the last live member is replaced");
+                        prop_assert_eq!(new, exec.sources().len() - 1);
+                        prop_assert_eq!(exec.standbys(), standbys - 1);
+                        let heir = &exec.sources()[new];
+                        prop_assert!(heir.alive);
+                        prop_assert_eq!(heir.elapsed, left.elapsed, "the leaver's timeline");
+                        prop_assert_eq!(heir.pending_bytes(), left.pending_bytes(), "its orphans");
+                    }
+                    None => prop_assert!(live > 1 || standbys == 0, "a standby was left idle"),
+                }
+                prop_assert_eq!(exec.sources()[idx].alive, false);
             }
             _ => exec.chunk_succeeded(idx, chunk, busy),
         }
@@ -76,6 +110,10 @@ fn drive(
             exec.coverage_is_exact(),
             "completed + pending must cover the file exactly after every step"
         );
+        if exec.is_stuck() {
+            prop_assert_eq!(exec.standbys(), 0, "stuck only once the standbys are exhausted");
+            prop_assert!(exec.sources().iter().all(|s| !s.alive), "and every member left");
+        }
     }
     Ok((exec, trace))
 }
@@ -116,12 +154,11 @@ proptest! {
     /// to the original.
     #[test]
     fn execution_never_loses_bytes(
-        size in 1u64..2_000_000,
-        min_chunk in 1u64..300_000,
-        estimates in arb_estimates(),
+        case in arb_plan(1..2_000_000, 1..300_000),
         ops in proptest::collection::vec((any::<u8>(), any::<u8>()), 0..64),
     ) {
-        let plan = MultiSourcePlan::build("p.dat", size, &estimates, 5, min_chunk);
+        let (plan, estimates) = case;
+        let size = plan.size;
         let (exec, _) = drive(&plan, &estimates, &ops)?;
 
         // Attribution invariants hold whether or not the fetch finished.
@@ -160,12 +197,10 @@ proptest! {
     /// attribution, identical counters, identical finish time.
     #[test]
     fn execution_is_deterministic(
-        size in 1u64..2_000_000,
-        min_chunk in 1u64..300_000,
-        estimates in arb_estimates(),
+        case in arb_plan(1..2_000_000, 1..300_000),
         ops in proptest::collection::vec((any::<u8>(), any::<u8>()), 0..48),
     ) {
-        let plan = MultiSourcePlan::build("p.dat", size, &estimates, 5, min_chunk);
+        let (plan, estimates) = case;
         let (a, trace_a) = drive(&plan, &estimates, &ops)?;
         let (b, trace_b) = drive(&plan, &estimates, &ops)?;
         prop_assert_eq!(trace_a, trace_b);

@@ -9,9 +9,6 @@
 //!   of a logical file — "the heart of the system");
 //! * [`service`] — GDMP's high-level wrapper: unique global namespace,
 //!   auto-created entries, sanity checks, metadata filters;
-//! * [`replicated`] — the paper's future work, prototyped: an LDAP
-//!   replica cluster with eager write propagation, read load-sharing,
-//!   failure and resynchronization;
 //! * [`federation`] — the successor design the central catalog grew into:
 //!   per-site authoritative LRCs feeding a soft-state RLI tree with
 //!   bloom-compressed summaries, TTL expiry, and bounded-staleness
@@ -20,7 +17,6 @@
 pub mod catalog;
 pub mod federation;
 pub mod ldap;
-pub mod replicated;
 pub mod service;
 
 pub use catalog::{CatalogError, PhysicalLocation, ReplicaCatalog};
@@ -29,5 +25,4 @@ pub use federation::{
     LookupPlan, NoFaults,
 };
 pub use ldap::{Directory, Filter, LdapDn, LdapError, Scope};
-pub use replicated::{ClusterError, DirectoryCluster};
 pub use service::{FileMeta, ReplicaCatalogService, ReplicaInfo};
