@@ -6,7 +6,10 @@
 #                          compile + docs, the scenario smoke (every committed
 #                          scenarios/*.json loads, the quick ones replay
 #                          twice with clean invariants and byte-identical
-#                          telemetry exports) and the whole-stack smoke (one
+#                          telemetry exports), the baseline gate (every
+#                          committed BENCH_*.json must be exactly what the
+#                          model renders; `bench_compare --write` rewrites
+#                          them) and the whole-stack smoke (one
 #                          short `benchmark/run.sh` run of each of the
 #                          four workloads, which must come out correct
 #                          with no failed operation and with the model
@@ -28,30 +31,16 @@
 #                            soak and the zero-allocation hot-path probes,
 #                            then `figures grid --json` twice — the
 #                            emissions must be byte-identical
-#                          - bench compare: diff the deterministic bench
-#                            metrics against the committed BENCH_*.json
-#                            baselines; fails on drift. BENCH_fetch.json is
-#                            checked exactly (floats at its 3 decimals); the
-#                            others within tolerance bands (see
-#                            crates/bench/src/compare.rs):
-#                              GDMP_TOL_MBPS_PCT    throughputs/elapsed (5)
-#                              GDMP_TOL_EVENTS_PCT  event counts       (10)
-#                              GDMP_TOL_SPEEDUP_PCT event reductions   (10)
-#                              GDMP_TOL_DELTA_ABS   fidelity deltas, pp  (1)
 #                          - the resident-set canary: one 30 s `push_soak`
 #                            run of `benchmark/run.sh` must report
 #                            `peak_rss_mb` under the ceiling recorded below
-#   ./ci.sh --bench-smoke  additionally run the simnet perf baseline once,
-#                          regenerating BENCH_simnet.json
 set -euo pipefail
 cd "$(dirname "$0")"
 
 full=0
-bench_smoke=0
 for arg in "$@"; do
   case "$arg" in
     --full) full=1 ;;
-    --bench-smoke) bench_smoke=1 ;;
     *) echo "unknown flag: $arg" >&2; exit 2 ;;
   esac
 done
@@ -84,6 +73,9 @@ RUSTDOCFLAGS="-D warnings" cargo doc --offline --workspace --no-deps --quiet
 echo "==> scenario smoke: committed scenario files load, replay, and stay byte-identical"
 cargo run --offline --release -q -p gdmp-bench --bin scenario_smoke
 
+echo "==> baseline gate: every BENCH_*.json is exactly what the model renders"
+cargo run --offline --release -q -p gdmp-bench --bin bench_compare
+
 echo "==> whole-stack smoke: every benchmark/run.sh workload is correct, no operation failed, model unmoved"
 # What the simulated model produced for each workload at seed 1 (the
 # telemetry export and the outcome counts together), as printed by the
@@ -108,11 +100,6 @@ whole_stack_smoke grid_mix "sim_digest dd9384db27bb9c9a"        # commit 47dbafc
 whole_stack_smoke push_soak "sim_digest adfd48b6c8c434e0"       # commit 6156a39
 whole_stack_smoke bulk_wan "sim_digest 311d553d4b163b09"        # commit 6156a39
 whole_stack_smoke object_analysis "sim_digest 61daa7d4a954458c" # commit 8a033fc
-
-if [[ "$bench_smoke" == 1 ]]; then
-  echo "==> bench smoke: simnet perf baseline"
-  cargo run --offline --release -p gdmp-bench --bin bench_simnet
-fi
 
 if [[ "$full" == 1 ]]; then
   echo "==> chaos smoke: seeded convergence soak"
@@ -141,9 +128,6 @@ if [[ "$full" == 1 ]]; then
   cargo run --offline --release -q -p gdmp-bench --bin figures -- grid --json > "$tmp_b"
   cmp "$tmp_a" "$tmp_b"
   echo "    figures grid --json: byte-identical across runs"
-
-  echo "==> bench compare: deterministic metrics vs committed baselines"
-  cargo run --offline --release -p gdmp-bench --bin bench_compare
 
   echo "==> rss canary: push_soak for the benchmark's 30 s stays under its recorded peak_rss_mb"
   # The benchmark harness keeps tens of KB of every repetition it has run,

@@ -1,8 +1,9 @@
 //! Interner micro-benches: the hot-path probe primitives behind the
 //! interned-id control plane, head-to-head with the string-keyed maps
-//! they replaced. `bench_grid` measures the composed effect at grid
-//! scale; this isolates the per-probe costs (owned-tuple key allocation
-//! vs `try_id` + id-tuple hash).
+//! they replaced (DESIGN.md §16 records the grid-scale ratios). `figures
+//! grid` times the composed interned probe mix; this isolates the
+//! per-probe costs (owned-tuple key allocation vs `try_id` + id-tuple
+//! hash).
 
 use std::collections::BTreeMap;
 

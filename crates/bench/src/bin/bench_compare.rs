@@ -1,86 +1,58 @@
-//! Perf-regression gate: re-run the deterministic bench metrics and diff
-//! them against the committed baselines.
+//! The baseline gate: render every committed `BENCH_*.json` from the model
+//! and hold the file to it byte for byte.
 //!
 //! ```text
-//! cargo run -p gdmp-bench --release --bin bench_compare                 # ./BENCH_*.json
-//! cargo run -p gdmp-bench --release --bin bench_compare -- <dir>        # baselines in <dir>
+//! cargo run -p gdmp-bench --release --bin bench_compare            # check ./BENCH_*.json
+//! cargo run -p gdmp-bench --release --bin bench_compare -- --write # rewrite them
 //! ```
 //!
-//! Exits non-zero when any metric drifts: the fetch metrics at all, the
-//! others outside their tolerance band (see `gdmp_bench::compare` for the
-//! bands and the `GDMP_TOL_*` overrides).
-//! Wall-clock fields in the baselines are informational and not gated.
+//! Run from the repo root. A mismatch prints the file and the first line
+//! that differs, which names the field that moved, and exits non-zero.
+//! `--write` refuses a baseline that breaks one of its contracts, as the
+//! check does (see `gdmp_bench::baselines`).
 
 use std::path::Path;
 use std::process::ExitCode;
 
-use gdmp_bench::compare::{
-    compare_catalog, compare_fetch, compare_grid, compare_simnet, Gate, Tolerances,
-};
-
-fn load(dir: &Path, name: &str) -> Result<String, String> {
-    let path = dir.join(name);
-    std::fs::read_to_string(&path).map_err(|e| format!("{}: {e}", path.display()))
-}
-
-fn report(what: &str, gate: &Gate) -> bool {
-    if gate.passed() {
-        println!("PASS {what}: {} checks", gate.checks);
-    } else {
-        println!("FAIL {what}: {} of {} checks drifted", gate.violations.len(), gate.checks);
-        for v in &gate.violations {
-            println!("  - {v}");
-        }
-    }
-    for s in &gate.skipped {
-        println!("  skipped: {s}");
-    }
-    gate.passed()
-}
+use gdmp_bench::baselines::{check_file, file_name, render, BASELINES};
 
 fn main() -> ExitCode {
-    let dir = std::env::args().nth(1).unwrap_or_else(|| ".".into());
-    let dir = Path::new(&dir);
-    let tol = Tolerances::from_env();
-    println!(
-        "tolerances: mbps {}% events {}% speedup {}% delta ±{} pp",
-        tol.mbps_pct, tol.events_pct, tol.speedup_pct, tol.delta_abs
-    );
-
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    let write = match args.as_slice() {
+        [] => false,
+        [flag] if flag == "--write" => true,
+        _ => {
+            eprintln!("usage: bench_compare [--write]");
+            return ExitCode::from(2);
+        }
+    };
     let mut ok = true;
-    match load(dir, "BENCH_fetch.json").and_then(|json| compare_fetch(&json)) {
-        Ok(gate) => ok &= report("fetch", &gate),
-        Err(e) => {
-            println!("FAIL fetch: {e}");
-            ok = false;
-        }
-    }
-    match load(dir, "BENCH_simnet.json").and_then(|json| compare_simnet(&json, &tol)) {
-        Ok(gate) => ok &= report("simnet", &gate),
-        Err(e) => {
-            println!("FAIL simnet: {e}");
-            ok = false;
-        }
-    }
-    match load(dir, "BENCH_catalog.json").and_then(|json| compare_catalog(&json, &tol)) {
-        Ok(gate) => ok &= report("catalog", &gate),
-        Err(e) => {
-            println!("FAIL catalog: {e}");
-            ok = false;
-        }
-    }
-    match load(dir, "BENCH_grid.json").and_then(|json| compare_grid(&json, &tol)) {
-        Ok(gate) => ok &= report("grid", &gate),
-        Err(e) => {
-            println!("FAIL grid: {e}");
-            ok = false;
+    for name in BASELINES {
+        let file = file_name(name);
+        let outcome = render(name).and_then(|text| {
+            if write {
+                std::fs::write(&file, text).map_err(|e| format!("{file}: {e}"))
+            } else {
+                check_file(&file, Path::new(&file), &text)
+            }
+        });
+        match outcome {
+            Ok(()) => println!("{} {file}", if write { "wrote" } else { "ok" }),
+            Err(e) => {
+                println!("FAIL {e}");
+                ok = false;
+            }
         }
     }
     if ok {
-        println!("bench-compare: all baselines reproduce");
         ExitCode::SUCCESS
     } else {
-        println!("bench-compare: baseline drift detected (re-baseline deliberately with bench_fetch / bench_simnet / bench_catalog / bench_grid)");
+        if !write {
+            println!(
+                "bench-compare: the model no longer renders the committed baselines; a change \
+                 that means to move them runs `bench_compare --write` and commits the diff"
+            );
+        }
         ExitCode::FAILURE
     }
 }

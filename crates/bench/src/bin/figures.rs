@@ -10,19 +10,18 @@
 //! Subcommands: `fig1 fig2 fig5 fig6 tuning buffer objrep objcost staging stripe placement motivation all`,
 //! plus `chaos` (failure-path cost report), `fetch` (multi-source
 //! striped-fetch comparison), `catalog` (central vs federated lookup
-//! scaling), `grid` (interned vs string-keyed control plane + the
-//! Tier-0/1/2 grid-scale soak), and `timeline` (sim-time time-series of
+//! scaling), `grid` (interned-id control-plane probes + the Tier-0/1/2
+//! grid-scale soak), and `timeline` (sim-time time-series of
 //! the striped fetch as sparklines + deterministic TSV); these are
 //! deliberately not part of `all` so the canonical figure set stays
 //! byte-identical.
-//! Flags (parsed once by [`gdmp_bench::cli::ScenarioArgs`], shared with
-//! the `bench_*` binaries): `--json` emits machine-readable JSON lines
-//! instead of tables; `--trace` appends the telemetry dump (spans,
-//! metrics, flight recorder) of the grid-driven experiments (`fig1`,
-//! `fig2`); `--scenario <file>` points the scenario-driven subcommands
-//! (`fetch`, `catalog`, `grid`, `timeline`, `chaos`) at a scenario file
-//! instead of the builtin experiment; `--seed <n>` overrides the
-//! scenario's seed.
+//! Flags (parsed once by [`gdmp_bench::cli::ScenarioArgs`]): `--json`
+//! emits machine-readable JSON lines instead of tables; `--trace` appends
+//! the telemetry dump (spans, metrics, flight recorder) of the
+//! grid-driven experiments (`fig1`, `fig2`); `--scenario <file>` points
+//! the scenario-driven subcommands (`fetch`, `catalog`, `grid`,
+//! `timeline`, `chaos`) at a scenario file instead of the builtin
+//! experiment; `--seed <n>` overrides the scenario's seed.
 
 use gdmp::{Grid, ObjectReplicationConfig, SiteConfig};
 use gdmp_bench::cli::ScenarioArgs;
@@ -379,15 +378,10 @@ fn chaos(o: &mut Opts) {
 /// mid-transfer (exercising range reassignment and plan rebuilds). The
 /// grid comes from the builtin fetch scenario, or from `--scenario`.
 fn fetch(o: &mut Opts) {
-    use gdmp::FetchPolicy;
+    use gdmp_bench::baselines::fetch_modes;
     use gdmp_workloads::fetch::FetchSpec;
-    use gdmp_workloads::scenario::run_fetch_scenario;
     let base = or_die(o.args.base_scenario(|| Scenario::fetch(&FetchSpec::default())));
-    let cases = [
-        ("single", base.clone().with_policy(FetchPolicy::SingleSource)),
-        ("multi", base.clone().with_striped_policy()),
-        ("multi+crash", or_die(base.clone().with_striped_policy().with_fastest_source_crash())),
-    ];
+    let outcomes = or_die(fetch_modes(&base));
     let title = match &o.args.scenario {
         Some(path) => format!("Multi-source fetch: scenario `{}` ({path})", base.name),
         None => "Multi-source fetch: striping over asymmetric WAN paths \
@@ -398,15 +392,9 @@ fn fetch(o: &mut Opts) {
     r.section(&title);
     let mut rows = Vec::new();
     let mut sources: Vec<String> = Vec::new();
-    let mut single_mbps = 0.0;
-    let mut multi_mbps = 0.0;
-    for (label, scenario) in cases {
-        let out = or_die(run_fetch_scenario(&scenario));
-        match label {
-            "single" => single_mbps = out.agg_mbps,
-            "multi" => multi_mbps = out.agg_mbps,
-            _ => {}
-        }
+    let single_mbps = outcomes[0].agg_mbps;
+    let multi_mbps = outcomes[1].agg_mbps;
+    for (label, out) in ["single", "multi", "multi+crash"].into_iter().zip(&outcomes) {
         if sources.is_empty() {
             sources = out.per_source_bytes.iter().map(|(s, _)| s.clone()).collect();
         }
@@ -533,11 +521,10 @@ fn catalog_scenario(o: &mut Opts) {
     r.end_section();
 }
 
-/// Interned-id control plane: the string-keyed vs interned probe race at
-/// 50/100/200 sites, then the Tier-0/1/2 grid soak's ladder split and
-/// replica hit rate. Wall-derived columns (ops/s, speedup, wall s) are
-/// host-dependent and appear in the human table only, so `--json` output
-/// stays byte-identical across runs.
+/// Interned-id control plane: the probe mix at 50/100/200 sites, then the
+/// Tier-0/1/2 grid soak's ladder split and replica hit rate. Wall-derived
+/// columns (ops/s, wall s) are host-dependent and appear in the human
+/// table only, so `--json` output stays byte-identical across runs.
 fn grid(o: &mut Opts) {
     use gdmp_bench::grid::{run_control_plane_grid, run_grid_soak_points};
     if o.args.scenario.is_some() {
@@ -545,17 +532,16 @@ fn grid(o: &mut Opts) {
     }
     let r = &mut o.report;
     let wall = !r.is_json();
+    // The title and notes are part of the pinned `--json` emission. The
+    // string-keyed maps they name were retired once these checksums, which
+    // both sides reproduced, were committed (DESIGN.md §16).
     r.section("Interned-id control plane: string-keyed vs interned probes at 50/100/200 sites");
     let rows: Vec<Vec<Cell>> = run_control_plane_grid()
         .iter()
         .map(|p| {
             let mut row = vec![Cell::from(p.sites), Cell::from(p.ops)];
             if wall {
-                row.extend([
-                    Cell::f(p.string_ops_per_sec, 0),
-                    Cell::f(p.interned_ops_per_sec, 0),
-                    Cell::f(p.speedup, 2),
-                ]);
+                row.push(Cell::f(p.ops_per_sec, 0));
             }
             row.push(Cell::from(format!("{:#018x}", p.checksum)));
             row
@@ -563,7 +549,7 @@ fn grid(o: &mut Opts) {
         .collect();
     let mut headers = vec!["sites", "ops"];
     if wall {
-        headers.extend(["string ops/s", "interned ops/s", "speedup x"]);
+        headers.push("ops/s");
     }
     headers.push("checksum");
     r.table(&headers, &rows);

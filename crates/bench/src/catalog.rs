@@ -1,6 +1,5 @@
-//! The federated-catalog lookup scenario shared by the `bench_catalog`
-//! baseline writer, the `figures catalog` subcommand, and
-//! [`crate::compare::compare_catalog`] (the CI gate).
+//! The federated-catalog lookup scenario shared by the catalog baseline
+//! ([`crate::baselines`]) and the `figures catalog` subcommand.
 //!
 //! One point = one grid at a given scale answering a fixed deterministic
 //! lookup mix, either against the central catalog alone (`central`) or

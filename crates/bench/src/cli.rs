@@ -1,8 +1,8 @@
-//! Shared argument parsing for every scenario-driven subcommand and
-//! binary: `figures fetch|catalog|grid|timeline|chaos` and the `bench_*`
-//! baseline writers all accept the same `--scenario <file>`, `--seed <n>`,
-//! `--json`, and `--trace` flags through this one helper, instead of each
-//! growing its own ad-hoc parser.
+//! Shared argument parsing for every scenario-driven subcommand:
+//! `figures fetch|catalog|grid|timeline|chaos` all accept the same
+//! `--scenario <file>`, `--seed <n>`, `--json`, and `--trace` flags
+//! through this one helper, instead of each growing its own ad-hoc
+//! parser.
 //!
 //! `--scenario` swaps the builtin experiment for a committed or
 //! hand-written scenario file (see `scenarios/` and the DESIGN.md §17

@@ -1,29 +1,25 @@
-//! The interned-id control-plane scenario shared by the `bench_grid`
-//! baseline writer, the `figures grid` subcommand, and
-//! [`crate::compare::compare_grid`] (the CI gate).
+//! The interned-id control-plane scenario shared by the grid baseline
+//! ([`crate::baselines`]) and the `figures grid` subcommand.
 //!
 //! Two kinds of point:
 //!
-//! * **Control-plane points** race the same deterministic probe mix
-//!   (WAN-profile lookups, observed-throughput history, roster membership,
-//!   periodic roster sweeps) through the real interned-id [`Grid`] and
-//!   through a faithful replica of the pre-interning string-keyed maps
-//!   (`BTreeMap<(String, String), _>` with per-probe owned-tuple keys,
-//!   `Vec<String>` roster clones per sweep). Both sides fold every answer
-//!   into a checksum that must agree — same work, different key plumbing.
-//!   The acceptance bar is ≥2× ops/sec at 100+ sites.
+//! * **Control-plane points** drive a deterministic probe mix (WAN-profile
+//!   lookups, observed-throughput history, roster membership, periodic
+//!   roster sweeps) through the interned-id [`Grid`] and fold every answer
+//!   into a checksum, which the baseline pins.
 //! * **Soak points** run the Tier-0/1/2 grid soak from
 //!   [`gdmp_workloads::grid`] and report its deterministic ladder split and
-//!   replica hit rate, plus the (informational) wall time.
+//!   replica hit rate.
+//!
+//! Both also time themselves; the wall numbers appear only in the human
+//! `figures grid` table, never in a baseline or in `--json` output.
 
-use std::collections::BTreeMap;
 use std::time::Instant;
 
 use gdmp::prelude::*;
 use gdmp_workloads::{run_grid_soak, GridSoakSpec};
 
-/// Scales the control-plane points run at (the acceptance asks for ≥2× at
-/// 100+ sites; 200 shows the gap widening with scale).
+/// Scales the control-plane points run at.
 pub const GRID_SITES: [usize; 3] = [50, 100, 200];
 
 /// Probes per control-plane point; fixed so checksums are comparable.
@@ -33,100 +29,30 @@ pub const GRID_OPS: usize = 400_000;
 /// topology, and a 200+-site stretch point.
 pub const SOAK_SCALES: [usize; 3] = [16, 105, 200];
 
-fn site_name(i: usize) -> String {
-    format!("site{i:03}")
-}
-
-// ---- the string-keyed baseline replica -----------------------------------
-
-/// The control-plane maps exactly as they were keyed before interning:
-/// owned `String` pairs for profiles and history, a name-keyed roster, and
-/// per-call `to_string()` tuple probes.
-struct StringControlPlane {
-    roster: BTreeMap<String, usize>,
-    profiles: BTreeMap<(String, String), WanProfile>,
-    history: BTreeMap<(String, String), f64>,
-    default_profile: WanProfile,
-}
-
-impl StringControlPlane {
-    fn profile_between(&self, a: &str, b: &str) -> WanProfile {
-        self.profiles.get(&(a.to_string(), b.to_string())).copied().unwrap_or(self.default_profile)
-    }
-
-    fn observed_bps(&self, src: &str, dst: &str) -> Option<f64> {
-        self.history.get(&(src.to_string(), dst.to_string())).copied()
-    }
-
-    fn has_site(&self, name: &str) -> bool {
-        self.roster.contains_key(name)
-    }
-
-    /// The pre-interning roster sweep: clone every name, then walk the
-    /// clones (what `advance`/notice flushing used to do each tick).
-    fn sweep(&self) -> u64 {
-        let names: Vec<String> = self.roster.keys().cloned().collect();
-        names.iter().map(|n| n.len() as u64).sum()
-    }
-}
-
-// ---- shared fixture -------------------------------------------------------
-
-/// Build the interned grid and its string-keyed twin with identical
-/// profile/history contents at `sites` scale.
-fn build_pair(sites: usize) -> (Grid, StringControlPlane, Vec<String>) {
-    let names: Vec<String> = (0..sites).map(site_name).collect();
+/// A grid of `sites` sites with WAN profiles and throughput history on a
+/// ring plus a star off site000: enough pairs that probes hit real entries
+/// as well as the default-profile fallback.
+fn probe_grid(sites: usize) -> (Grid, Vec<String>) {
+    let names: Vec<String> = (0..sites).map(|i| format!("site{i:03}")).collect();
     let mut builder = Grid::builder("bench-grid");
     for (i, name) in names.iter().enumerate() {
         builder = builder.site(SiteConfig::named(name, &format!("{name}.grid"), 900 + i as u64));
     }
     let mut grid = builder.trust_all().build();
-
-    let default_profile = WanProfile::cern_anl_production();
-    let mut twin = StringControlPlane {
-        roster: names.iter().enumerate().map(|(i, n)| (n.clone(), i)).collect(),
-        profiles: BTreeMap::new(),
-        history: BTreeMap::new(),
-        default_profile,
-    };
-    // A ring plus a star off site000: enough pairs that probes hit real
-    // entries as well as the default-profile fallback.
     let tuned = WanProfile::cern_anl_production();
     for i in 0..sites {
-        let a = &names[i];
-        let ring = &names[(i + 1) % sites];
-        let hub = &names[0];
+        let (a, ring) = (&names[i], &names[(i + 1) % sites]);
         grid.set_profile(a, ring, tuned);
         grid.note_observed_throughput(a, ring, 1e6 + i as f64);
-        twin.profiles.insert((a.clone(), ring.clone()), tuned);
-        twin.history.insert((a.clone(), ring.clone()), 1e6 + i as f64);
         if i > 0 {
-            grid.set_profile(hub, a, tuned);
-            twin.profiles.insert((hub.clone(), a.clone()), tuned);
+            grid.set_profile(&names[0], a, tuned);
         }
     }
-    (grid, twin, names)
+    (grid, names)
 }
 
 fn fold(checksum: &mut u64, v: u64) {
     *checksum = checksum.wrapping_mul(0x100000001B3).wrapping_add(v);
-}
-
-/// One probe: a profile lookup, a history lookup, a membership test, and —
-/// every 16th op — a roster sweep. Answers fold into the checksum.
-macro_rules! probe_mix {
-    ($names:expr, $sites:expr, $checksum:expr, $i:expr,
-     $profile:expr, $observed:expr, $has:expr, $sweep:expr) => {{
-        let a: &str = &$names[($i * 31) % $sites];
-        let b: &str = &$names[($i * 7919 + 1) % $sites];
-        let p = $profile(a, b);
-        fold($checksum, p.link.rate_bps);
-        fold($checksum, $observed(a, b).map_or(0, |v| v as u64));
-        fold($checksum, u64::from($has(a)));
-        if $i % 16 == 0 {
-            fold($checksum, $sweep());
-        }
-    }};
 }
 
 /// One measured control-plane point.
@@ -134,68 +60,34 @@ macro_rules! probe_mix {
 pub struct ControlPlanePoint {
     pub sites: usize,
     pub ops: u64,
-    /// Deterministic fold of every probe answer; identical between the
-    /// string-keyed and interned runs by construction (asserted).
+    /// Deterministic fold of every probe answer.
     pub checksum: u64,
-    /// Wall seconds for the string-keyed run (host-dependent).
-    pub string_wall_s: f64,
-    /// Wall seconds for the interned run (host-dependent).
-    pub interned_wall_s: f64,
-    pub string_ops_per_sec: f64,
-    pub interned_ops_per_sec: f64,
-    /// interned ops/sec over string ops/sec.
-    pub speedup: f64,
+    /// Probes per wall-clock second (host-dependent).
+    pub ops_per_sec: f64,
 }
 
-/// Race the probe mix through both control planes at `sites` scale.
+/// Run the probe mix at `sites` scale. Each probe is a profile lookup, a
+/// history lookup, a membership test and — every 16th — a roster sweep.
 pub fn run_control_plane_bench(sites: usize) -> ControlPlanePoint {
-    let (grid, twin, names) = build_pair(sites);
-
-    let mut string_sum = 0u64;
+    let (grid, names) = probe_grid(sites);
+    let mut checksum = 0u64;
     let t0 = Instant::now();
     for i in 0..GRID_OPS {
-        probe_mix!(
-            names,
-            sites,
-            &mut string_sum,
-            i,
-            |a, b| twin.profile_between(a, b),
-            |a, b| twin.observed_bps(a, b),
-            |a| twin.has_site(a),
-            || twin.sweep()
-        );
+        let a: &str = &names[(i * 31) % sites];
+        let b: &str = &names[(i * 7919 + 1) % sites];
+        fold(&mut checksum, grid.profile_between(a, b).link.rate_bps);
+        fold(&mut checksum, grid.observed_bps(a, b).map_or(0, |v| v as u64));
+        fold(&mut checksum, u64::from(grid.has_site(a)));
+        if i % 16 == 0 {
+            fold(&mut checksum, grid.site_names_iter().map(|n| n.len() as u64).sum());
+        }
     }
-    let string_wall = t0.elapsed().as_secs_f64();
-
-    let mut interned_sum = 0u64;
-    let t1 = Instant::now();
-    for i in 0..GRID_OPS {
-        probe_mix!(
-            names,
-            sites,
-            &mut interned_sum,
-            i,
-            |a, b| grid.profile_between(a, b),
-            |a, b| grid.observed_bps(a, b),
-            |a| grid.has_site(a),
-            || grid.site_names_iter().map(|n| n.len() as u64).sum::<u64>()
-        );
-    }
-    let interned_wall = t1.elapsed().as_secs_f64();
-
-    assert_eq!(
-        string_sum, interned_sum,
-        "the two control planes answered the same probes differently"
-    );
+    let wall = t0.elapsed().as_secs_f64();
     ControlPlanePoint {
         sites,
         ops: GRID_OPS as u64,
-        checksum: interned_sum,
-        string_wall_s: string_wall,
-        interned_wall_s: interned_wall,
-        string_ops_per_sec: GRID_OPS as f64 / string_wall.max(1e-9),
-        interned_ops_per_sec: GRID_OPS as f64 / interned_wall.max(1e-9),
-        speedup: string_wall / interned_wall.max(1e-9),
+        checksum,
+        ops_per_sec: GRID_OPS as f64 / wall.max(1e-9),
     }
 }
 

@@ -3,10 +3,12 @@
 //! Each public function reproduces one artifact of the paper's evaluation;
 //! the `figures` binary prints them in the paper's layout, and the
 //! Criterion benches reuse the same code for component micro-benchmarks.
+//! [`baselines`] renders the committed `BENCH_*.json` files that
+//! `bench_compare` holds the model to.
 
+pub mod baselines;
 pub mod catalog;
 pub mod cli;
-pub mod compare;
 pub mod figures;
 pub mod grid;
 pub mod parallel;
@@ -18,7 +20,6 @@ pub use catalog::{
     run_catalog_bench, run_catalog_grid, CatalogBenchPoint, CATALOG_LOOKUPS, CATALOG_SITES,
 };
 pub use cli::ScenarioArgs;
-pub use compare::{compare_catalog, compare_fetch, compare_grid, compare_simnet, Gate, Tolerances};
 pub use figures::{fig_sweep, fig_sweep_on, FigRow};
 pub use grid::{
     run_control_plane_bench, run_control_plane_grid, run_grid_soak_bench, run_grid_soak_points,

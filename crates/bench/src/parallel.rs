@@ -10,15 +10,8 @@
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
-/// Worker count for sweep parallelism: every available core, overridable
-/// with `GDMP_BENCH_WORKERS` (`1` forces the serial path, useful when
-/// timing the simulator itself rather than the sweep).
+/// Worker count for sweep parallelism: every available core.
 pub fn default_workers() -> usize {
-    if let Ok(v) = std::env::var("GDMP_BENCH_WORKERS") {
-        if let Ok(n) = v.trim().parse::<usize>() {
-            return n.max(1);
-        }
-    }
     std::thread::available_parallelism().map_or(1, |n| n.get())
 }
 

@@ -4,8 +4,8 @@
 //! centres at once; each CERN→site path has its own bottleneck link and its
 //! own cross traffic, and the paths do not share queues. It is the only
 //! committed scenario with many links in one network, so its exact event
-//! count (`bench_simnet`, gated by `bench_compare`) is what shows that no
-//! tie between events of different links was ever reordered.
+//! count (in `BENCH_simnet.json`, gated by `bench_compare`) is what shows
+//! that no tie between events of different links was ever reordered.
 //!
 //! Rates, delays, and staggers are deliberately irregular across sites
 //! (derived from the site index) so no two sites run in lock-step and the
@@ -35,8 +35,8 @@ pub struct FanoutSpec {
 }
 
 impl FanoutSpec {
-    /// The scenario `bench_simnet` measures: 8 site pairs, every packet
-    /// simulated.
+    /// The scenario the simnet baseline measures: 8 site pairs, every
+    /// packet simulated.
     pub fn bench_default() -> FanoutSpec {
         FanoutSpec {
             sites: 8,

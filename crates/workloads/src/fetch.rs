@@ -1,7 +1,7 @@
 //! The multi-source fetch scenario: one hot file, three replicas behind
 //! asymmetric WAN paths, one consumer. Shared by `figures fetch`, the
-//! `bench_fetch` report, the CI fetch smoke, and the integration tests,
-//! so they all measure exactly the same grid.
+//! committed `BENCH_fetch.json` baseline, the CI fetch smoke, and the
+//! integration tests, so they all measure exactly the same grid.
 //!
 //! Topology (all paths uncontended, rates deliberately asymmetric):
 //!

@@ -10,8 +10,8 @@
 //!
 //! Everything is sim-time deterministic: same spec + seed ⇒ identical op
 //! counts, ladder splits, final clock, telemetry export, and trace. The
-//! wall-clock side (ops/sec) is measured by `gdmp-bench`'s `bench_grid`
-//! binary, not here.
+//! wall-clock side is reported by `gdmp-bench`'s `figures grid` human
+//! table, not here.
 
 use gdmp_simnet::time::SimDuration;
 use gdmp_telemetry::Registry;
