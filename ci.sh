@@ -14,7 +14,8 @@
 #                          four workloads, which must come out correct
 #                          with no failed operation and with the model
 #                          digest recorded below)
-#   ./ci.sh --full         additionally run:
+#   ./ci.sh --full         additionally run (each test step must run at
+#                          least one test):
 #                          - the seeded chaos convergence soak (3 fixed
 #                            seeds, 5-site grid)
 #                          - the multi-source fetch scenario (striping
@@ -24,8 +25,8 @@
 #                            path partitions the latency, with byte-identical
 #                            same-seed exports
 #                          - the federated-catalog smoke: the gdmp
-#                            federation flows, the catalog soak (Off ==
-#                            EmptySchedule, seeded never-wrong), and the
+#                            federation flows, the catalog soak (no faults
+#                            == empty schedule, seeded never-wrong), and the
 #                            100+-site acceptance soak
 #                          - the interned-id grid smoke: the Tier-0/1/2
 #                            soak and the zero-allocation hot-path probes,
@@ -102,26 +103,39 @@ whole_stack_smoke bulk_wan "sim_digest 311d553d4b163b09"        # commit 6156a39
 whole_stack_smoke object_analysis "sim_digest 61daa7d4a954458c" # commit 8a033fc
 
 if [[ "$full" == 1 ]]; then
+  # `cargo test` passes when its filter matches nothing, so a step whose
+  # tests moved would stop running them silently: every step below must
+  # report at least one passed test.
+  full_test() {
+    local out
+    out=$(cargo test --offline -q "$@" 2>&1) || { echo "$out" >&2; exit 1; }
+    echo "$out"
+    if ! grep -qE '^test result: ok\. [1-9][0-9]* passed' <<<"$out"; then
+      echo "cargo test $* ran no test" >&2
+      exit 1
+    fi
+  }
+
   echo "==> chaos smoke: seeded convergence soak"
-  cargo test --offline -q -p gdmp-workloads --test chaos_soak
-  cargo test --offline -q -p gdmp --test chaos_recovery
+  full_test -p gdmp-workloads --test chaos_soak
+  full_test -p gdmp --test chaos_recovery
 
   echo "==> fetch smoke: multi-source striped fetch"
-  cargo test --offline -q --release -p gdmp-workloads --lib fetch::
-  cargo test --offline -q --release -p gdmp --test schedule_properties
+  full_test --release -p gdmp-workloads --lib scenario::tests::fetch::
+  full_test --release -p gdmp --test schedule_properties
 
   echo "==> trace smoke: span trees + critical path of the striped fetch"
-  cargo test --offline -q --release -p gdmp-workloads --test trace_smoke
+  full_test --release -p gdmp-workloads --test trace_smoke
 
   echo "==> catalog smoke: federation flows, soak inertness, 100+-site never-wrong"
-  cargo test --offline -q --release -p gdmp --test federation_flows
-  cargo test --offline -q --release -p gdmp-workloads --lib catalog::
-  cargo test --offline -q --release -p gdmp-workloads --test catalog_soak
+  full_test --release -p gdmp --test federation_flows
+  full_test --release -p gdmp-workloads --lib scenario::tests::catalog::
+  full_test --release -p gdmp-workloads --test catalog_soak
 
   echo "==> grid smoke: tiered soak, zero-alloc probes, byte-identical figures grid --json"
-  cargo test --offline -q --release -p gdmp-workloads --lib grid::
-  cargo test --offline -q --release -p gdmp-workloads --test byte_identity
-  cargo test --offline -q --release -p gdmp --test control_plane_alloc
+  full_test --release -p gdmp-workloads --lib grid::
+  full_test --release -p gdmp-workloads --test byte_identity
+  full_test --release -p gdmp --test control_plane_alloc
   tmp_a=$(mktemp); tmp_b=$(mktemp)
   trap 'rm -f "$tmp_a" "$tmp_b"' EXIT
   cargo run --offline --release -q -p gdmp-bench --bin figures -- grid --json > "$tmp_a"

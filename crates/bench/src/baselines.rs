@@ -20,14 +20,14 @@ use std::path::Path;
 use gdmp::FetchPolicy;
 use gdmp_gridftp::sim::WanProfile;
 use gdmp_simnet::LinkSpec;
-use gdmp_workloads::fetch::{FetchOutcome, FetchSpec};
+use gdmp_workloads::fanout::{run_fanout, BYTES_PER_SITE};
 use gdmp_workloads::scenario::{run_fetch_scenario, ProfileDecl, WorkloadDecl};
-use gdmp_workloads::{run_fanout, FanoutSpec, FigureSweep, Scenario, ScenarioError, MB};
+use gdmp_workloads::{FetchOutcome, FigureSweep, Scenario, ScenarioError, MB};
 use serde::Serialize;
 
 use crate::catalog::{run_catalog_grid, CATALOG_LOOKUPS};
 use crate::figures::fig_sweep_on;
-use crate::grid::{run_control_plane_grid, run_grid_soak_points, GRID_OPS};
+use crate::grid::{grid_soak_points, run_control_plane_grid, GRID_OPS};
 
 /// Every baseline, in the order `bench_compare` checks them.
 pub const BASELINES: [&str; 4] = ["simnet", "fetch", "catalog", "grid"];
@@ -174,10 +174,12 @@ struct SimnetFanout {
     events_processed: u64,
 }
 
+/// Site pairs in the fan-out.
+const FANOUT_SITES: u32 = 8;
+
 fn simnet() -> SimnetBaseline {
     let dedicated = ("cern_anl_dedicated", WanProfile::clean(LinkSpec::cern_anl()));
     let production = ("cern_anl_production", WanProfile::cern_anl_production());
-    let fanout = FanoutSpec::bench_default();
     SimnetBaseline {
         schema: "gdmp-bench-simnet/3",
         scenarios: vec![
@@ -194,9 +196,9 @@ fn simnet() -> SimnetBaseline {
             simnet_sweep("figure6_tuned", FigureSweep::figure6()),
         ],
         fanout: SimnetFanout {
-            sites: fanout.sites,
-            bytes_per_site: fanout.bytes_per_site,
-            events_processed: run_fanout(&fanout).events_processed,
+            sites: FANOUT_SITES,
+            bytes_per_site: BYTES_PER_SITE,
+            events_processed: run_fanout(FANOUT_SITES).events_processed,
         },
     }
 }
@@ -294,11 +296,14 @@ struct SourceShare {
 }
 
 fn fetch() -> Result<FetchBaseline, ScenarioError> {
-    let base = Scenario::fetch(&FetchSpec::default());
+    let base = Scenario::preset("fetch")?;
+    let WorkloadDecl::Fetch { size, .. } = base.workload else {
+        unreachable!("the fetch preset declares a fetch workload");
+    };
     let [single, multi, crash] = fetch_modes(&base)?;
     Ok(FetchBaseline {
         schema: "gdmp-bench-fetch/1",
-        file_mb: base.fetch_spec()?.size / MB,
+        file_mb: size / MB,
         path_mbps: path_rates(&base),
         modes: vec![
             fetch_mode("single", &single),
@@ -433,7 +438,7 @@ fn grid() -> GridBaseline {
         .into_iter()
         .map(|p| GridControlPlane { sites: p.sites, ops: p.ops, checksum: p.checksum })
         .collect();
-    let soak = run_grid_soak_points()
+    let soak = grid_soak_points()
         .into_iter()
         .map(|p| GridSoak {
             sites: p.sites,

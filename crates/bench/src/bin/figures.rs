@@ -20,8 +20,8 @@
 //! the telemetry dump (spans, metrics, flight recorder) of the
 //! grid-driven experiments (`fig1`, `fig2`); `--scenario <file>` points
 //! the scenario-driven subcommands (`fetch`, `catalog`, `grid`,
-//! `timeline`, `chaos`) at a scenario file instead of the builtin
-//! experiment; `--seed <n>` overrides the scenario's seed.
+//! `timeline`, `chaos`) at a scenario file instead of their preset;
+//! `--seed <n>` overrides the scenario's seed.
 
 use gdmp::{Grid, ObjectReplicationConfig, SiteConfig};
 use gdmp_bench::cli::ScenarioArgs;
@@ -299,15 +299,12 @@ fn stripe(o: &mut Opts) {
 /// Chaos soak comparison: the same publish/replicate workload with no
 /// chaos layer, with an installed-but-empty schedule (must cost exactly
 /// nothing), and with three seeded fault plans. Exports the failure-path
-/// counters so BENCH files can track fault-handling overhead. With
-/// `--scenario` the grid and workload come from the file; the chaos-mode
-/// sweep still varies around that base.
+/// counters so BENCH files can track fault-handling overhead. The grid and
+/// workload are `soak_quick`'s, or the `--scenario` file's; each mode
+/// replaces only the seed and the faults.
 fn chaos(o: &mut Opts) {
-    use gdmp_workloads::{run_soak, ChaosMode, SoakSpec};
-    let base = or_die(
-        o.args.base_scenario(|| Scenario::replication_soak(&SoakSpec::quick(ChaosMode::Off))),
-    );
-    let spec = or_die(base.soak_spec());
+    use gdmp_workloads::scenario::{run_soak_scenario, Faults};
+    let base = or_die(o.args.base_scenario("soak_quick"));
     let counter_sum = |out: &gdmp_workloads::SoakOutcome, name: &str| -> u64 {
         out.registry
             .metrics_snapshot()
@@ -319,18 +316,17 @@ fn chaos(o: &mut Opts) {
             })
             .sum()
     };
-    let r = &mut o.report;
-    r.section("Chaos soak: failure-path cost (off vs empty schedule vs seeded)");
+    let seeded = || Faults::Seeded { catalog_chaos: None };
     let modes = [
-        ("off", ChaosMode::Off),
-        ("empty", ChaosMode::EmptySchedule),
-        ("seed=11", ChaosMode::Seeded(11)),
-        ("seed=42", ChaosMode::Seeded(42)),
-        ("seed=1337", ChaosMode::Seeded(1337)),
+        ("off", 0, Faults::None),
+        ("empty", 0, Faults::Empty),
+        ("seed=11", 11, seeded()),
+        ("seed=42", 42, seeded()),
+        ("seed=1337", 1337, seeded()),
     ];
     let mut rows = Vec::new();
-    for (label, mode) in modes {
-        let out = run_soak(&SoakSpec { chaos: mode, ..spec.clone() });
+    for (label, seed, faults) in modes {
+        let out = or_die(run_soak_scenario(&Scenario { seed, faults, ..base.clone() }));
         rows.push(vec![
             Cell::from(label),
             Cell::from(out.published),
@@ -348,6 +344,8 @@ fn chaos(o: &mut Opts) {
             Cell::from(counter_sum(&out, "replications_deferred")),
         ]);
     }
+    let r = &mut o.report;
+    r.section("Chaos soak: failure-path cost (off vs empty schedule vs seeded)");
     r.table(
         &[
             "mode",
@@ -376,11 +374,10 @@ fn chaos(o: &mut Opts) {
 /// asymmetric WAN paths with a single-source fetch, a striped
 /// multi-source fetch, and a striped fetch whose fastest source crashes
 /// mid-transfer (exercising range reassignment and plan rebuilds). The
-/// grid comes from the builtin fetch scenario, or from `--scenario`.
+/// grid comes from the `fetch` preset, or from `--scenario`.
 fn fetch(o: &mut Opts) {
     use gdmp_bench::baselines::fetch_modes;
-    use gdmp_workloads::fetch::FetchSpec;
-    let base = or_die(o.args.base_scenario(|| Scenario::fetch(&FetchSpec::default())));
+    let base = or_die(o.args.base_scenario("fetch"));
     let outcomes = or_die(fetch_modes(&base));
     let title = match &o.args.scenario {
         Some(path) => format!("Multi-source fetch: scenario `{}` ({path})", base.name),
@@ -477,7 +474,7 @@ fn catalog(o: &mut Opts) {
 /// workload and print its ladder split and never-wrong stats.
 fn catalog_scenario(o: &mut Opts) {
     use gdmp_workloads::scenario::run_catalog_scenario;
-    let scenario = or_die(o.args.base_scenario(|| unreachable!("--scenario is set")));
+    let scenario = or_die(o.args.base_scenario("catalog_quick"));
     let sites = scenario.topology.site_names().len();
     let out = or_die(run_catalog_scenario(&scenario));
     let r = &mut o.report;
@@ -526,7 +523,7 @@ fn catalog_scenario(o: &mut Opts) {
 /// columns (ops/s, wall s) are host-dependent and appear in the human
 /// table only, so `--json` output stays byte-identical across runs.
 fn grid(o: &mut Opts) {
-    use gdmp_bench::grid::{run_control_plane_grid, run_grid_soak_points};
+    use gdmp_bench::grid::{grid_soak_points, run_control_plane_grid};
     if o.args.scenario.is_some() {
         return grid_scenario(o);
     }
@@ -556,7 +553,7 @@ fn grid(o: &mut Opts) {
     r.note("(both control planes answer the same probes — the checksum proves");
     r.note(" it; only the key plumbing differs)");
 
-    let rows: Vec<Vec<Cell>> = run_grid_soak_points()
+    let rows: Vec<Vec<Cell>> = grid_soak_points()
         .iter()
         .map(|p| {
             let mut row = vec![
@@ -602,7 +599,7 @@ fn grid(o: &mut Opts) {
 /// print its deterministic op counts and ladder split.
 fn grid_scenario(o: &mut Opts) {
     use gdmp_workloads::scenario::run_grid_scenario;
-    let scenario = or_die(o.args.base_scenario(|| unreachable!("--scenario is set")));
+    let scenario = or_die(o.args.base_scenario("grid_quick"));
     let out = or_die(run_grid_scenario(&scenario));
     let r = &mut o.report;
     r.section(&format!(
@@ -647,9 +644,8 @@ fn grid_scenario(o: &mut Opts) {
 fn timeline(o: &mut Opts) {
     use gdmp_bench::{render_timeline, timeline_tsv};
     use gdmp_telemetry::analysis::{critical_path, render_critical_path, trace_roots};
-    use gdmp_workloads::fetch::FetchSpec;
     use gdmp_workloads::scenario::run_fetch_scenario;
-    let base = or_die(o.args.base_scenario(|| Scenario::fetch(&FetchSpec::default())));
+    let base = or_die(o.args.base_scenario("fetch"));
     let scenario = or_die(base.with_striped_policy().with_fastest_source_crash());
     let title = match &o.args.scenario {
         Some(path) => format!(

@@ -4,11 +4,10 @@
 //! through this one helper, instead of each growing its own ad-hoc
 //! parser.
 //!
-//! `--scenario` swaps the builtin experiment for a committed or
-//! hand-written scenario file (see `scenarios/` and the DESIGN.md §17
-//! schema); `--seed` overrides the scenario's seed in place. Without
-//! either flag the builtin scenario runs, byte-identical to the
-//! pre-DSL hard-coded constructors.
+//! `--scenario` swaps the subcommand's preset (a committed file under
+//! `scenarios/`, compiled in) for a committed or hand-written scenario file
+//! (see the DESIGN.md §17 schema); `--seed` overrides the scenario's seed
+//! in place. Without either flag the preset runs.
 
 use gdmp_workloads::{Scenario, ScenarioError};
 
@@ -19,9 +18,9 @@ pub struct ScenarioArgs {
     pub json: bool,
     /// Append the telemetry dump of grid-driven experiments.
     pub trace: bool,
-    /// Path to a scenario file replacing the builtin experiment.
+    /// Path to a scenario file replacing the subcommand's preset.
     pub scenario: Option<String>,
-    /// Seed override applied to the scenario (builtin or loaded).
+    /// Seed override applied to the scenario (preset or loaded).
     pub seed: Option<u64>,
 }
 
@@ -69,14 +68,11 @@ impl ScenarioArgs {
     }
 
     /// The scenario this invocation runs: the `--scenario` file if given,
-    /// otherwise `builtin()`, with any `--seed` override applied.
-    pub fn base_scenario(
-        &self,
-        builtin: impl FnOnce() -> Scenario,
-    ) -> Result<Scenario, ScenarioError> {
+    /// otherwise the named preset, with any `--seed` override applied.
+    pub fn base_scenario(&self, preset: &str) -> Result<Scenario, ScenarioError> {
         let mut scenario = match &self.scenario {
             Some(path) => Scenario::load(path)?,
-            None => builtin(),
+            None => Scenario::preset(preset)?,
         };
         if let Some(seed) = self.seed {
             scenario.seed = seed;
@@ -142,13 +138,8 @@ mod tests {
     #[test]
     fn seed_override_applies_to_the_builtin() {
         let (args, _) = ScenarioArgs::parse(&strings(&["--seed", "7"])).unwrap();
-        let s = args
-            .base_scenario(|| {
-                Scenario::replication_soak(&gdmp_workloads::SoakSpec::quick(
-                    gdmp_workloads::ChaosMode::Off,
-                ))
-            })
-            .unwrap();
+        let s = args.base_scenario("soak_quick").unwrap();
         assert_eq!(s.seed, 7);
+        assert_eq!(s.workload, Scenario::preset("soak_quick").unwrap().workload);
     }
 }

@@ -7,9 +7,9 @@
 //!   lookups, observed-throughput history, roster membership, periodic
 //!   roster sweeps) through the interned-id [`Grid`] and fold every answer
 //!   into a checksum, which the baseline pins.
-//! * **Soak points** run the Tier-0/1/2 grid soak from
-//!   [`gdmp_workloads::grid`] and report its deterministic ladder split and
-//!   replica hit rate.
+//! * **Soak points** run the Tier-0/1/2 grid soak presets (`grid_quick`,
+//!   `grid_full`, `grid_at_scale_200`) and report their deterministic
+//!   ladder split and replica hit rate.
 //!
 //! Both also time themselves; the wall numbers appear only in the human
 //! `figures grid` table, never in a baseline or in `--json` output.
@@ -17,7 +17,7 @@
 use std::time::Instant;
 
 use gdmp::prelude::*;
-use gdmp_workloads::{run_grid_soak, GridSoakSpec};
+use gdmp_workloads::scenario::{run_grid_scenario, Scenario};
 
 /// Scales the control-plane points run at.
 pub const GRID_SITES: [usize; 3] = [50, 100, 200];
@@ -25,9 +25,9 @@ pub const GRID_SITES: [usize; 3] = [50, 100, 200];
 /// Probes per control-plane point; fixed so checksums are comparable.
 pub const GRID_OPS: usize = 400_000;
 
-/// Soak scales: the quick 16-site topology, the 105-site acceptance
-/// topology, and a 200+-site stretch point.
-pub const SOAK_SCALES: [usize; 3] = [16, 105, 200];
+/// Soak presets: the quick 16-site topology, the 105-site acceptance
+/// topology, and a 201-site stretch point.
+pub const SOAK_PRESETS: [&str; 3] = ["grid_quick", "grid_full", "grid_at_scale_200"];
 
 /// A grid of `sites` sites with WAN profiles and throughput history on a
 /// ring plus a star off site000: enough pairs that probes hit real entries
@@ -117,19 +117,11 @@ pub struct GridSoakPoint {
     pub wall_s: f64,
 }
 
-fn spec_at(scale: usize) -> GridSoakSpec {
-    match scale {
-        16 => GridSoakSpec::quick(),
-        105 => GridSoakSpec::full(),
-        n => GridSoakSpec::at_scale(n),
-    }
-}
-
-/// Run the soak at one scale.
-pub fn run_grid_soak_bench(scale: usize) -> GridSoakPoint {
-    let spec = spec_at(scale);
+/// Run one soak preset.
+pub fn grid_soak_point(preset: &str) -> GridSoakPoint {
+    let scenario = Scenario::preset(preset).expect("the grid soak presets are valid");
     let t0 = Instant::now();
-    let out = run_grid_soak(&spec);
+    let out = run_grid_scenario(&scenario).expect("a grid soak preset runs");
     let wall = t0.elapsed().as_secs_f64();
     GridSoakPoint {
         sites: out.sites,
@@ -148,9 +140,9 @@ pub fn run_grid_soak_bench(scale: usize) -> GridSoakPoint {
     }
 }
 
-/// Every soak scale.
-pub fn run_grid_soak_points() -> Vec<GridSoakPoint> {
-    SOAK_SCALES.iter().map(|&s| run_grid_soak_bench(s)).collect()
+/// Every soak preset.
+pub fn grid_soak_points() -> Vec<GridSoakPoint> {
+    SOAK_PRESETS.iter().map(|p| grid_soak_point(p)).collect()
 }
 
 #[cfg(test)]
@@ -167,8 +159,8 @@ mod tests {
 
     #[test]
     fn soak_point_is_deterministic_and_never_wrong() {
-        let a = run_grid_soak_bench(16);
-        let b = run_grid_soak_bench(16);
+        let a = grid_soak_point("grid_quick");
+        let b = grid_soak_point("grid_quick");
         assert_eq!(a.wrong_answers, 0);
         assert_eq!(a.lookups, b.lookups);
         assert_eq!(a.index_hits, b.index_hits);

@@ -22,8 +22,8 @@ pub use catalog::{
 pub use cli::ScenarioArgs;
 pub use figures::{fig_sweep, fig_sweep_on, FigRow};
 pub use grid::{
-    run_control_plane_bench, run_control_plane_grid, run_grid_soak_bench, run_grid_soak_points,
-    ControlPlanePoint, GridSoakPoint, GRID_OPS, GRID_SITES, SOAK_SCALES,
+    grid_soak_point, grid_soak_points, run_control_plane_bench, run_control_plane_grid,
+    ControlPlanePoint, GridSoakPoint, GRID_OPS, GRID_SITES, SOAK_PRESETS,
 };
 pub use parallel::{default_workers, par_map};
 pub use report::{Cell, Report};

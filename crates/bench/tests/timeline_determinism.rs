@@ -3,13 +3,13 @@
 //! format, so any nondeterminism here would churn diffs).
 
 use gdmp_bench::{render_timeline, timeline_tsv};
-use gdmp_workloads::fetch::{run_fetch, striped_policy, FetchSpec};
+use gdmp_workloads::scenario::{run_fetch_scenario, Scenario};
 
 #[test]
 fn same_seed_striped_fetch_renders_identical_timelines() {
-    let spec = FetchSpec { policy: striped_policy(), ..FetchSpec::default() };
-    let a = run_fetch(&spec);
-    let b = run_fetch(&spec);
+    let scenario = Scenario::preset("fetch").unwrap().with_striped_policy();
+    let a = run_fetch_scenario(&scenario).unwrap();
+    let b = run_fetch_scenario(&scenario).unwrap();
     let tsv_a = timeline_tsv(&a.registry);
     assert_eq!(tsv_a, timeline_tsv(&b.registry), "TSV must be byte-identical across runs");
     assert_eq!(render_timeline(&a.registry, 64), render_timeline(&b.registry, 64));

@@ -8,7 +8,7 @@
 use bytes::Bytes;
 use gdmp::prelude::*;
 use gdmp::{FailoverRetry, FaultEvent, FaultPlan};
-use gdmp_workloads::fetch::{run_fetch, striped_policy, FetchSpec};
+use gdmp_workloads::scenario::{run_fetch_scenario, Scenario};
 
 const MB: usize = 1024 * 1024;
 
@@ -249,8 +249,8 @@ fn source_restarts_inside_a_backoff_wait() {
 
 /// The striped model of `BENCH_fetch.json`: report, per-source bytes,
 /// `ranges_reassigned`, `plan_rebuilds` and elapsed time.
-fn fetch_model(spec: FetchSpec) -> String {
-    let out = run_fetch(&spec);
+fn fetch_model(scenario: Scenario) -> String {
+    let out = run_fetch_scenario(&scenario).unwrap();
     format!(
         "{:?} {:?} {} {} {:?}",
         out.report, out.per_source_bytes, out.ranges_reassigned, out.plan_rebuilds, out.elapsed
@@ -259,9 +259,9 @@ fn fetch_model(spec: FetchSpec) -> String {
 
 #[test]
 fn fetch_modes() {
-    let single = FetchSpec::default();
-    let multi = FetchSpec { policy: striped_policy(), ..FetchSpec::default() };
-    let crash = FetchSpec { crash_fastest: true, ..multi.clone() };
+    let single = Scenario::preset("fetch").unwrap();
+    let multi = single.clone().with_striped_policy();
+    let crash = multi.clone().with_fastest_source_crash().unwrap();
     assert_eq!(
         fetch_model(single),
         "ReplicationReport { lfn: \"hot_aod.dat\", from: \"cern\", to: \"lyon\", \

@@ -16,38 +16,14 @@ use gdmp_simnet::network::{FastForward, FlowResult, FlowSpec, Network, NetworkCo
 use gdmp_simnet::time::{SimDuration, SimTime};
 use gdmp_telemetry::Registry;
 
-/// One fan-out run: `sites` independent CERN→regional-centre pairs.
-#[derive(Debug, Clone, Copy)]
-pub struct FanoutSpec {
-    /// Destination sites (= independent bottleneck links).
-    pub sites: u32,
-    /// Parallel streams per site transfer.
-    pub streams: u32,
-    /// Bytes pushed to each site.
-    pub bytes_per_site: u64,
-    /// Socket buffer per stream.
-    pub buffer: u64,
-    /// Background flows per site path.
-    pub background: u32,
-    /// Fidelity mode; the committed baseline uses [`FastForward::Off`] so
-    /// the event count is the full packet-level load.
-    pub fast_forward: FastForward,
-}
-
-impl FanoutSpec {
-    /// The scenario the simnet baseline measures: 8 site pairs, every
-    /// packet simulated.
-    pub fn bench_default() -> FanoutSpec {
-        FanoutSpec {
-            sites: 8,
-            streams: 2,
-            bytes_per_site: 3 * 1024 * 1024,
-            buffer: 256 * 1024,
-            background: 1,
-            fast_forward: FastForward::Off,
-        }
-    }
-}
+/// Parallel streams per site transfer.
+const STREAMS: u32 = 2;
+/// Bytes pushed to each site.
+pub const BYTES_PER_SITE: u64 = 3 * 1024 * 1024;
+/// Socket buffer per stream.
+const BUFFER: u64 = 256 * 1024;
+/// Background flows per site path.
+const BACKGROUND: u32 = 1;
 
 /// Everything observable from one fan-out run, comparable with `==`.
 #[derive(Debug, Clone, PartialEq)]
@@ -69,30 +45,31 @@ fn site_link(site: u32) -> LinkSpec {
     }
 }
 
-/// Run the fan-out and capture every observable output.
-pub fn run_fanout(spec: &FanoutSpec) -> FanoutOutcome {
+/// Run the fan-out to `sites` independent CERN→regional-centre pairs
+/// (= independent bottleneck links; the simnet baseline uses 8) and
+/// capture every observable output. Every packet is simulated
+/// ([`FastForward::Off`]), so the event count is the full packet-level
+/// load.
+pub fn run_fanout(sites: u32) -> FanoutOutcome {
     let reg = Registry::new();
-    let mut net = Network::new(NetworkConfig::default().with_fast_forward(spec.fast_forward));
+    let mut net = Network::new(NetworkConfig::default().with_fast_forward(FastForward::Off));
     net.set_telemetry(reg.clone());
-    for site in 0..spec.sites {
+    for site in 0..sites {
         let link = net.add_link(site_link(site));
         // Stagger opens per site and per stream with site-dependent strides
         // so no two transfers phase-lock.
         let site_open = SimTime(u64::from(site) * 13_700_000);
-        for s in 0..spec.streams {
-            let per = spec.bytes_per_site / u64::from(spec.streams);
-            let sz = if s == spec.streams - 1 {
-                spec.bytes_per_site - per * u64::from(spec.streams - 1)
-            } else {
-                per
-            };
+        for s in 0..STREAMS {
+            let per = BYTES_PER_SITE / u64::from(STREAMS);
+            let sz =
+                if s == STREAMS - 1 { BYTES_PER_SITE - per * u64::from(STREAMS - 1) } else { per };
             net.add_flow(
-                FlowSpec::transfer(sz, spec.buffer)
+                FlowSpec::transfer(sz, BUFFER)
                     .on_link(link)
                     .open_at(site_open + SimDuration::from_millis(7 * u64::from(s))),
             );
         }
-        for b in 0..spec.background {
+        for b in 0..BACKGROUND {
             net.add_flow(
                 FlowSpec::background(64 * 1024)
                     .on_link(link)
@@ -124,11 +101,10 @@ mod tests {
 
     #[test]
     fn fanout_completes_every_site() {
-        let spec = FanoutSpec { sites: 3, ..FanoutSpec::bench_default() };
-        let out = run_fanout(&spec);
+        let out = run_fanout(3);
         let finished =
             out.flows.iter().filter(|f| f.spec.bytes.is_some() && f.finished.is_some()).count();
-        assert_eq!(finished, 3 * spec.streams as usize);
+        assert_eq!(finished, 3 * STREAMS as usize);
         assert!(out.events_processed > 0);
     }
 }

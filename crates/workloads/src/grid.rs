@@ -2,21 +2,21 @@
 //!
 //! The paper's deployment picture (§1, §6) is the LHC computing model: one
 //! Tier-0 core (CERN), a ring of Tier-1 regional centres, and Tier-2 leaf
-//! sites hanging off each region. This workload generates that topology at
-//! a configurable scale — the `full` spec builds 105 sites and the
-//! generator goes well past 200 — enables the LRC/RLI federation, and
-//! drives a Zipf-distributed mix of lookup / publish / fetch traffic
-//! through the interned-id control plane.
+//! sites hanging off each region. The `grid_quick`, `grid_full` (105
+//! sites) and `grid_at_scale_200` (201 sites) presets generate that
+//! topology, enable the LRC/RLI federation, and drive a Zipf-distributed
+//! mix of lookup / publish / fetch traffic through the interned-id control
+//! plane ([`crate::scenario::run_grid_scenario`]).
 //!
-//! Everything is sim-time deterministic: same spec + seed ⇒ identical op
-//! counts, ladder splits, final clock, telemetry export, and trace. The
+//! Everything is sim-time deterministic: same scenario + seed ⇒ identical
+//! op counts, ladder splits, final clock, telemetry export, and trace. The
 //! wall-clock side is reported by `gdmp-bench`'s `figures grid` human
 //! table, not here.
 
 use gdmp_simnet::time::SimDuration;
-use gdmp_telemetry::Registry;
 
-/// Topology + traffic shape of one grid-scale soak.
+/// Topology + traffic shape of one grid-scale soak, turned into a scenario
+/// by [`crate::Scenario::grid_soak`].
 #[derive(Debug, Clone)]
 pub struct GridSoakSpec {
     /// Tier-1 regional centres (the Tier-0 core is always exactly one).
@@ -81,84 +81,43 @@ impl GridSoakSpec {
     pub fn site_count(&self) -> usize {
         1 + self.tier1 + self.tier1 * self.tier2_per_tier1
     }
-
-    /// Deterministic site names, Tier-0 first, then each region followed by
-    /// its leaves.
-    pub fn site_names(&self) -> Vec<String> {
-        let mut names = Vec::with_capacity(self.site_count());
-        names.push(tier0_name());
-        for r in 0..self.tier1 {
-            names.push(tier1_name(r));
-            for s in 0..self.tier2_per_tier1 {
-                names.push(tier2_name(r, s));
-            }
-        }
-        names
-    }
-}
-
-fn tier0_name() -> String {
-    "t0-core".to_string()
-}
-
-fn tier1_name(region: usize) -> String {
-    format!("t1-r{region:02}")
-}
-
-fn tier2_name(region: usize, site: usize) -> String {
-    format!("t2-r{region:02}-s{site:02}")
-}
-
-/// Counters and artifacts of one soak run. Every field except `registry`
-/// is deterministic for a given spec.
-#[derive(Debug)]
-pub struct GridSoakOutcome {
-    pub sites: usize,
-    pub lookups: u64,
-    pub publishes: u64,
-    pub fetches: u64,
-    /// Lookups answered by the requester's own LRC or a confirmed RLI hint.
-    pub index_hits: u64,
-    pub fallbacks: u64,
-    pub scatters: u64,
-    pub confirms: u64,
-    pub false_positives: u64,
-    /// The federation's correctness contract: must be zero.
-    pub wrong_answers: u64,
-    pub final_clock_ns: u64,
-    /// Telemetry events formatted `"{t_ns} {kind} {detail:?}"`.
-    pub trace: Vec<String>,
-    pub registry: Registry,
-}
-
-impl GridSoakOutcome {
-    /// Fraction of lookups the index answered without fan-out or scatter.
-    pub fn replica_hit_rate(&self) -> f64 {
-        self.index_hits as f64 / (self.lookups as f64).max(1.0)
-    }
-}
-
-/// Build the tiered grid, seed the Zipf population, run the traffic mix.
-/// A thin wrapper over the scenario DSL
-/// ([`crate::scenario::Scenario::grid_soak`]), so a committed
-/// `scenarios/` file replays exactly this run.
-pub fn run_grid_soak(spec: &GridSoakSpec) -> GridSoakOutcome {
-    crate::scenario::run_grid_scenario(&crate::scenario::Scenario::grid_soak(spec))
-        .expect("builtin grid scenario is always valid")
-}
-
-pub(crate) fn file_name(f: usize) -> String {
-    format!("file{f:05}.dat")
 }
 
 #[cfg(test)]
 mod tests {
-    use super::*;
+    use super::GridSoakSpec;
+    use crate::scenario::{run_grid_scenario, Scenario};
+
+    /// `benchmark/` builds its `grid_mix` input through `Scenario::grid_soak`;
+    /// the three specs it starts from must stay the three committed files.
+    #[test]
+    fn grid_soak_builds_the_grid_presets() {
+        for (spec, preset) in [
+            (GridSoakSpec::quick(), "grid_quick"),
+            (GridSoakSpec::full(), "grid_full"),
+            (GridSoakSpec::at_scale(200), "grid_at_scale_200"),
+        ] {
+            let scenario = Scenario::preset(preset).unwrap();
+            assert_eq!(scenario.topology.site_names().len(), spec.site_count(), "{preset}");
+            assert_eq!(Scenario::grid_soak(&spec), scenario, "{preset}");
+        }
+    }
+
+    #[test]
+    fn topology_generator_scales_past_two_hundred_sites() {
+        let sites = |preset| Scenario::preset(preset).unwrap().topology.site_names().len();
+        assert_eq!(sites("grid_full"), 105);
+        assert_eq!(sites("grid_at_scale_200"), 201);
+    }
+
+    fn quick() -> crate::GridSoakOutcome {
+        run_grid_scenario(&Scenario::preset("grid_quick").unwrap()).unwrap()
+    }
 
     #[test]
     fn quick_soak_is_deterministic() {
-        let a = run_grid_soak(&GridSoakSpec::quick());
-        let b = run_grid_soak(&GridSoakSpec::quick());
+        let a = quick();
+        let b = quick();
         assert_eq!(a.sites, 16);
         assert_eq!(a.lookups, b.lookups);
         assert_eq!(a.publishes, b.publishes);
@@ -172,17 +131,9 @@ mod tests {
 
     #[test]
     fn quick_soak_never_wrong_and_mostly_index_hits() {
-        let out = run_grid_soak(&GridSoakSpec::quick());
+        let out = quick();
         assert_eq!(out.wrong_answers, 0);
         assert!(out.lookups > 0 && out.publishes > 0 && out.fetches > 0, "all op kinds exercised");
         assert!(out.replica_hit_rate() > 0.5, "warm index should answer most Zipf lookups");
-    }
-
-    #[test]
-    fn topology_generator_scales_past_two_hundred_sites() {
-        let spec = GridSoakSpec::at_scale(200);
-        assert!(spec.site_count() >= 200);
-        assert_eq!(spec.site_names().len(), spec.site_count());
-        assert_eq!(GridSoakSpec::full().site_count(), 105);
     }
 }

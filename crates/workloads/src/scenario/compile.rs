@@ -1,7 +1,6 @@
 //! Scenario → grid compilation: one deterministic assembly path shared by
-//! every scenario-driven runner. The compiled result is exactly what the
-//! hard-coded constructors used to produce: a built [`Grid`], its
-//! [`Registry`], the ordered site names, and the installed fault
+//! every scenario-driven runner. The compiled result is a built [`Grid`],
+//! its [`Registry`], the ordered site names, and the installed fault
 //! schedule's debug rendering.
 
 use gdmp::prelude::*;
@@ -19,8 +18,8 @@ pub(super) struct Compiled {
 
 /// Validate and build. The builder application order is fixed by
 /// [`gdmp::GridBuilder::build`]; the only order-sensitive steps here are
-/// the ones the hard-coded runners sequenced by hand — time-series
-/// enablement relative to `build()` and the post-build tiered overlay.
+/// time-series enablement relative to `build()` and the post-build tiered
+/// overlay.
 pub(super) fn assemble(scenario: &Scenario) -> Result<Compiled, ScenarioError> {
     scenario.validate()?;
     let names = scenario.topology.site_names();
@@ -74,8 +73,7 @@ pub(super) fn assemble(scenario: &Scenario) -> Result<Compiled, ScenarioError> {
     }
     let mut grid = builder.build();
 
-    // Tiered overlay after build, in region order — byte-compatible with
-    // the hand-rolled Tier-0/1/2 wiring in `crate::grid`.
+    // Tiered overlay after build, in region order.
     if let Some(tiered) = &scenario.links.tiered {
         let Topology::Tiered { tier1, tier2_per_tier1, .. } = &scenario.topology else {
             unreachable!("validate() rejects tiered links on non-tiered topologies");

@@ -1,14 +1,13 @@
 //! Declarative scenario DSL: one JSON file describes a whole experiment —
 //! sites (with per-site storage backends), WAN links, fault timelines, and
-//! the workload mix — and compiles deterministically into the same
-//! [`gdmp::GridBuilder`] + `ChaosPlan` + workload loop the hard-coded
-//! constructors in [`crate::fetch`], [`crate::soak`], [`crate::catalog`],
-//! and [`crate::grid`] used to build by hand. Those runners are now thin
-//! wrappers over [`run_scenario`]; the builtin constructors
-//! ([`Scenario::fetch`], [`Scenario::replication_soak`],
-//! [`Scenario::catalog_soak`], [`Scenario::grid_soak`]) reproduce the old
-//! runs byte for byte, and the committed files under `scenarios/` are
-//! exactly those builtins serialized (asserted by tests).
+//! the workload mix — and compiles deterministically into a
+//! [`gdmp::GridBuilder`], its fault schedule and one of the workload loops
+//! in [`run_scenario`]. The committed files under `scenarios/` are the
+//! presets ([`Scenario::preset`]): every experiment of `figures`, of the
+//! `BENCH_*.json` baselines and of the tests is a preset, or a preset with
+//! a field changed — a fetch policy or crash ([`Scenario::with_policy`],
+//! [`Scenario::with_striped_policy`], [`Scenario::with_fastest_source_crash`]),
+//! or the pub `seed` and `faults`.
 //!
 //! Parsing is strict: unknown fields, malformed values, and dangling site
 //! references are rejected with actionable errors naming the offending
@@ -20,7 +19,7 @@ mod run;
 
 pub use run::{
     run_catalog_scenario, run_fetch_scenario, run_grid_scenario, run_scenario, run_soak_scenario,
-    ScenarioOutcome,
+    CatalogSoakOutcome, FetchOutcome, GridSoakOutcome, ScenarioOutcome, SoakOutcome,
 };
 
 use std::fmt;
@@ -31,10 +30,7 @@ use gdmp_simnet::link::LinkSpec;
 use serde::{DeError, Deserialize, Serialize, Value};
 use std::result::Result;
 
-use crate::catalog::CatalogSoakSpec;
-use crate::fetch::{fetch_t0, striped_policy, FetchSpec, FETCH_DST, FETCH_LFN, FETCH_SOURCES};
 use crate::grid::GridSoakSpec;
-use crate::soak::{ChaosMode, SoakSpec};
 
 /// Why a scenario failed to load, parse, validate, or run.
 #[derive(Debug, Clone)]
@@ -192,7 +188,7 @@ pub struct Links {
     /// Per-pair overrides, installed in both directions at build time.
     pub edges: Vec<EdgeDecl>,
     /// Tier-0↔1 / Tier-1↔2 overlay for [`Topology::Tiered`], installed
-    /// after build in region order (exactly like [`crate::grid`] did).
+    /// after build in region order.
     pub tiered: Option<TieredLinks>,
 }
 
@@ -340,14 +336,17 @@ impl EventDecl {
 /// What the experiment actually does once the grid stands.
 #[derive(Debug, Clone, PartialEq)]
 pub enum WorkloadDecl {
-    /// The multi-source fetch of [`crate::fetch`]: seed replicas at every
+    /// One measured fetch (the `fetch*` presets): seed replicas at every
     /// source, park the clock at `t0_ns`, measure one replicate into
     /// `dst`. With a fault timeline, advance `settle_ns` afterwards and
     /// run recovery before the invariant sweep.
     Fetch { size: u64, lfn: String, dst: String, sources: Vec<String>, t0_ns: u64, settle_ns: u64 },
-    /// The publish/replicate chaos soak of [`crate::soak`].
+    /// The publish/replicate chaos soak (`soak_quick`): alternating
+    /// publishers on a full mesh, then heal, drain and sweep the
+    /// invariants.
     ReplicationSoak { rounds: usize, file_size: u64, round_gap_ns: u64, drain_rounds: usize },
-    /// The federated-catalog lookup soak of [`crate::catalog`].
+    /// The federated-catalog lookup soak (`catalog_*`): one owner per
+    /// file, Zipf lookups under the fault plan, never a wrong answer.
     CatalogSoak {
         files_per_site: usize,
         lookup_rounds: usize,
@@ -356,7 +355,7 @@ pub enum WorkloadDecl {
         file_size: u64,
         round_gap_ns: u64,
     },
-    /// The Tier-0/1/2 control-plane mix of [`crate::grid`].
+    /// The Tier-0/1/2 control-plane mix of [`crate::grid`] (`grid_*`).
     GridSoak {
         files_per_site: usize,
         rounds: usize,
@@ -448,175 +447,40 @@ fn flat_name(prefix: &str, pad: usize, i: usize) -> String {
 }
 
 // ---------------------------------------------------------------------------
-// Builtin constructors: the hard-coded experiments as data
+// Presets: the committed `scenarios/*.json` files
 // ---------------------------------------------------------------------------
 
+/// Every committed scenario file, by file stem, compiled in.
+const PRESETS: [(&str, &str); 8] = [
+    ("catalog_full", include_str!("../../../../scenarios/catalog_full.json")),
+    ("catalog_quick", include_str!("../../../../scenarios/catalog_quick.json")),
+    ("fetch", include_str!("../../../../scenarios/fetch.json")),
+    ("fetch_striped_crash", include_str!("../../../../scenarios/fetch_striped_crash.json")),
+    ("grid_at_scale_200", include_str!("../../../../scenarios/grid_at_scale_200.json")),
+    ("grid_full", include_str!("../../../../scenarios/grid_full.json")),
+    ("grid_quick", include_str!("../../../../scenarios/grid_quick.json")),
+    ("soak_quick", include_str!("../../../../scenarios/soak_quick.json")),
+];
+
 impl Scenario {
-    /// The multi-source fetch experiment of [`crate::fetch::run_fetch`].
-    pub fn fetch(spec: &FetchSpec) -> Scenario {
-        let t0 = fetch_t0();
-        let policy = match spec.policy {
-            FetchPolicy::SingleSource => PolicyDecl::Single,
-            FetchPolicy::MultiSource { max_sources, min_chunk } => {
-                PolicyDecl::Multi { max_sources, min_chunk }
-            }
-        };
-        let faults = if spec.crash_fastest {
-            Faults::Timeline {
-                events: vec![
-                    TimelineEvent {
-                        at_ns: (t0 + SimDuration::from_secs(3)).nanos(),
-                        event: EventDecl::SiteDown { site: FETCH_SOURCES[0].to_string() },
-                    },
-                    TimelineEvent {
-                        at_ns: (t0 + SimDuration::from_secs(600)).nanos(),
-                        event: EventDecl::SiteUp { site: FETCH_SOURCES[0].to_string() },
-                    },
-                ],
-            }
-        } else {
-            Faults::None
-        };
-        let clean = |rate_bps, one_way_us| ProfileDecl::Clean { rate_bps, one_way_us, queue: 256 };
-        Scenario {
-            name: "fetch".to_string(),
-            seed: spec.seed,
-            topology: Topology::Explicit {
-                sites: vec![
-                    site(FETCH_DST, "lyon.fr", 0x17),
-                    site("cern", "cern.ch", 0xC0),
-                    site("fnal", "fnal.gov", 0xF0),
-                    site("kek", "kek.jp", 0x30),
-                ],
-            },
-            links: Links {
-                default: clean(1_000_000_000, 1_000),
-                workers: 1,
-                edges: vec![
-                    edge("cern", FETCH_DST, clean(20_000_000, 20_000)),
-                    edge("fnal", FETCH_DST, clean(12_000_000, 35_000)),
-                    edge("kek", FETCH_DST, clean(8_000_000, 60_000)),
-                ],
-                tiered: None,
-            },
-            control: Control {
-                collection: "fetch".to_string(),
-                recovery: true,
-                breaker: true,
-                federation: false,
-                fetch_policy: policy,
-                trust_all: true,
-                full_mesh_subscriptions: false,
-            },
-            telemetry: TelemetryDecl {
-                recorder_capacity: None,
-                timeseries_bucket_ns: Some(SimDuration::from_millis(500).nanos()),
-                timeseries_after_build: true,
-            },
-            faults,
-            workload: WorkloadDecl::Fetch {
-                size: spec.size,
-                lfn: FETCH_LFN.to_string(),
-                dst: FETCH_DST.to_string(),
-                sources: FETCH_SOURCES.iter().map(|s| s.to_string()).collect(),
-                t0_ns: t0.nanos(),
-                settle_ns: SimDuration::from_secs(700).nanos(),
-            },
-        }
+    /// The committed experiment `scenarios/<name>.json`, parsed and
+    /// validated; a sweep loads one and changes a field.
+    pub fn preset(name: &str) -> Result<Scenario, ScenarioError> {
+        let (_, text) = PRESETS.iter().find(|(n, _)| *n == name).ok_or_else(|| {
+            let names: Vec<&str> = PRESETS.iter().map(|(n, _)| *n).collect();
+            ScenarioError::Reference(format!(
+                "unknown preset `{name}` (accepted presets: {})",
+                names.join(", ")
+            ))
+        })?;
+        Self::from_json_str(text)
     }
 
-    /// The seeded replication chaos soak of [`crate::soak::run_soak`].
-    pub fn replication_soak(spec: &SoakSpec) -> Scenario {
-        let (seed, faults) = chaos_to_faults(spec.chaos, None);
-        Scenario {
-            name: "soak".to_string(),
-            seed,
-            topology: Topology::Flat {
-                count: spec.sites,
-                prefix: "site".to_string(),
-                pad: 0,
-                key_seed_base: 100,
-                storage: StorageDecl::ClassicTape,
-            },
-            links: Links {
-                default: ProfileDecl::CernAnlProduction,
-                workers: 1,
-                edges: Vec::new(),
-                tiered: None,
-            },
-            control: Control {
-                collection: "soak".to_string(),
-                recovery: true,
-                breaker: true,
-                federation: false,
-                fetch_policy: PolicyDecl::Default,
-                trust_all: true,
-                full_mesh_subscriptions: true,
-            },
-            telemetry: TelemetryDecl {
-                recorder_capacity: Some(8192),
-                timeseries_bucket_ns: Some(SimDuration::from_secs(30).nanos()),
-                timeseries_after_build: false,
-            },
-            faults,
-            workload: WorkloadDecl::ReplicationSoak {
-                rounds: spec.rounds,
-                file_size: spec.file_size,
-                round_gap_ns: spec.round_gap.nanos(),
-                drain_rounds: spec.drain_rounds,
-            },
-        }
-    }
-
-    /// The federated-catalog soak of [`crate::catalog::run_catalog_soak`].
-    pub fn catalog_soak(spec: &CatalogSoakSpec) -> Scenario {
-        let (seed, faults) = chaos_to_faults(
-            spec.chaos,
-            Some(CatalogChaosDecl { crashes: 3, losses: 3, delays: 4 }),
-        );
-        Scenario {
-            name: "catalog-soak".to_string(),
-            seed,
-            topology: Topology::Flat {
-                count: spec.sites,
-                prefix: "site".to_string(),
-                pad: 3,
-                key_seed_base: 500,
-                storage: StorageDecl::ClassicTape,
-            },
-            links: Links {
-                default: ProfileDecl::CernAnlProduction,
-                workers: 1,
-                edges: Vec::new(),
-                tiered: None,
-            },
-            control: Control {
-                collection: "catalog-soak".to_string(),
-                recovery: true,
-                breaker: true,
-                federation: true,
-                fetch_policy: PolicyDecl::Default,
-                trust_all: true,
-                full_mesh_subscriptions: false,
-            },
-            telemetry: TelemetryDecl {
-                recorder_capacity: Some(16384),
-                timeseries_bucket_ns: Some(SimDuration::from_secs(30).nanos()),
-                timeseries_after_build: false,
-            },
-            faults,
-            workload: WorkloadDecl::CatalogSoak {
-                files_per_site: spec.files_per_site,
-                lookup_rounds: spec.lookup_rounds,
-                lookups_per_round: spec.lookups_per_round,
-                zipf_alpha: spec.zipf_alpha,
-                file_size: spec.file_size,
-                round_gap_ns: spec.round_gap.nanos(),
-            },
-        }
-    }
-
-    /// The Tier-0/1/2 control-plane soak of [`crate::grid::run_grid_soak`].
+    /// The Tier-0/1/2 control-plane soak at the shape `spec` describes:
+    /// `grid_quick`, `grid_full` and `grid_at_scale_200` are this at
+    /// [`GridSoakSpec::quick`], [`GridSoakSpec::full`] and
+    /// [`GridSoakSpec::at_scale`]`(200)`. `benchmark/` builds its
+    /// `grid_mix` input through it.
     pub fn grid_soak(spec: &GridSoakSpec) -> Scenario {
         Scenario {
             name: "grid-soak".to_string(),
@@ -671,137 +535,11 @@ impl Scenario {
     }
 }
 
-fn site(name: &str, org: &str, key_seed: u64) -> SiteDecl {
-    SiteDecl {
-        name: name.to_string(),
-        org: org.to_string(),
-        key_seed,
-        pool_capacity: None,
-        storage: StorageDecl::ClassicTape,
-    }
-}
-
-fn edge(a: &str, b: &str, profile: ProfileDecl) -> EdgeDecl {
-    EdgeDecl { a: a.to_string(), b: b.to_string(), profile }
-}
-
-fn chaos_to_faults(chaos: ChaosMode, catalog: Option<CatalogChaosDecl>) -> (u64, Faults) {
-    match chaos {
-        ChaosMode::Off => (0, Faults::None),
-        ChaosMode::EmptySchedule => (0, Faults::Empty),
-        ChaosMode::Seeded(seed) => (seed, Faults::Seeded { catalog_chaos: catalog }),
-    }
-}
-
 // ---------------------------------------------------------------------------
-// Spec reconstruction (the inverse of the builtin constructors), used by
-// the `figures` sweeps that vary one knob around a scenario base.
+// Sweep mutators: variants of a loaded preset
 // ---------------------------------------------------------------------------
 
 impl Scenario {
-    /// The [`ChaosMode`] this scenario's fault section encodes, if any.
-    pub fn chaos_mode(&self) -> Result<ChaosMode, ScenarioError> {
-        match &self.faults {
-            Faults::None => Ok(ChaosMode::Off),
-            Faults::Empty => Ok(ChaosMode::EmptySchedule),
-            Faults::Seeded { .. } => Ok(ChaosMode::Seeded(self.seed)),
-            Faults::Timeline { .. } => Err(ScenarioError::Workload(
-                "this workload expects `none`, `empty`, or `seeded` faults; \
-                 explicit timelines only drive the fetch workload"
-                    .to_string(),
-            )),
-        }
-    }
-
-    /// Recover a [`FetchSpec`] from a fetch scenario.
-    pub fn fetch_spec(&self) -> Result<FetchSpec, ScenarioError> {
-        let WorkloadDecl::Fetch { size, .. } = &self.workload else {
-            return Err(wrong_workload("fetch", &self.workload));
-        };
-        Ok(FetchSpec {
-            size: *size,
-            policy: self.control.fetch_policy.to_policy().unwrap_or(FetchPolicy::SingleSource),
-            crash_fastest: matches!(&self.faults, Faults::Timeline { events } if !events.is_empty()),
-            seed: self.seed,
-        })
-    }
-
-    /// Recover a [`SoakSpec`] from a replication-soak scenario.
-    pub fn soak_spec(&self) -> Result<SoakSpec, ScenarioError> {
-        let WorkloadDecl::ReplicationSoak { rounds, file_size, round_gap_ns, drain_rounds } =
-            &self.workload
-        else {
-            return Err(wrong_workload("replication_soak", &self.workload));
-        };
-        Ok(SoakSpec {
-            sites: self.topology.site_names().len(),
-            rounds: *rounds,
-            file_size: *file_size,
-            round_gap: SimDuration::from_nanos(*round_gap_ns),
-            drain_rounds: *drain_rounds,
-            chaos: self.chaos_mode()?,
-        })
-    }
-
-    /// Recover a [`CatalogSoakSpec`] from a catalog-soak scenario.
-    pub fn catalog_spec(&self) -> Result<CatalogSoakSpec, ScenarioError> {
-        let WorkloadDecl::CatalogSoak {
-            files_per_site,
-            lookup_rounds,
-            lookups_per_round,
-            zipf_alpha,
-            file_size,
-            round_gap_ns,
-        } = &self.workload
-        else {
-            return Err(wrong_workload("catalog_soak", &self.workload));
-        };
-        Ok(CatalogSoakSpec {
-            sites: self.topology.site_names().len(),
-            files_per_site: *files_per_site,
-            lookup_rounds: *lookup_rounds,
-            lookups_per_round: *lookups_per_round,
-            zipf_alpha: *zipf_alpha,
-            file_size: *file_size,
-            round_gap: SimDuration::from_nanos(*round_gap_ns),
-            chaos: self.chaos_mode()?,
-        })
-    }
-
-    /// Recover a [`GridSoakSpec`] from a grid-soak scenario (requires the
-    /// tiered topology).
-    pub fn grid_spec(&self) -> Result<GridSoakSpec, ScenarioError> {
-        let WorkloadDecl::GridSoak {
-            files_per_site,
-            rounds,
-            ops_per_round,
-            zipf_alpha,
-            file_size,
-            round_gap_ns,
-        } = &self.workload
-        else {
-            return Err(wrong_workload("grid_soak", &self.workload));
-        };
-        let Topology::Tiered { tier1, tier2_per_tier1, .. } = &self.topology else {
-            return Err(ScenarioError::Reference(
-                "a grid_soak spec needs the `tiered` topology \
-                 (`{\"kind\": \"tiered\", ...}`)"
-                    .to_string(),
-            ));
-        };
-        Ok(GridSoakSpec {
-            tier1: *tier1,
-            tier2_per_tier1: *tier2_per_tier1,
-            files_per_site: *files_per_site,
-            rounds: *rounds,
-            ops_per_round: *ops_per_round,
-            zipf_alpha: *zipf_alpha,
-            file_size: *file_size,
-            round_gap: SimDuration::from_nanos(*round_gap_ns),
-            seed: self.seed,
-        })
-    }
-
     /// Replace the installed fetch policy (for the `figures fetch` sweep).
     pub fn with_policy(mut self, policy: FetchPolicy) -> Scenario {
         self.control.fetch_policy = match policy {
@@ -814,8 +552,9 @@ impl Scenario {
     }
 
     /// The canonical mid-fetch crash: the first source dies 3 s into the
-    /// measured window and restarts 600 s later (for the `figures fetch`
-    /// crash variant; matches [`FetchSpec::crash_fastest`]).
+    /// measured window and restarts 600 s later (the `figures fetch` crash
+    /// variant; the `fetch_striped_crash` preset is `fetch` with this and
+    /// [`Scenario::with_striped_policy`]).
     pub fn with_fastest_source_crash(mut self) -> Result<Scenario, ScenarioError> {
         let WorkloadDecl::Fetch { sources, t0_ns, .. } = &self.workload else {
             return Err(wrong_workload("fetch", &self.workload));
@@ -841,9 +580,13 @@ impl Scenario {
         Ok(self)
     }
 
-    /// The striped multi-source policy used across the figures.
+    /// The striped multi-source policy used across the figures: three
+    /// sources in 2 MB chunks. The chunk quantum keeps the per-source
+    /// queues balanceable (fine-grained work stealing) while staying cheap:
+    /// only the first chunk per source pays session setup and TCP
+    /// slow-start — later chunks ride the warm data channels.
     pub fn with_striped_policy(self) -> Scenario {
-        self.with_policy(striped_policy())
+        self.with_policy(FetchPolicy::MultiSource { max_sources: 3, min_chunk: 2 * crate::MB })
     }
 }
 

@@ -1,12 +1,13 @@
-//! Scenario-driven runners: the workload loops that used to live inside
-//! `run_fetch` / `run_soak` / `run_catalog_soak` / `run_grid_soak`, now
-//! fed from the declarative schema. The hard-coded entry points delegate
-//! here through the builtin [`Scenario`] constructors, and the behaviour
-//! is byte-identical (pinned by the twin tests and the bench baselines).
+//! Scenario-driven runners, one workload loop per [`WorkloadDecl`] kind,
+//! and what each run produces. Every run is deterministic: no wall
+//! clocks, no ambient randomness, so the same scenario yields the same
+//! trace, final clock and telemetry export, byte for byte — a failing run
+//! replays from its file and seed.
 
 use bytes::Bytes;
-use gdmp::invariants::check_grid;
+use gdmp::invariants::{check_grid, InvariantReport};
 use gdmp::prelude::*;
+use gdmp_replica_catalog::FederationStats;
 use gdmp_telemetry::{MetricValue, Registry};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -14,11 +15,125 @@ use std::result::Result;
 
 use super::compile::{assemble, fault_horizon};
 use super::{Faults, Scenario, ScenarioError, WorkloadDecl};
-use crate::catalog::CatalogSoakOutcome;
-use crate::fetch::FetchOutcome;
-use crate::grid::GridSoakOutcome;
-use crate::soak::SoakOutcome;
 use crate::zipf::Zipf;
+
+/// Everything one fetch run produced.
+#[derive(Debug, Clone)]
+pub struct FetchOutcome {
+    /// The measured replication report for the hot file.
+    pub report: ReplicationReport,
+    /// Wall (sim) time of the measured fetch.
+    pub elapsed: SimDuration,
+    /// Aggregate goodput of the measured fetch, Mb/s.
+    pub agg_mbps: f64,
+    /// Bytes credited per source, `(site, bytes)`, every source listed.
+    pub per_source_bytes: Vec<(String, u64)>,
+    /// Ranges moved between sources (reassignments + work steals).
+    pub ranges_reassigned: u64,
+    /// Plan rebuilds forced by source deaths.
+    pub plan_rebuilds: u64,
+    /// Invariant sweep after the run was driven to convergence.
+    pub converged: bool,
+    /// The run's telemetry registry, for deeper assertions.
+    pub registry: Registry,
+}
+
+/// Everything a replication soak produced, sufficient for convergence
+/// assertions and same-seed determinism comparisons.
+#[derive(Debug, Clone)]
+pub struct SoakOutcome {
+    /// Files published across all rounds.
+    pub published: usize,
+    /// Replication reports completed (including retried/deferred ones).
+    pub replicated: usize,
+    /// Final sim clock in nanoseconds.
+    pub final_clock_ns: u64,
+    /// Debug rendering of the installed fault schedule (empty unless the
+    /// faults are `seeded`).
+    pub schedule_debug: String,
+    /// Deterministic event trace: flight-recorder events as
+    /// `t_ns kind detail` lines.
+    pub trace: Vec<String>,
+    /// The invariant sweep over the final grid state.
+    pub report: InvariantReport,
+    /// The run's telemetry registry (counters for retries, backoff waits,
+    /// breaker trips, replayed notices, resync repairs, ...).
+    pub registry: Registry,
+}
+
+impl SoakOutcome {
+    pub fn converged(&self) -> bool {
+        self.report.is_clean()
+    }
+}
+
+/// Everything one catalog soak produced.
+#[derive(Debug, Clone)]
+pub struct CatalogSoakOutcome {
+    /// Files published (sites down at publish time skip their turn).
+    pub published: usize,
+    /// Lookups attempted / answered with confirmed holders.
+    pub lookups: usize,
+    pub answered: usize,
+    /// Lookups that failed honestly (every reachable LRC denied, or the
+    /// ladder ran out of reachable LRCs). Nonzero only under chaos.
+    pub failed: usize,
+    /// Answers per ladder rung, keyed by [`gdmp::LookupVia::label`] order:
+    /// local, rli, fallback, scatter.
+    pub via_local: usize,
+    pub via_rli: usize,
+    pub via_fallback: usize,
+    pub via_scatter: usize,
+    /// Answers produced while part of the index was dead.
+    pub degraded_answers: usize,
+    /// The federation's own counters (wrong_answers is the contract).
+    pub stats: FederationStats,
+    pub final_clock_ns: u64,
+    pub schedule_debug: String,
+    pub trace: Vec<String>,
+    pub report: InvariantReport,
+    pub registry: Registry,
+}
+
+impl CatalogSoakOutcome {
+    pub fn converged(&self) -> bool {
+        self.report.is_clean()
+    }
+
+    /// The never-wrong contract, directly.
+    pub fn never_wrong(&self) -> bool {
+        self.stats.wrong_answers == 0
+    }
+}
+
+/// Counters and artifacts of one grid soak. Every field except `registry`
+/// is deterministic for a given scenario.
+#[derive(Debug)]
+pub struct GridSoakOutcome {
+    pub sites: usize,
+    pub lookups: u64,
+    pub publishes: u64,
+    pub fetches: u64,
+    /// Lookups answered by the requester's own LRC or a confirmed RLI hint.
+    pub index_hits: u64,
+    pub fallbacks: u64,
+    pub scatters: u64,
+    pub confirms: u64,
+    pub false_positives: u64,
+    /// The federation's correctness contract: must be zero.
+    pub wrong_answers: u64,
+    pub final_clock_ns: u64,
+    /// Telemetry events formatted `"{t_ns} {kind} {detail:?}"`.
+    pub trace: Vec<String>,
+    pub registry: Registry,
+}
+
+impl GridSoakOutcome {
+    /// Fraction of lookups the index answered without fan-out or scatter.
+    pub fn replica_hit_rate(&self) -> f64 {
+        self.index_hits as f64 / (self.lookups as f64).max(1.0)
+    }
+}
 
 /// What [`run_scenario`] produced, by workload kind.
 #[derive(Debug)]
@@ -58,7 +173,9 @@ fn trace_of(reg: &Registry) -> Vec<String> {
     reg.recent_events().iter().map(|e| format!("{} {} {:?}", e.t_ns, e.kind, e.detail)).collect()
 }
 
-/// The measured multi-source fetch (see [`crate::fetch`]).
+/// The measured fetch: one hot file with a replica at every source, one
+/// consumer. With a fault timeline the run is driven to convergence after
+/// the measured fetch (restart, resync) before the invariant sweep.
 pub fn run_fetch_scenario(scenario: &Scenario) -> Result<FetchOutcome, ScenarioError> {
     let WorkloadDecl::Fetch { size, lfn, dst, sources, t0_ns, settle_ns } = &scenario.workload
     else {
@@ -67,7 +184,6 @@ pub fn run_fetch_scenario(scenario: &Scenario) -> Result<FetchOutcome, ScenarioE
             scenario.workload.kind()
         )));
     };
-    let spec = scenario.fetch_spec()?;
     let t0 = SimTime::ZERO + SimDuration::from_nanos(*t0_ns);
     let crash = matches!(&scenario.faults, Faults::Timeline { events } if !events.is_empty());
 
@@ -127,7 +243,6 @@ pub fn run_fetch_scenario(scenario: &Scenario) -> Result<FetchOutcome, ScenarioE
     let invariants = check_grid(&mut grid);
 
     Ok(FetchOutcome {
-        spec,
         report,
         elapsed,
         agg_mbps,
@@ -139,7 +254,9 @@ pub fn run_fetch_scenario(scenario: &Scenario) -> Result<FetchOutcome, ScenarioE
     })
 }
 
-/// The replication chaos soak (see [`crate::soak`]).
+/// The replication chaos soak: publish and replicate while the fault plan
+/// runs, then let every fault fire and heal, drain the queues, and sweep
+/// the invariants of `gdmp::invariants`.
 pub fn run_soak_scenario(scenario: &Scenario) -> Result<SoakOutcome, ScenarioError> {
     let WorkloadDecl::ReplicationSoak { rounds, file_size, round_gap_ns, drain_rounds } =
         &scenario.workload
@@ -149,7 +266,6 @@ pub fn run_soak_scenario(scenario: &Scenario) -> Result<SoakOutcome, ScenarioErr
             scenario.workload.kind()
         )));
     };
-    let spec_chaos = scenario.chaos_mode()?;
     let round_gap = SimDuration::from_nanos(*round_gap_ns);
 
     let compiled = assemble(scenario)?;
@@ -213,7 +329,6 @@ pub fn run_soak_scenario(scenario: &Scenario) -> Result<SoakOutcome, ScenarioErr
 
     let report = check_grid(&mut grid);
     Ok(SoakOutcome {
-        spec_chaos,
         published,
         replicated,
         final_clock_ns: grid.now().nanos(),
@@ -224,7 +339,10 @@ pub fn run_soak_scenario(scenario: &Scenario) -> Result<SoakOutcome, ScenarioErr
     })
 }
 
-/// The federated-catalog lookup soak (see [`crate::catalog`]).
+/// The federated-catalog lookup soak: publish a file population, then fire
+/// Zipf-skewed lookups at the federation while the fault plan crashes RLI
+/// nodes, loses soft-state updates and delays answers. Slower rungs of the
+/// degradation ladder are fine; a wrong answer panics mid-soak.
 pub fn run_catalog_scenario(scenario: &Scenario) -> Result<CatalogSoakOutcome, ScenarioError> {
     let WorkloadDecl::CatalogSoak {
         files_per_site,
@@ -240,7 +358,6 @@ pub fn run_catalog_scenario(scenario: &Scenario) -> Result<CatalogSoakOutcome, S
             scenario.workload.kind()
         )));
     };
-    let spec_chaos = scenario.chaos_mode()?;
     let round_gap = SimDuration::from_nanos(*round_gap_ns);
     let sites = scenario.topology.site_names().len();
 
@@ -249,7 +366,7 @@ pub fn run_catalog_scenario(scenario: &Scenario) -> Result<CatalogSoakOutcome, S
     let reg = compiled.registry;
     let names = compiled.names;
     let horizon = fault_horizon(&grid);
-    let file_name = crate::catalog::file_name;
+    let file_name = |f: usize| format!("file{f:04}.dat");
 
     // Publish phase: every file has exactly one owner, owner i holding
     // files i, i+sites, i+2*sites, ... A site that is down when its turn
@@ -348,7 +465,6 @@ pub fn run_catalog_scenario(scenario: &Scenario) -> Result<CatalogSoakOutcome, S
     let report = check_grid(&mut grid);
     let stats = grid.federation().expect("federation on").stats.clone();
     Ok(CatalogSoakOutcome {
-        spec_chaos,
         published,
         lookups,
         answered,
@@ -367,7 +483,9 @@ pub fn run_catalog_scenario(scenario: &Scenario) -> Result<CatalogSoakOutcome, S
     })
 }
 
-/// The Tier-0/1/2 control-plane mix (see [`crate::grid`]).
+/// The Tier-0/1/2 control-plane mix (see [`crate::grid`]): seed a file
+/// population round-robin, then a 70/20/10 Zipf lookup/publish/fetch mix
+/// from random requesters.
 pub fn run_grid_scenario(scenario: &Scenario) -> Result<GridSoakOutcome, ScenarioError> {
     let WorkloadDecl::GridSoak {
         files_per_site,
@@ -390,7 +508,7 @@ pub fn run_grid_scenario(scenario: &Scenario) -> Result<GridSoakOutcome, Scenari
     let reg = compiled.registry;
     let names = compiled.names;
     let sites = names.len();
-    let file_name = crate::grid::file_name;
+    let file_name = |f: usize| format!("file{f:05}.dat");
 
     // Seed the population round-robin across all tiers, then let two
     // soft-state rounds warm the RLI tree.

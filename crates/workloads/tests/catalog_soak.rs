@@ -5,13 +5,18 @@
 //! complete via the degradation ladder, and the same seed replays byte
 //! for byte.
 
-use gdmp_workloads::catalog::{run_catalog_soak, CatalogSoakSpec};
-use gdmp_workloads::soak::ChaosMode;
+use gdmp_workloads::scenario::{run_catalog_scenario, Scenario};
+use gdmp_workloads::CatalogSoakOutcome;
+
+/// The `catalog_full` preset (108 sites, seeded RLI and site chaos) at `seed`.
+fn full(seed: u64) -> CatalogSoakOutcome {
+    run_catalog_scenario(&Scenario { seed, ..Scenario::preset("catalog_full").unwrap() }).unwrap()
+}
 
 #[test]
 fn hundred_site_catalog_soak_is_never_wrong_across_seeds() {
     for seed in [0xA11CE, 0xB0B, 0x05EE_DCA7] {
-        let out = run_catalog_soak(&CatalogSoakSpec::full(ChaosMode::Seeded(seed)));
+        let out = full(seed);
         assert!(out.never_wrong(), "seed {seed:#x}: wrong answers: {:?}", out.stats);
         assert!(
             out.converged(),
@@ -28,8 +33,8 @@ fn hundred_site_catalog_soak_is_never_wrong_across_seeds() {
 
 #[test]
 fn hundred_site_same_seed_replays_byte_identically() {
-    let a = run_catalog_soak(&CatalogSoakSpec::full(ChaosMode::Seeded(0xD15C)));
-    let b = run_catalog_soak(&CatalogSoakSpec::full(ChaosMode::Seeded(0xD15C)));
+    let a = full(0xD15C);
+    let b = full(0xD15C);
     assert_eq!(a.trace, b.trace);
     assert_eq!(a.final_clock_ns, b.final_clock_ns);
     assert_eq!(a.stats, b.stats);
@@ -44,7 +49,7 @@ fn hundred_site_ladder_visits_the_slow_rungs_under_chaos() {
     let mut slow_rungs = 0usize;
     let mut degraded = 0usize;
     for seed in [0xA11CE, 0xB0B, 0x05EE_DCA7, 0xD15C] {
-        let out = run_catalog_soak(&CatalogSoakSpec::full(ChaosMode::Seeded(seed)));
+        let out = full(seed);
         assert!(out.via_rli + out.via_local > 0, "seed {seed:#x}: index never hit");
         slow_rungs += out.via_fallback + out.via_scatter;
         degraded += out.degraded_answers;

@@ -4,7 +4,13 @@
 //! every invariant clean after faults heal and queues drain — and the same
 //! seed must reproduce the identical event trace twice.
 
-use gdmp_workloads::{run_soak, ChaosMode, SoakSpec};
+use gdmp_workloads::scenario::{run_soak_scenario, Scenario};
+use gdmp_workloads::SoakOutcome;
+
+/// The `soak_quick` preset (5 sites, seeded faults) at `seed`.
+fn soak(seed: u64) -> SoakOutcome {
+    run_soak_scenario(&Scenario { seed, ..Scenario::preset("soak_quick").unwrap() }).unwrap()
+}
 
 /// The smoke-test seeds. Each derived plan contains site crashes, link
 /// flaps, a partition, and RPC drops (ChaosPlan defaults).
@@ -13,7 +19,7 @@ const SEEDS: [u64; 3] = [11, 42, 1337];
 #[test]
 fn seeded_soaks_converge() {
     for seed in SEEDS {
-        let out = run_soak(&SoakSpec::quick(ChaosMode::Seeded(seed)));
+        let out = soak(seed);
         // A failing run must name its seed so it can be replayed.
         out.report.assert_clean(&format!("seed={seed}"));
         assert!(out.published > 0, "seed={seed}: nothing published");
@@ -33,8 +39,8 @@ fn seeded_soaks_converge() {
 
 #[test]
 fn same_seed_reproduces_identical_trace() {
-    let a = run_soak(&SoakSpec::quick(ChaosMode::Seeded(42)));
-    let b = run_soak(&SoakSpec::quick(ChaosMode::Seeded(42)));
+    let a = soak(42);
+    let b = soak(42);
     assert_eq!(a.schedule_debug, b.schedule_debug, "derived schedules differ");
     assert_eq!(a.final_clock_ns, b.final_clock_ns, "clocks diverged");
     assert_eq!(a.trace, b.trace, "event traces diverged");
@@ -47,7 +53,7 @@ fn same_seed_reproduces_identical_trace() {
 
 #[test]
 fn chaos_run_exercises_the_failure_path() {
-    let out = run_soak(&SoakSpec::quick(ChaosMode::Seeded(42)));
+    let out = soak(42);
     let reg = &out.registry;
     // The schedule fired.
     let chaos_events: u64 = reg

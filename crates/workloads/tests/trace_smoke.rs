@@ -8,17 +8,19 @@ use std::sync::OnceLock;
 
 use gdmp_telemetry::analysis::{breakdown, critical_path, trace_is_connected, trace_roots};
 use gdmp_telemetry::{SpanId, TraceId};
-use gdmp_workloads::fetch::{run_fetch, striped_policy, FetchOutcome, FetchSpec};
+use gdmp_workloads::scenario::{run_fetch_scenario, Scenario};
+use gdmp_workloads::FetchOutcome;
 
-fn striped_spec() -> FetchSpec {
-    FetchSpec { policy: striped_policy(), ..FetchSpec::default() }
+/// The `fetch` preset, striped over its three sources.
+fn striped() -> FetchOutcome {
+    run_fetch_scenario(&Scenario::preset("fetch").unwrap().with_striped_policy()).unwrap()
 }
 
 /// One shared run: the scenario is deterministic, so every test can read
 /// the same outcome (and the smoke stays well under its time budget).
 fn shared_run() -> &'static FetchOutcome {
     static RUN: OnceLock<FetchOutcome> = OnceLock::new();
-    RUN.get_or_init(|| run_fetch(&striped_spec()))
+    RUN.get_or_init(striped)
 }
 
 #[test]
@@ -77,7 +79,7 @@ fn critical_path_partitions_the_measured_fetch() {
 #[test]
 fn same_seed_runs_export_identical_traces_and_series() {
     let a = shared_run();
-    let b = run_fetch(&striped_spec());
+    let b = striped();
     assert_eq!(a.registry.spans(), b.registry.spans());
     assert_eq!(
         a.registry.export_json_lines(),
