@@ -14,6 +14,7 @@
 //! field and what was expected — a typo in a scenario file fails loudly
 //! instead of silently running a different experiment.
 
+mod codec;
 mod compile;
 mod run;
 
@@ -27,7 +28,7 @@ use std::fmt;
 use gdmp::chaos::{ChaosPlan, FaultEvent, FaultSchedule};
 use gdmp::prelude::*;
 use gdmp_simnet::link::LinkSpec;
-use serde::{DeError, Deserialize, Serialize, Value};
+use serde::{DeError, Deserialize, Value};
 use std::result::Result;
 
 use crate::grid::GridSoakSpec;
@@ -369,12 +370,7 @@ pub enum WorkloadDecl {
 impl WorkloadDecl {
     /// Short kind label (`"fetch"`, `"replication_soak"`, ...).
     pub fn kind(&self) -> &'static str {
-        match self {
-            WorkloadDecl::Fetch { .. } => "fetch",
-            WorkloadDecl::ReplicationSoak { .. } => "replication_soak",
-            WorkloadDecl::CatalogSoak { .. } => "catalog_soak",
-            WorkloadDecl::GridSoak { .. } => "grid_soak",
-        }
+        codec::kind_name(self, &WorkloadDecl::kinds())
     }
 }
 
@@ -590,6 +586,10 @@ impl Scenario {
     }
 }
 
+fn not_positive(path: &str, field: &str) -> ScenarioError {
+    ScenarioError::Schema(format!("{path}.{field} must be a positive integer, got 0"))
+}
+
 fn wrong_workload(want: &str, got: &WorkloadDecl) -> ScenarioError {
     ScenarioError::Workload(format!(
         "this runner needs a `{want}` workload, but the scenario declares `{}`",
@@ -640,6 +640,47 @@ impl Scenario {
                     )));
                 }
             }
+        }
+        // Zero rates, drives and queue depths panic inside the model.
+        let storages: Vec<(String, &StorageDecl)> = match &self.topology {
+            Topology::Explicit { sites } => sites
+                .iter()
+                .enumerate()
+                .map(|(i, s)| (format!("topology.sites[{i}].storage"), &s.storage))
+                .collect(),
+            Topology::Flat { storage, .. } | Topology::Tiered { storage, .. } => {
+                vec![("topology.storage".to_string(), storage)]
+            }
+        };
+        for (path, storage) in storages {
+            let zero = match *storage {
+                StorageDecl::Tape { drives: 0, .. } => "drives",
+                StorageDecl::Tape { seek_bytes_per_sec: 0, .. } => "seek_bytes_per_sec",
+                StorageDecl::Tape { stream_bytes_per_sec: 0, .. }
+                | StorageDecl::DiskArray { stream_bytes_per_sec: 0, .. }
+                | StorageDecl::ObjectStore { stream_bytes_per_sec: 0, .. } => {
+                    "stream_bytes_per_sec"
+                }
+                _ => continue,
+            };
+            return Err(not_positive(&path, zero));
+        }
+        let edges = self.links.edges.iter().enumerate();
+        let tiered = self
+            .links
+            .tiered
+            .iter()
+            .flat_map(|t| [("backbone", &t.backbone), ("regional", &t.regional)]);
+        let profiles = std::iter::once(("links.default".to_string(), &self.links.default))
+            .chain(edges.map(|(i, e)| (format!("links.edges[{i}].profile"), &e.profile)))
+            .chain(tiered.map(|(tier, p)| (format!("links.tiered.{tier}"), p)));
+        for (path, profile) in profiles {
+            let zero = match *profile {
+                ProfileDecl::Clean { rate_bps: 0, .. } => "rate_bps",
+                ProfileDecl::Clean { queue: 0, .. } => "queue",
+                _ => continue,
+            };
+            return Err(not_positive(&path, zero));
         }
         if self.links.tiered.is_some() && !matches!(self.topology, Topology::Tiered { .. }) {
             return Err(ScenarioError::Reference(
@@ -774,7 +815,7 @@ impl Scenario {
     /// Parse and validate scenario JSON.
     pub fn from_json_str(text: &str) -> Result<Scenario, ScenarioError> {
         let value: Value = json_parse(text).map_err(|e| ScenarioError::Parse(e.to_string()))?;
-        let scenario = parse::scenario(&value)?;
+        let scenario = codec::read(&value)?;
         scenario.validate()?;
         Ok(scenario)
     }
@@ -798,20 +839,7 @@ fn json_parse(text: &str) -> Result<Value, DeError> {
     serde_json::from_str::<Raw>(text).map(|r| r.0).map_err(DeError::custom)
 }
 
-impl Serialize for Scenario {
-    fn to_value(&self) -> Value {
-        ser::scenario(self)
-    }
-}
-
-impl Deserialize for Scenario {
-    fn from_value(v: &Value) -> Result<Self, DeError> {
-        parse::scenario(v).map_err(DeError::custom)
-    }
-}
-
-mod parse;
-mod ser;
-
+#[cfg(test)]
+mod props;
 #[cfg(test)]
 mod tests;

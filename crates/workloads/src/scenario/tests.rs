@@ -107,6 +107,113 @@ fn unknown_kind_is_rejected_with_accepted_list() {
 }
 
 #[test]
+fn duplicate_keys_are_rejected() {
+    let text = preset("fetch").to_json_pretty().replacen(
+        "\"seed\": 65148,",
+        "\"seed\": 65148, \"seed\": 1,",
+        1,
+    );
+    let err = Scenario::from_json_str(&text).unwrap_err();
+    assert_eq!(err.to_string(), "scenario schema error: duplicate field `seed` in the scenario");
+
+    let text = preset("fetch").to_json_pretty().replacen(
+        "\"queue\": 256",
+        "\"queue\": 256, \"queue\": 1",
+        1,
+    );
+    let err = Scenario::from_json_str(&text).unwrap_err();
+    assert_eq!(
+        err.to_string(),
+        "scenario schema error: duplicate field `queue` in `links.default`"
+    );
+}
+
+/// The text of the error `s` fails to load with.
+fn load_error(s: &Scenario) -> String {
+    Scenario::from_json_str(&s.to_json_pretty()).unwrap_err().to_string()
+}
+
+fn tape(drives: usize, seek_bytes_per_sec: u64, stream_bytes_per_sec: u64) -> StorageDecl {
+    StorageDecl::Tape {
+        mount_ms: 1,
+        seek_bytes_per_sec,
+        stream_bytes_per_sec,
+        drives,
+        tape_capacity: 1 << 30,
+    }
+}
+
+#[test]
+fn tape_without_drives_is_rejected() {
+    let mut scenario = preset("soak_quick");
+    let Topology::Flat { storage, .. } = &mut scenario.topology else { unreachable!() };
+    *storage = tape(0, 1, 1);
+    assert_eq!(
+        load_error(&scenario),
+        "scenario schema error: topology.storage.drives must be a positive integer, got 0"
+    );
+}
+
+#[test]
+fn clean_profile_without_rate_is_rejected() {
+    let mut scenario = preset("fetch");
+    let ProfileDecl::Clean { rate_bps, .. } = &mut scenario.links.edges[1].profile else {
+        unreachable!()
+    };
+    *rate_bps = 0;
+    assert_eq!(
+        load_error(&scenario),
+        "scenario schema error: links.edges[1].profile.rate_bps must be a positive integer, got 0"
+    );
+}
+
+#[test]
+fn clean_profile_without_queue_is_rejected() {
+    let mut scenario = preset("grid_quick");
+    let ProfileDecl::Clean { queue, .. } = &mut scenario.links.tiered.as_mut().unwrap().regional
+    else {
+        unreachable!()
+    };
+    *queue = 0;
+    assert_eq!(
+        load_error(&scenario),
+        "scenario schema error: links.tiered.regional.queue must be a positive integer, got 0"
+    );
+}
+
+#[test]
+fn archive_without_stream_rate_is_rejected() {
+    let zero_rate = [
+        tape(1, 1, 0),
+        tape(1, 0, 1),
+        StorageDecl::DiskArray { capacity: 1 << 30, op_latency_us: 1, stream_bytes_per_sec: 0 },
+        StorageDecl::ObjectStore {
+            rtt_us: 1,
+            stream_bytes_per_sec: 0,
+            cost_per_request: 1,
+            cost_per_mib: 1,
+        },
+    ];
+    for (storage, field) in zero_rate.into_iter().zip([
+        "stream_bytes_per_sec",
+        "seek_bytes_per_sec",
+        "stream_bytes_per_sec",
+        "stream_bytes_per_sec",
+    ]) {
+        let mut scenario = preset("fetch");
+        let Topology::Explicit { sites } = &mut scenario.topology else { unreachable!() };
+        sites[2].storage = storage;
+        assert_eq!(
+            load_error(&scenario),
+            format!(
+                "scenario schema error: topology.sites[2].storage.{field} must be a positive \
+                 integer, got 0"
+            )
+        );
+    }
+}
+
+#[test]
 fn malformed_json_is_a_parse_error() {
     let err = Scenario::from_json_str("{ not json").unwrap_err();
     assert!(matches!(err, ScenarioError::Parse(_)), "got {err:?}");
