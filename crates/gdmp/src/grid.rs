@@ -14,7 +14,7 @@ use bytes::Bytes;
 use gdmp_gridftp::crc::crc32;
 use gdmp_gridftp::sim::{SessionOutcome, WanProfile};
 use gdmp_gsi::cert::CertificateAuthority;
-use gdmp_gsi::context::SecurityContext;
+use gdmp_gsi::context::{challenge_legs, SecurityContext};
 use gdmp_gsi::name::DistinguishedName;
 use gdmp_intern::{Lfn, SiteId, Symbol, SymbolTable};
 use gdmp_objectstore::ObjectFileCatalog;
@@ -409,7 +409,7 @@ impl Grid {
         self.tick_federation();
     }
 
-    fn gsi_now(&self) -> u64 {
+    pub(crate) fn gsi_now(&self) -> u64 {
         self.clock.as_secs_f64() as u64
     }
 
@@ -771,18 +771,27 @@ impl Grid {
                 return Err(e);
             }
         }
-        // Mutual authentication between the two site credentials.
+        // Mutual authentication between the two site credentials. Each
+        // chain is validated in full once per CA key and validity window
+        // (the site's memo); every RPC runs both challenge legs under its
+        // own nonce.
         self.nonce_counter += 1;
         let nonce = self.nonce_counter;
-        let (caller_cred, callee_cred) =
-            (self.sites[from_slot].credential.clone(), self.sites[to_slot].credential.clone());
-        let (_ctx_i, ctx_a) = SecurityContext::establish(
-            &caller_cred,
-            &callee_cred,
-            self.ca.public_key(),
-            self.gsi_now(),
-            nonce,
-        )?;
+        let (ca_public, now) = (self.ca.public_key(), self.gsi_now());
+        let (caller, callee) = (&self.sites[from_slot], &self.sites[to_slot]);
+        if caller.verified_at(ca_public, now) && callee.verified_at(ca_public, now) {
+            challenge_legs(caller.credential(), callee.credential(), nonce)?;
+        } else {
+            SecurityContext::establish(
+                caller.credential(),
+                callee.credential(),
+                ca_public,
+                now,
+                nonce,
+            )?;
+            self.sites[from_slot].mark_verified(ca_public);
+            self.sites[to_slot].mark_verified(ca_public);
+        }
         // One control round trip on the WAN.
         let reg = self.telemetry.clone();
         let span = reg.span_start("rpc", self.clock.nanos());
@@ -793,8 +802,21 @@ impl Grid {
         let rtt = self.profile_between(from, to).rtt();
         self.clock += rtt;
         self.rpc_count += 1;
-        let peer = ctx_a.peer.clone();
-        let result = self.sites[to_slot].handle(&peer, req);
+        // The callee authorizes the identity the handshake authenticated:
+        // the caller's end-entity subject.
+        let result = if from_slot == to_slot {
+            let site = &mut self.sites[to_slot];
+            let peer = site.identity().clone();
+            site.handle(&peer, req)
+        } else {
+            let (low, high) = self.sites.split_at_mut(from_slot.max(to_slot));
+            let (caller, callee) = if from_slot < to_slot {
+                (&low[from_slot], &mut high[0])
+            } else {
+                (&high[0], &mut low[to_slot])
+            };
+            callee.handle(caller.identity(), req)
+        };
         let (resp, latency) = match result {
             Ok(pair) => pair,
             Err(e) => {

@@ -6,6 +6,7 @@ use gdmp_gsi::cert::{CertificateAuthority, KeyPair};
 use gdmp_gsi::gridmap::{GridMap, Operation};
 use gdmp_gsi::name::DistinguishedName;
 use gdmp_gsi::proxy::CredentialChain;
+use gdmp_gsi::GsiTime;
 use gdmp_mass_storage::backend::StorageConfig;
 use gdmp_mass_storage::hrm::HierarchicalStorage;
 use gdmp_mass_storage::pool::EvictionPolicy;
@@ -77,7 +78,12 @@ pub struct Site {
     pub federation: Federation,
     pub storage: HierarchicalStorage,
     pub gridmap: GridMap,
-    pub credential: CredentialChain,
+    credential: CredentialChain,
+    /// `(ca_public, not_before, not_after)`: the CA key under which
+    /// `credential`'s chain last passed a full handshake, and the chain's
+    /// validity window. Volatile: a crash drops it, and so does replacing
+    /// the credential.
+    verified: Option<(u64, GsiTime, GsiTime)>,
     /// Sites subscribed to this site's publications.
     pub subscribers: BTreeSet<String>,
     /// Producer sites this site subscribes to (the reverse edge), used by
@@ -121,6 +127,7 @@ impl Site {
             storage,
             gridmap: GridMap::new(),
             credential: CredentialChain::end_entity(cert, keys),
+            verified: None,
             subscribers: BTreeSet::new(),
             subscriptions: BTreeSet::new(),
             import_queue: Vec::new(),
@@ -145,12 +152,39 @@ impl Site {
         self.credential.identity()
     }
 
-    /// Crash the server process. Volatile state — the import queue and any
-    /// transfer pins — is lost; disk, tape, the export catalog,
-    /// subscriptions, and the journal survive, the way durable on-disk
-    /// state survives a real crash. Restart recovery rebuilds the rest.
+    /// The credential this site's server authenticates with.
+    pub fn credential(&self) -> &CredentialChain {
+        &self.credential
+    }
+
+    /// Install a new credential (a renewed proxy, say). Its chain is
+    /// validated in full on the site's next RPC.
+    pub fn set_credential(&mut self, credential: CredentialChain) {
+        self.credential = credential;
+        self.verified = None;
+    }
+
+    /// Whether the credential's chain passed a full handshake under
+    /// `ca_public` and `now` lies inside its validity window.
+    pub(crate) fn verified_at(&self, ca_public: u64, now: GsiTime) -> bool {
+        self.verified.is_some_and(|(ca, from, to)| ca == ca_public && from <= now && now <= to)
+    }
+
+    /// Record that the credential's chain just passed a full handshake
+    /// under `ca_public`.
+    pub(crate) fn mark_verified(&mut self, ca_public: u64) {
+        let (from, to) = self.credential.validity_window();
+        self.verified = Some((ca_public, from, to));
+    }
+
+    /// Crash the server process. Volatile state — the import queue, any
+    /// transfer pins and the credential memo — is lost; disk, tape, the
+    /// export catalog, subscriptions, and the journal survive, the way
+    /// durable on-disk state survives a real crash. Restart recovery
+    /// rebuilds the rest.
     pub fn crash(&mut self) {
         self.import_queue.clear();
+        self.verified = None;
         self.storage.pool.clear_pins();
         self.telemetry.gauge_set("site_import_queue_depth", &[("site", &self.name)], 0);
     }
@@ -217,6 +251,8 @@ impl Site {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::chaos::{FaultEvent, FaultSchedule};
+    use crate::Grid;
     use bytes::Bytes;
 
     fn ca() -> CertificateAuthority {
@@ -343,6 +379,131 @@ mod tests {
         assert!(cern.storage.on_disk("a.db"), "disk contents are durable");
         assert_eq!(cern.subscriptions.len(), 1, "subscriptions are durable");
         assert_eq!(cern.journal.len(), 1, "the journal is durable");
+    }
+
+    // ---- the credential memo (`Grid::rpc`'s once-per-chain validation) ----
+
+    fn memo_grid() -> Grid {
+        let mut grid = Grid::new("cms");
+        grid.add_site(SiteConfig::named("cern", "cern.ch", 5));
+        grid.add_site(SiteConfig::named("anl", "anl.gov", 7));
+        grid.trust_all();
+        grid
+    }
+
+    /// Whether `site`'s memo lets its next RPC skip chain validation.
+    fn verified(grid: &Grid, site: &str) -> bool {
+        grid.site(site).unwrap().verified_at(grid.ca.public_key(), grid.gsi_now())
+    }
+
+    /// A proxy of `site`'s credential valid over `[from, from + lifetime]`.
+    fn proxy(grid: &Grid, site: &str, from: GsiTime, lifetime: GsiTime) -> CredentialChain {
+        grid.site(site).unwrap().credential().delegate(31, from, lifetime, 1).unwrap()
+    }
+
+    fn refusal(grid: &mut Grid) -> String {
+        grid.ping("anl", "cern").unwrap_err().to_string()
+    }
+
+    #[test]
+    fn crash_drops_the_memo_and_the_restarted_site_revalidates() {
+        let mut grid = memo_grid();
+        grid.ping("anl", "cern").unwrap();
+        assert!(verified(&grid, "anl") && verified(&grid, "cern"));
+        let t = grid.now();
+        grid.inject_fault_schedule(
+            FaultSchedule::new()
+                .at(t, FaultEvent::SiteDown { site: "cern".into() })
+                .at(t + SimDuration::from_secs(10), FaultEvent::SiteUp { site: "cern".into() }),
+        );
+        assert!(matches!(grid.ping("anl", "cern"), Err(GdmpError::SiteUnreachable(_))));
+        assert!(!verified(&grid, "cern"), "a crash drops the memo");
+        assert!(verified(&grid, "anl"), "the caller's memo is its own");
+        grid.advance(SimDuration::from_secs(20));
+        assert!(!verified(&grid, "cern"), "restarting does not restore it");
+        grid.ping("anl", "cern").unwrap();
+        assert!(verified(&grid, "cern"), "the next RPC validated the chain again");
+    }
+
+    #[test]
+    fn set_credential_drops_the_memo() {
+        let mut grid = memo_grid();
+        grid.ping("anl", "cern").unwrap();
+        let same = grid.site("cern").unwrap().credential().clone();
+        grid.site_mut("cern").unwrap().set_credential(same);
+        assert!(!verified(&grid, "cern"));
+        grid.ping("anl", "cern").unwrap();
+        assert!(verified(&grid, "cern"));
+        // A replacement that has already expired does not ride on the memo
+        // of the credential it replaced.
+        grid.advance(SimDuration::from_secs(2));
+        let expired = proxy(&grid, "cern", 0, 1);
+        grid.site_mut("cern").unwrap().set_credential(expired);
+        assert_eq!(
+            refusal(&mut grid),
+            "security: credential rejected: proxy validation: expired (now=2, to=1)"
+        );
+    }
+
+    #[test]
+    fn a_credential_not_yet_valid_fails_until_its_valid_from() {
+        let mut grid = memo_grid();
+        grid.ping("anl", "cern").unwrap();
+        let early = proxy(&grid, "cern", 100, 1_000);
+        grid.site_mut("cern").unwrap().set_credential(early);
+        let not_yet = |now: GsiTime| {
+            format!(
+                "security: credential rejected: proxy validation: not yet valid (now={now}, from=100)"
+            )
+        };
+        assert_eq!(refusal(&mut grid), not_yet(0));
+        assert_eq!(refusal(&mut grid), not_yet(0));
+        grid.advance(SimDuration::from_secs(50));
+        assert_eq!(refusal(&mut grid), not_yet(50));
+        grid.advance(SimDuration::from_millis(49_500));
+        assert_eq!(refusal(&mut grid), not_yet(99));
+        grid.advance(SimDuration::from_millis(500));
+        grid.ping("anl", "cern").unwrap();
+        assert!(verified(&grid, "cern"));
+    }
+
+    #[test]
+    fn the_memo_ends_with_the_chains_validity_window() {
+        let mut grid = memo_grid();
+        let short = proxy(&grid, "cern", 0, 10);
+        grid.site_mut("cern").unwrap().set_credential(short);
+        grid.ping("anl", "cern").unwrap();
+        assert!(verified(&grid, "cern"));
+        grid.advance(SimDuration::from_secs(10));
+        assert!(verified(&grid, "cern"), "valid_to itself is inside the window");
+        grid.advance(SimDuration::from_secs(1));
+        assert!(!verified(&grid, "cern"));
+        assert!(verified(&grid, "anl"), "anl's host credential is still valid");
+        assert_eq!(
+            refusal(&mut grid),
+            "security: credential rejected: proxy validation: expired (now=11, to=10)"
+        );
+    }
+
+    #[test]
+    fn the_memo_is_keyed_by_the_ca_key() {
+        let mut grid = memo_grid();
+        grid.ping("anl", "cern").unwrap();
+        let trusted = grid.ca.clone();
+        grid.ca = CertificateAuthority::new(
+            DistinguishedName::user("evil.org", "Evil CA"),
+            99,
+            0,
+            1 << 40,
+        );
+        assert!(!verified(&grid, "anl") && !verified(&grid, "cern"));
+        assert_eq!(
+            refusal(&mut grid),
+            "security: credential rejected: proxy validation: signature check failed"
+        );
+        grid.ca = trusted;
+        assert!(verified(&grid, "anl") && verified(&grid, "cern"), "validated under this key");
+        grid.ping("anl", "cern").unwrap();
     }
 
     #[test]

@@ -27,12 +27,6 @@ impl KeyPair {
         KeyPair { private, public: keyed_digest(private, b"gsi-public") }
     }
 
-    /// Placeholder wrapping an observed public key, for structural chain
-    /// validation when the private half is the peer's secret.
-    pub(crate) fn from_public(public: u64) -> Self {
-        KeyPair { private: 0, public }
-    }
-
     /// Sign a message.
     pub fn sign(&self, message: &[u8]) -> u64 {
         // Toy scheme: signature binds the *public* key and message via the

@@ -9,10 +9,10 @@
 
 use serde::{Deserialize, Serialize};
 
-use crate::cert::KeyPair;
+use crate::cert::{Certificate, KeyPair};
 use crate::hash::{concat_fields, keyed_digest};
 use crate::name::DistinguishedName;
-use crate::proxy::{CredentialChain, ProxyError};
+use crate::proxy::{validate_chain, CredentialChain, ProxyError};
 use crate::GsiTime;
 
 /// Errors during context establishment or message verification.
@@ -52,36 +52,64 @@ pub struct AuthToken {
 /// Produce the handshake token: prove possession of the leaf key by signing
 /// the peer's challenge nonce.
 pub fn make_token(cred: &CredentialChain, peer_challenge: u64) -> AuthToken {
-    AuthToken {
-        chain: cred.chain.clone(),
-        challenge_response: cred.leaf_keys.sign(&peer_challenge.to_le_bytes()),
-    }
+    AuthToken { chain: cred.chain.clone(), challenge_response: respond(cred, peer_challenge) }
 }
 
-/// Verify a peer's token: validate the chain against the CA and check the
-/// challenge response against the leaf public key. Returns the peer's grid
-/// identity (the end-entity DN, not the proxy DN).
+/// Verify a peer's token: check the challenge response against the leaf
+/// public key, then validate the chain against the CA. Returns the peer's
+/// grid identity (the end-entity DN, not the proxy DN).
 pub fn verify_token(
     token: &AuthToken,
     my_challenge: u64,
     ca_public: u64,
     now: GsiTime,
 ) -> Result<DistinguishedName, SecError> {
-    // Reconstruct a chain-only credential for validation; leaf keys are the
-    // peer's secret, so we validate structure + challenge proof instead.
-    let leaf = token.chain.last().ok_or(SecError::Proxy(ProxyError::BrokenChain("empty chain")))?;
-    if !KeyPair::verify(leaf.public_key, &my_challenge.to_le_bytes(), token.challenge_response) {
-        return Err(SecError::ChallengeFailed);
-    }
-    // Validate certificate structure: reuse CredentialChain validation with
-    // a placeholder key pair matched to the leaf (possession already proven
-    // by the challenge).
-    let pseudo = CredentialChain {
-        chain: token.chain.clone(),
-        leaf_keys: KeyPair::from_public(leaf.public_key),
-    };
-    pseudo.validate(ca_public, now)?;
+    check_response(&token.chain, my_challenge, token.challenge_response)?;
+    // The leaf keys are the peer's secret; the challenge proved possession,
+    // so the chain is validated for structure only.
+    validate_chain(&token.chain, ca_public, now)?;
     Ok(token.chain[0].subject.clone())
+}
+
+/// Both challenge/response legs of a handshake, under `nonce_seed`, with
+/// no chain validation: the per-call part of
+/// [`SecurityContext::establish`] for two credentials whose chains the
+/// caller has already validated under the current CA and clock.
+pub fn challenge_legs(
+    initiator: &CredentialChain,
+    acceptor: &CredentialChain,
+    nonce_seed: u64,
+) -> Result<(), SecError> {
+    let (challenge_i, challenge_a) = challenges(nonce_seed);
+    challenge_leg(initiator, challenge_a)?;
+    challenge_leg(acceptor, challenge_i)
+}
+
+/// The initiator's and the acceptor's challenge for one handshake.
+fn challenges(nonce_seed: u64) -> (u64, u64) {
+    (
+        keyed_digest(nonce_seed, b"initiator-challenge"),
+        keyed_digest(nonce_seed, b"acceptor-challenge"),
+    )
+}
+
+/// One leg: `prover` answers `challenge` with its leaf key, and the answer
+/// is checked against its leaf certificate.
+fn challenge_leg(prover: &CredentialChain, challenge: u64) -> Result<(), SecError> {
+    check_response(&prover.chain, challenge, respond(prover, challenge))
+}
+
+fn respond(cred: &CredentialChain, challenge: u64) -> u64 {
+    cred.leaf_keys.sign(&challenge.to_le_bytes())
+}
+
+fn check_response(chain: &[Certificate], challenge: u64, response: u64) -> Result<(), SecError> {
+    let leaf = chain.last().ok_or(SecError::Proxy(ProxyError::BrokenChain("empty chain")))?;
+    if KeyPair::verify(leaf.public_key, &challenge.to_le_bytes(), response) {
+        Ok(())
+    } else {
+        Err(SecError::ChallengeFailed)
+    }
 }
 
 /// An established, mutually authenticated session.
@@ -96,20 +124,10 @@ pub struct SecurityContext {
 }
 
 impl SecurityContext {
-    /// Assemble a context from handshake parts exchanged over a real
-    /// transport (each side calls this with the same nonce pair).
-    pub fn from_handshake(
-        local: DistinguishedName,
-        peer: DistinguishedName,
-        nonce_a: u64,
-        nonce_b: u64,
-    ) -> SecurityContext {
-        SecurityContext { local, peer, session_key: keyed_digest(nonce_a ^ nonce_b, b"session") }
-    }
-
     /// Run both halves of the handshake in one call (the simulation has no
-    /// separate transport for handshake tokens). Returns the two contexts
-    /// `(initiator, acceptor)`.
+    /// separate transport for handshake tokens): each side's challenge leg,
+    /// then its chain against the CA, the initiator first. Returns the two
+    /// contexts `(initiator, acceptor)`.
     pub fn establish(
         initiator: &CredentialChain,
         acceptor: &CredentialChain,
@@ -117,25 +135,22 @@ impl SecurityContext {
         now: GsiTime,
         nonce_seed: u64,
     ) -> Result<(SecurityContext, SecurityContext), SecError> {
-        let challenge_i = keyed_digest(nonce_seed, b"initiator-challenge");
-        let challenge_a = keyed_digest(nonce_seed, b"acceptor-challenge");
-
-        let token_i = make_token(initiator, challenge_a);
-        let token_a = make_token(acceptor, challenge_i);
-
-        let peer_of_acceptor = verify_token(&token_i, challenge_a, ca_public, now)?;
-        let peer_of_initiator = verify_token(&token_a, challenge_i, ca_public, now)?;
+        let (challenge_i, challenge_a) = challenges(nonce_seed);
+        challenge_leg(initiator, challenge_a)?;
+        validate_chain(&initiator.chain, ca_public, now)?;
+        challenge_leg(acceptor, challenge_i)?;
+        validate_chain(&acceptor.chain, ca_public, now)?;
 
         let session_key = keyed_digest(challenge_i ^ challenge_a, b"session");
         Ok((
             SecurityContext {
                 local: initiator.identity().clone(),
-                peer: peer_of_initiator,
+                peer: acceptor.identity().clone(),
                 session_key,
             },
             SecurityContext {
                 local: acceptor.identity().clone(),
-                peer: peer_of_acceptor,
+                peer: initiator.identity().clone(),
                 session_key,
             },
         ))
@@ -163,7 +178,7 @@ impl SecurityContext {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cert::CertificateAuthority;
+    use crate::cert::{CertificateAuthority, ValidationError};
 
     fn grid() -> (CertificateAuthority, CredentialChain, CredentialChain) {
         let ca = CertificateAuthority::new(
@@ -226,6 +241,46 @@ mod tests {
         let err =
             SecurityContext::establish(&alice, &server, other.public_key(), 100, 7).unwrap_err();
         assert!(matches!(err, SecError::Proxy(_)));
+    }
+
+    #[test]
+    fn challenge_legs_prove_possession_without_validating_chains() {
+        let (_, alice, server) = grid();
+        // Expired long ago: the legs do not look at validity windows.
+        let expired = alice.delegate(10, 0, 100, 3).unwrap();
+        assert_eq!(challenge_legs(&expired, &server, 7), Ok(()));
+        let mut stolen = server.clone();
+        stolen.leaf_keys = KeyPair::from_seed(99);
+        assert_eq!(challenge_legs(&expired, &stolen, 7), Err(SecError::ChallengeFailed));
+        assert_eq!(challenge_legs(&stolen, &expired, 7), Err(SecError::ChallengeFailed));
+    }
+
+    #[test]
+    fn each_side_is_challenged_before_its_chain_is_validated() {
+        let (ca, alice, server) = grid();
+        let mut expired = alice.delegate(10, 0, 100, 3).unwrap();
+        let challenge = 42;
+        let token = make_token(&expired, challenge);
+        assert!(matches!(
+            verify_token(&token, challenge, ca.public_key(), 500),
+            Err(SecError::Proxy(ProxyError::Validation(ValidationError::Expired { .. })))
+        ));
+        assert_eq!(
+            verify_token(&token, challenge + 1, ca.public_key(), 500),
+            Err(SecError::ChallengeFailed)
+        );
+        // In `establish`, the initiator's defects come before the acceptor's.
+        let mut stolen = server.clone();
+        stolen.leaf_keys = KeyPair::from_seed(99);
+        assert!(matches!(
+            SecurityContext::establish(&expired, &stolen, ca.public_key(), 500, 7),
+            Err(SecError::Proxy(_))
+        ));
+        expired.leaf_keys = KeyPair::from_seed(98);
+        assert_eq!(
+            SecurityContext::establish(&expired, &server, ca.public_key(), 500, 7).unwrap_err(),
+            SecError::ChallengeFailed
+        );
     }
 
     #[test]
