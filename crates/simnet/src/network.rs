@@ -565,9 +565,9 @@ impl NetStats {
         if !reg.is_enabled() {
             return;
         }
+        let mut digits = [0u8; 20];
         for (i, link) in self.links.iter().enumerate() {
-            let id = i.to_string();
-            let labels = [("link", id.as_str())];
+            let labels = [("link", decimal(i, &mut digits))];
             reg.counter_add("simnet_packets_transmitted", &labels, link.packets);
             reg.counter_add("simnet_bytes_transmitted", &labels, link.bytes);
             reg.counter_add("simnet_link_drops", &labels, link.drops);
@@ -585,16 +585,41 @@ impl NetStats {
                 );
             }
         }
+        // Flows are summed per kind first: the same series and totals as a
+        // call per flow, with at most two calls per counter.
+        let mut per_kind = [("transfer", None), ("background", None)];
         for flow in &self.flows {
-            let labels = [("kind", if flow.finite { "transfer" } else { "background" })];
-            reg.counter_add("simnet_segments_retransmitted", &labels, flow.retransmits);
-            reg.counter_add("simnet_timeouts", &labels, flow.timeouts);
-            reg.counter_add("simnet_fast_retransmits", &labels, flow.fast_retransmits);
+            let sums = per_kind[usize::from(!flow.finite)].1.get_or_insert([0u64; 3]);
+            sums[0] += flow.retransmits;
+            sums[1] += flow.timeouts;
+            sums[2] += flow.fast_retransmits;
+        }
+        for (kind, sums) in per_kind {
+            let Some([retransmits, timeouts, fast_retransmits]) = sums else { continue };
+            let labels = [("kind", kind)];
+            reg.counter_add("simnet_segments_retransmitted", &labels, retransmits);
+            reg.counter_add("simnet_timeouts", &labels, timeouts);
+            reg.counter_add("simnet_fast_retransmits", &labels, fast_retransmits);
         }
         reg.counter_add("simnet_events_processed", &[], self.events_processed);
         reg.counter_add("simnet_events_skipped", &[], self.events_skipped);
         reg.counter_add("simnet_fastforward_epochs", &[], self.epochs);
     }
+}
+
+/// `n` in decimal, written at the end of `buf`: a label value without a
+/// `String` per call.
+fn decimal(mut n: usize, buf: &mut [u8; 20]) -> &str {
+    let mut at = buf.len();
+    loop {
+        at -= 1;
+        buf[at] = b'0' + (n % 10) as u8;
+        n /= 10;
+        if n == 0 {
+            break;
+        }
+    }
+    std::str::from_utf8(&buf[at..]).expect("ASCII digits")
 }
 
 /// Throttled quiescence check: runs at most every half of the smallest
@@ -1114,6 +1139,52 @@ mod tests {
         let t2 = results[f2.0].throughput_bps().unwrap();
         assert!(t1 + t2 < 30e6 * 1.05, "aggregate {:.1e} exceeds backbone", t1 + t2);
         assert!(t1 > 3e6 && t2 > 3e6, "starvation: {t1:.2e} / {t2:.2e}");
+    }
+
+    #[test]
+    fn publish_sums_flows_per_kind_and_names_links_in_decimal() {
+        let flow = |finite, n| FlowStats {
+            finite,
+            retransmits: n,
+            timeouts: n / 2,
+            fast_retransmits: n % 3,
+        };
+        let link = |packets| LinkStats { packets, bytes: 0, drops: 0, accepted: 0, max_depth: 1 };
+        let stats = NetStats {
+            now: SimTime(5),
+            links: (0..12).map(link).collect(),
+            flows: vec![flow(true, 4), flow(false, 0), flow(true, 7), flow(false, 0)],
+            events_processed: 3,
+            events_skipped: 1,
+            epochs: 0,
+        };
+        let reg = gdmp_telemetry::Registry::new();
+        stats.publish(&reg);
+        let kind = |k| [("kind", k)];
+        assert_eq!(reg.counter_value("simnet_segments_retransmitted", &kind("transfer")), 11);
+        assert_eq!(reg.counter_value("simnet_timeouts", &kind("transfer")), 5);
+        assert_eq!(reg.counter_value("simnet_fast_retransmits", &kind("transfer")), 2);
+        // A kind whose flows all counted zero still has its series.
+        assert_eq!(
+            reg.metric("simnet_timeouts", &kind("background")),
+            Some(gdmp_telemetry::MetricValue::Counter(0))
+        );
+        assert_eq!(reg.counter_value("simnet_packets_transmitted", &[("link", "11")]), 11);
+        assert_eq!(reg.counter_value("simnet_packets_transmitted", &[("link", "0")]), 0);
+        assert_eq!(reg.metrics_snapshot().len(), 12 * 4 + 2 * 3 + 3);
+
+        let only_transfers = NetStats { flows: vec![flow(true, 1)], ..stats };
+        let reg = gdmp_telemetry::Registry::new();
+        only_transfers.publish(&reg);
+        assert_eq!(reg.metric("simnet_timeouts", &kind("background")), None);
+    }
+
+    #[test]
+    fn decimal_renders_like_to_string() {
+        let mut buf = [0u8; 20];
+        for n in [0, 7, 10, 99, 12_345, usize::MAX] {
+            assert_eq!(decimal(n, &mut buf), n.to_string());
+        }
     }
 
     #[test]

@@ -29,9 +29,34 @@ fn bench_disabled(c: &mut Criterion) {
     // Reference point: the same calls on an enabled registry, so the
     // report shows the disabled path orders of magnitude below it.
     let mut g = c.benchmark_group("enabled_registry");
+    // Per-call benches: enough calls per sample to rise above the timer.
+    g.sample_size(200_000);
     let reg = Registry::new();
     g.bench_function("counter_add", |b| {
         b.iter(|| reg.counter_add(black_box("transfer_bytes"), &[("src", "cern")], 1024))
+    });
+    // The same call on a registry holding about as many series as one
+    // whole-stack benchmark repetition leaves (1 206), and a call with two
+    // labels given out of canonical order.
+    let full = Registry::new();
+    let ids: Vec<String> = (0..400).map(|i| i.to_string()).collect();
+    for id in &ids {
+        for name in ["simnet_packets_transmitted", "simnet_bytes_transmitted", "simnet_link_drops"]
+        {
+            full.counter_add(name, &[("link", id)], 1);
+        }
+    }
+    for kind in ["Echo", "Fetch", "Publish", "Lookup", "Subscribe"] {
+        full.counter_add("rpc_total", &[("kind", kind)], 1);
+    }
+    full.counter_add("transfer_bytes", &[("src", "cern"), ("dst", "anl")], 1);
+    g.bench_function("counter_add_1200_series", |b| {
+        b.iter(|| full.counter_add(black_box("simnet_bytes_transmitted"), &[("link", "217")], 1024))
+    });
+    g.bench_function("counter_add_two_labels", |b| {
+        b.iter(|| {
+            full.counter_add(black_box("transfer_bytes"), &[("src", "cern"), ("dst", "anl")], 1024)
+        })
     });
     // What a span costs with telemetry on, storage growth included: one
     // iteration fills a fresh registry with about as many spans as one
@@ -46,6 +71,7 @@ fn bench_disabled(c: &mut Criterion) {
             reg.span_end(sp, i + 1);
         }
     };
+    g.sample_size(10);
     g.throughput(Throughput::Elements(SPANS));
     g.bench_function("span_with_two_notes", |b| {
         b.iter(|| {

@@ -3,7 +3,7 @@
 use crate::json::JsonObject;
 use crate::metrics::MetricValue;
 use crate::span::SpanRecord;
-use crate::{FieldValue, Inner};
+use crate::{FieldValue, Inner, TimeSeries};
 
 /// One JSON object per line: a `meta` header, then metric series sorted by
 /// (name, labels), spans in creation order, and retained flight-recorder
@@ -14,7 +14,7 @@ pub(crate) fn json_lines(inner: &mut Inner) -> String {
     // The per-record sizes err high; reserved pages that are never written
     // are never resident.
     let mut out = String::with_capacity(
-        1024 + 512 * (inner.metrics.iter().count() + inner.series.len())
+        1024 + 512 * (inner.metrics.len() + inner.series.len())
             + 128 * inner.spans.len()
             + 40 * inner.spans.note_count()
             + 256 * inner.recorder.retained(),
@@ -22,44 +22,20 @@ pub(crate) fn json_lines(inner: &mut Inner) -> String {
     let meta = JsonObject::new()
         .str("record", "meta")
         .u64("spans", inner.spans.len() as u64)
-        .u64("metrics", inner.metrics.iter().count() as u64)
+        .u64("metrics", inner.metrics.len() as u64)
         .u64("timeseries", inner.series.len() as u64)
         .u64("events_recorded", inner.recorder.recorded())
         .finish();
     out.push_str(&meta);
     out.push('\n');
 
-    for ((name, labels), value) in inner.metrics.iter() {
-        let obj = JsonObject::new().str("record", "metric").str("name", name).str("labels", labels);
-        let obj = match value {
-            MetricValue::Counter(n) => obj.str("type", "counter").u64("value", *n),
-            MetricValue::Gauge(v) => obj.str("type", "gauge").i64("value", *v),
-            MetricValue::Histogram(h) => obj
-                .str("type", "histogram")
-                .u64("total", h.total)
-                .u64("sum", h.sum)
-                .u64("min", if h.total == 0 { 0 } else { h.min })
-                .u64("max", h.max)
-                .u64_array("bounds", &h.bounds)
-                .u64_array("counts", &h.counts)
-                .u64("overflow", h.overflow),
-        };
-        out.push_str(&obj.finish());
+    for (name, labels, value) in inner.metrics.sorted() {
+        out.push_str(&metric_line(name, labels, value));
         out.push('\n');
     }
 
     for series in inner.series.snapshot() {
-        let buckets: Vec<u64> = series.points.iter().map(|(b, _)| *b).collect();
-        let values: Vec<i64> = series.points.iter().map(|(_, v)| *v).collect();
-        let obj = JsonObject::new()
-            .str("record", "timeseries")
-            .str("name", &series.name)
-            .str("labels", &series.labels)
-            .str("kind", series.kind.as_str())
-            .u64("bucket_ns", series.bucket_ns)
-            .u64_array("buckets", &buckets)
-            .i64_array("values", &values);
-        out.push_str(&obj.finish());
+        out.push_str(&series_line(&series));
         out.push('\n');
     }
 
@@ -92,15 +68,49 @@ pub(crate) fn json_lines(inner: &mut Inner) -> String {
     out
 }
 
+/// One metric series' record.
+pub(crate) fn metric_line(name: &str, labels: &str, value: &MetricValue) -> String {
+    let obj = JsonObject::new().str("record", "metric").str("name", name).str("labels", labels);
+    let obj = match value {
+        MetricValue::Counter(n) => obj.str("type", "counter").u64("value", *n),
+        MetricValue::Gauge(v) => obj.str("type", "gauge").i64("value", *v),
+        MetricValue::Histogram(h) => obj
+            .str("type", "histogram")
+            .u64("total", h.total)
+            .u64("sum", h.sum)
+            .u64("min", if h.total == 0 { 0 } else { h.min })
+            .u64("max", h.max)
+            .u64_array("bounds", &h.bounds)
+            .u64_array("counts", &h.counts)
+            .u64("overflow", h.overflow),
+    };
+    obj.finish()
+}
+
+/// One time-series' record.
+pub(crate) fn series_line(series: &TimeSeries) -> String {
+    let buckets: Vec<u64> = series.points.iter().map(|(b, _)| *b).collect();
+    let values: Vec<i64> = series.points.iter().map(|(_, v)| *v).collect();
+    JsonObject::new()
+        .str("record", "timeseries")
+        .str("name", &series.name)
+        .str("labels", &series.labels)
+        .str("kind", series.kind.as_str())
+        .u64("bucket_ns", series.bucket_ns)
+        .u64_array("buckets", &buckets)
+        .i64_array("values", &values)
+        .finish()
+}
+
 /// Human-readable dump: metric table, then the span tree.
 pub(crate) fn summary(inner: &mut Inner) -> String {
     let mut out = String::new();
-    let series: Vec<_> = inner.metrics.iter().collect();
+    let series = inner.metrics.sorted();
     if !series.is_empty() {
         out.push_str(&format!("{:<36} {:<28} {:>14}\n", "metric", "labels", "value"));
         out.push_str(&"-".repeat(80));
         out.push('\n');
-        for ((name, labels), value) in series {
+        for (name, labels, value) in series {
             let rendered = match value {
                 MetricValue::Counter(n) => n.to_string(),
                 MetricValue::Gauge(v) => v.to_string(),

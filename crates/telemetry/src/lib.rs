@@ -34,6 +34,7 @@
 
 pub mod analysis;
 mod export;
+mod index;
 pub mod json;
 mod metrics;
 mod recorder;
@@ -188,7 +189,9 @@ impl Registry {
         self.with_inner(|i| i.metrics.counter_add(name, labels, delta));
     }
 
-    /// Set a gauge to an absolute value.
+    /// Set a gauge to an absolute value. Panics if the series already
+    /// holds a counter or a histogram, as `counter_add` and `observe` do
+    /// for the other kinds.
     pub fn gauge_set(&self, name: &str, labels: &[(&str, &str)], value: i64) {
         self.with_inner(|i| i.metrics.gauge_set(name, labels, value));
     }
@@ -208,15 +211,16 @@ impl Registry {
 
     /// Read one metric series back, if it exists.
     pub fn metric(&self, name: &str, labels: &[(&str, &str)]) -> Option<MetricValue> {
-        self.with_inner(|i| i.metrics.get(name, labels)).flatten()
+        self.with_inner(|i| i.metrics.get(name, labels).cloned()).flatten()
     }
 
     /// Convenience: current value of a counter series (0 when absent).
     pub fn counter_value(&self, name: &str, labels: &[(&str, &str)]) -> u64 {
-        match self.metric(name, labels) {
-            Some(MetricValue::Counter(n)) => n,
+        let value = |i: &mut Inner| match i.metrics.get(name, labels) {
+            Some(MetricValue::Counter(n)) => *n,
             _ => 0,
-        }
+        };
+        self.with_inner(value).unwrap_or(0)
     }
 
     /// All metric series, sorted by (name, labels).

@@ -1,8 +1,15 @@
 //! Metric storage: counters, gauges, and fixed-bucket histograms keyed by
-//! `(name, canonical labels)` in a `BTreeMap` so iteration order — and
-//! therefore every export — is deterministic.
+//! `(name, canonical labels)` in the crate's series index (`index.rs`).
+//! An update to a series that already exists finds it by hash without
+//! allocating; only a series' first write builds its owned key. The index
+//! keeps series in first-write order and `Metrics::sorted` sorts them by
+//! key, so every export is deterministic and in the same order as ever. A
+//! series holds one kind of value for its life: writing it as another
+//! kind panics.
 
 use std::collections::BTreeMap;
+
+use crate::index::SeriesIndex;
 
 /// Default histogram bucket upper bounds: powers of 4 from 1 to 4^20
 /// (~1.1e12). Wide enough for byte counts and nanosecond latencies alike
@@ -86,7 +93,7 @@ impl Histogram {
         self.max
     }
 
-    fn merge_from(&mut self, other: &Histogram) {
+    pub(crate) fn merge_from(&mut self, other: &Histogram) {
         if self.bounds == other.bounds {
             for (a, b) in self.counts.iter_mut().zip(&other.counts) {
                 *a += b;
@@ -112,49 +119,33 @@ pub enum MetricValue {
     Histogram(Histogram),
 }
 
-/// Canonical label rendering: keys sorted, `k=v` joined by `,`.
-pub(crate) fn canonical_labels(labels: &[(&str, &str)]) -> String {
-    let mut pairs: Vec<&(&str, &str)> = labels.iter().collect();
-    pairs.sort();
-    let mut out = String::new();
-    for (i, (k, v)) in pairs.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(k);
-        out.push('=');
-        out.push_str(v);
-    }
-    out
-}
-
 #[derive(Default, Clone)]
 pub(crate) struct Metrics {
     /// (metric name, canonical labels) → value.
-    series: BTreeMap<(String, String), MetricValue>,
+    series: SeriesIndex<MetricValue>,
     /// Histogram bucket bounds registered per metric name.
     bucket_config: BTreeMap<String, Vec<u64>>,
 }
 
 impl Metrics {
     pub(crate) fn counter_add(&mut self, name: &str, labels: &[(&str, &str)], delta: u64) {
-        let key = (name.to_string(), canonical_labels(labels));
-        match self.series.entry(key).or_insert(MetricValue::Counter(0)) {
+        match self.series.entry(name, labels, || MetricValue::Counter(0)) {
             MetricValue::Counter(n) => *n += delta,
             other => panic!("metric {name:?} is not a counter: {other:?}"),
         }
     }
 
     pub(crate) fn gauge_set(&mut self, name: &str, labels: &[(&str, &str)], value: i64) {
-        let key = (name.to_string(), canonical_labels(labels));
-        self.series.insert(key, MetricValue::Gauge(value));
+        match self.series.entry(name, labels, || MetricValue::Gauge(value)) {
+            MetricValue::Gauge(v) => *v = value,
+            other => panic!("metric {name:?} is not a gauge: {other:?}"),
+        }
     }
 
     pub(crate) fn observe(&mut self, name: &str, labels: &[(&str, &str)], value: u64) {
-        let key = (name.to_string(), canonical_labels(labels));
-        let entry = self.series.entry(key).or_insert_with(|| {
-            let bounds =
-                self.bucket_config.get(name).map(Vec::as_slice).unwrap_or(&DEFAULT_BUCKETS);
+        let bucket_config = &self.bucket_config;
+        let entry = self.series.entry(name, labels, || {
+            let bounds = bucket_config.get(name).map(Vec::as_slice).unwrap_or(&DEFAULT_BUCKETS);
             MetricValue::Histogram(Histogram::new(bounds))
         });
         match entry {
@@ -167,35 +158,43 @@ impl Metrics {
         self.bucket_config.insert(name.to_string(), bounds.to_vec());
     }
 
-    pub(crate) fn get(&self, name: &str, labels: &[(&str, &str)]) -> Option<MetricValue> {
-        self.series.get(&(name.to_string(), canonical_labels(labels))).cloned()
+    pub(crate) fn get(&self, name: &str, labels: &[(&str, &str)]) -> Option<&MetricValue> {
+        self.series.get(name, labels)
+    }
+
+    pub(crate) fn len(&self) -> usize {
+        self.series.len()
     }
 
     pub(crate) fn snapshot(&self) -> Vec<(String, String, MetricValue)> {
-        self.series
-            .iter()
-            .map(|((name, labels), v)| (name.clone(), labels.clone(), v.clone()))
+        self.sorted()
+            .into_iter()
+            .map(|(name, labels, v)| (name.to_string(), labels.to_string(), v.clone()))
             .collect()
     }
 
-    pub(crate) fn iter(&self) -> impl Iterator<Item = (&(String, String), &MetricValue)> {
-        self.series.iter()
+    /// Every series sorted by (name, labels), the order of every export.
+    pub(crate) fn sorted(&self) -> Vec<(&str, &str, &MetricValue)> {
+        self.series.sorted()
     }
 
     pub(crate) fn merge_from(&mut self, other: &Metrics) {
         for (name, bounds) in &other.bucket_config {
             self.bucket_config.entry(name.clone()).or_insert_with(|| bounds.clone());
         }
-        for (key, theirs) in &other.series {
-            match (self.series.get_mut(key), theirs) {
-                (None, v) => {
-                    self.series.insert(key.clone(), v.clone());
-                }
-                (Some(MetricValue::Counter(a)), MetricValue::Counter(b)) => *a += b,
-                (Some(MetricValue::Gauge(a)), MetricValue::Gauge(b)) => *a = *b,
-                (Some(MetricValue::Histogram(a)), MetricValue::Histogram(b)) => a.merge_from(b),
-                (Some(mine), theirs) => {
-                    panic!("merge type mismatch for {key:?}: {mine:?} vs {theirs:?}")
+        for (name, labels, theirs) in other.series.iter() {
+            let mut fresh = false;
+            let mine = self.series.entry_rendered(name, labels, || {
+                fresh = true;
+                theirs.clone()
+            });
+            match (mine, theirs) {
+                _ if fresh => {}
+                (MetricValue::Counter(a), MetricValue::Counter(b)) => *a += b,
+                (MetricValue::Gauge(a), MetricValue::Gauge(b)) => *a = *b,
+                (MetricValue::Histogram(a), MetricValue::Histogram(b)) => a.merge_from(b),
+                (mine, theirs) => {
+                    panic!("merge type mismatch for {:?}: {mine:?} vs {theirs:?}", (name, labels))
                 }
             }
         }
@@ -205,6 +204,7 @@ impl Metrics {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::index::canonical_labels;
 
     #[test]
     fn default_buckets_are_increasing_powers_of_four() {
@@ -312,9 +312,9 @@ mod tests {
         a.gauge_set("g", &[], 10);
         b.gauge_set("g", &[], 20);
         a.merge_from(&b);
-        assert_eq!(a.get("c", &[("x", "1")]), Some(MetricValue::Counter(12)));
-        assert_eq!(a.get("only_b", &[]), Some(MetricValue::Counter(1)));
-        assert_eq!(a.get("g", &[]), Some(MetricValue::Gauge(20)));
+        assert_eq!(a.get("c", &[("x", "1")]), Some(&MetricValue::Counter(12)));
+        assert_eq!(a.get("only_b", &[]), Some(&MetricValue::Counter(1)));
+        assert_eq!(a.get("g", &[]), Some(&MetricValue::Gauge(20)));
         match a.get("h", &[]).unwrap() {
             MetricValue::Histogram(h) => {
                 assert_eq!(h.total, 2);
@@ -339,6 +339,32 @@ mod tests {
             }
             other => panic!("unexpected {other:?}"),
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "metric \"c\" is not a gauge: Counter(1)")]
+    fn gauge_set_on_a_counter_panics() {
+        let mut m = Metrics::default();
+        m.counter_add("c", &[("x", "1")], 1);
+        m.gauge_set("c", &[("x", "1")], 5);
+    }
+
+    #[test]
+    #[should_panic(expected = "metric \"h\" is not a gauge: Histogram")]
+    fn gauge_set_on_a_histogram_panics() {
+        let mut m = Metrics::default();
+        m.observe("h", &[], 3);
+        m.gauge_set("h", &[], 5);
+    }
+
+    #[test]
+    fn gauge_set_overwrites_a_gauge_and_leaves_other_labels_alone() {
+        let mut m = Metrics::default();
+        m.counter_add("depth", &[("site", "a")], 1);
+        m.gauge_set("depth", &[("site", "b")], 4);
+        m.gauge_set("depth", &[("site", "b")], -2);
+        assert_eq!(m.get("depth", &[("site", "a")]), Some(&MetricValue::Counter(1)));
+        assert_eq!(m.get("depth", &[("site", "b")]), Some(&MetricValue::Gauge(-2)));
     }
 
     #[test]

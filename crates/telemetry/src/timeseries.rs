@@ -6,11 +6,12 @@
 //! Collection is off until [`crate::Registry::enable_timeseries`] picks a
 //! bucket width; before that every `series_*` call is a no-op, which keeps
 //! existing exports byte-identical for callers that never opt in. Storage
-//! is `BTreeMap`-keyed like the metric store, so exports are deterministic.
+//! is the same series index as the metric store's, and the snapshot sorts
+//! it by key, so exports are deterministic.
 
 use std::collections::BTreeMap;
 
-use crate::metrics::canonical_labels;
+use crate::index::SeriesIndex;
 
 /// How samples within one bucket combine.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -90,7 +91,7 @@ struct SeriesData {
 #[derive(Default, Clone)]
 pub(crate) struct TimeSeriesStore {
     bucket_ns: Option<u64>,
-    series: BTreeMap<(String, String), SeriesData>,
+    series: SeriesIndex<SeriesData>,
 }
 
 impl TimeSeriesStore {
@@ -109,20 +110,20 @@ impl TimeSeriesStore {
 
     pub(crate) fn add(&mut self, name: &str, labels: &[(&str, &str)], now_ns: u64, delta: u64) {
         let Some(width) = self.bucket_ns else { return };
-        let data = self
-            .series
-            .entry((name.to_string(), canonical_labels(labels)))
-            .or_insert_with(|| SeriesData { kind: SeriesKind::Delta, points: BTreeMap::new() });
+        let data = self.series.entry(name, labels, || SeriesData {
+            kind: SeriesKind::Delta,
+            points: BTreeMap::new(),
+        });
         assert!(data.kind == SeriesKind::Delta, "series {name:?} is not a delta series");
         *data.points.entry(now_ns / width).or_insert(0) += delta as i64;
     }
 
     pub(crate) fn set(&mut self, name: &str, labels: &[(&str, &str)], now_ns: u64, value: i64) {
         let Some(width) = self.bucket_ns else { return };
-        let data = self
-            .series
-            .entry((name.to_string(), canonical_labels(labels)))
-            .or_insert_with(|| SeriesData { kind: SeriesKind::Level, points: BTreeMap::new() });
+        let data = self.series.entry(name, labels, || SeriesData {
+            kind: SeriesKind::Level,
+            points: BTreeMap::new(),
+        });
         assert!(data.kind == SeriesKind::Level, "series {name:?} is not a level series");
         data.points.insert(now_ns / width, value);
     }
@@ -133,10 +134,11 @@ impl TimeSeriesStore {
             None => return Vec::new(),
         };
         self.series
-            .iter()
-            .map(|((name, labels), data)| TimeSeries {
-                name: name.clone(),
-                labels: labels.clone(),
+            .sorted()
+            .into_iter()
+            .map(|(name, labels, data)| TimeSeries {
+                name: name.to_string(),
+                labels: labels.to_string(),
                 kind: data.kind,
                 bucket_ns: width,
                 points: data.points.iter().map(|(&b, &v)| (b, v)).collect(),

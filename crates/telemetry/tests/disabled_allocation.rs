@@ -4,47 +4,10 @@
 //! mutex). Library types hold a registry unconditionally, so this is what
 //! keeps telemetry free for every caller that never opts in.
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
+mod counting_alloc;
 
+use counting_alloc::allocations_during;
 use gdmp_telemetry::Registry;
-
-thread_local! {
-    /// Allocations made by this thread. Per thread, because the harness
-    /// runs the tests of this file side by side and each must count only
-    /// its own; const-initialised and without a destructor, so that
-    /// reading it never allocates.
-    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
-}
-
-struct CountingAlloc;
-
-// SAFETY: delegates directly to the system allocator; the counter is a
-// thread-local cell with no further side effects.
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.with(|n| n.set(n.get() + 1));
-        System.alloc(layout)
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        System.dealloc(ptr, layout)
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.with(|n| n.set(n.get() + 1));
-        System.realloc(ptr, layout, new_size)
-    }
-}
-
-#[global_allocator]
-static GLOBAL: CountingAlloc = CountingAlloc;
-
-fn allocations_during(f: impl FnOnce()) -> u64 {
-    let before = ALLOCATIONS.get();
-    f();
-    ALLOCATIONS.get() - before
-}
 
 #[test]
 fn disabled_registry_calls_do_not_allocate() {
