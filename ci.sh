@@ -2,7 +2,11 @@
 # Local CI gate. The registry is offline (vendored shims via [patch.crates-io]),
 # so every cargo invocation runs with --offline.
 #
-#   ./ci.sh                fmt + unsafe gate + clippy + build + test + benches
+#   ./ci.sh                fmt + unsafe gate + cited-path gate (every crate
+#                          path README, DESIGN, EXPERIMENTS and ROADMAP cite
+#                          exists) + clippy + build + example transcripts
+#                          (every examples/ binary prints exactly its
+#                          examples/transcripts/<name>.txt) + test + benches
 #                          compile + docs, the scenario smoke (every committed
 #                          scenarios/*.json loads, the quick ones replay
 #                          twice with clean invariants and byte-identical
@@ -55,11 +59,36 @@ if grep -rlw unsafe crates/*/src | grep -vxF -e crates/simnet/src/engine.rs -e c
   exit 1
 fi
 
+echo "==> cited paths: every crate path the docs cite exists"
+# Full `crates/<crate>/…` paths and the `<crate>/{src,tests,benches}/…`
+# shorthand; a trailing `:line` or sentence full stop is not part of the path.
+crate_names=$(ls crates | paste -sd'|' -)
+cited=$(grep -noE "(crates/[A-Za-z0-9_-]+|\b($crate_names)/(src|tests|benches))(/[A-Za-z0-9_.-]*)*" \
+  README.md DESIGN.md EXPERIMENTS.md ROADMAP.md | sed -E 's/\.+$//')
+missing=0
+while IFS=: read -r doc line path; do
+  [[ "$path" == crates/* ]] || path="crates/$path"
+  if [[ ! -e "$path" ]]; then
+    echo "$doc:$line cites $path, which does not exist" >&2
+    missing=1
+  fi
+done <<<"$cited"
+[[ "$missing" == 0 ]] || exit 1
+
 echo "==> cargo clippy -D warnings"
 cargo clippy --offline --workspace --all-targets -- -D warnings
 
 echo "==> cargo build --release"
 cargo build --offline --workspace --release
+
+echo "==> example transcripts: every examples/ binary prints its recorded stdout"
+for src in examples/*.rs; do
+  name=$(basename "$src" .rs)
+  if ! diff -u "examples/transcripts/$name.txt" <(cargo run --offline --release -q -p gdmp-examples --bin "$name"); then
+    echo "examples/$name printed something other than examples/transcripts/$name.txt" >&2
+    exit 1
+  fi
+done
 
 echo "==> cargo test"
 cargo test --offline --workspace -q
