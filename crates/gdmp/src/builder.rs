@@ -1,7 +1,7 @@
 //! Fluent construction for [`Grid`]: every knob that accreted across the
 //! telemetry, fast-forward, chaos, and multi-source work — WAN profiles,
-//! fault schedules, recovery strategy, circuit breaker, fetch policy, cost
-//! model, telemetry sink — set in one place, in one expression.
+//! fault schedules, recovery strategy, circuit breaker, fetch policy,
+//! telemetry sink — set in one place, in one expression.
 //!
 //! ```
 //! use gdmp::prelude::*;
@@ -28,10 +28,9 @@ use gdmp_gridftp::sim::WanProfile;
 use gdmp_telemetry::Registry;
 
 use crate::chaos::FaultSchedule;
-use crate::grid::{Grid, TransferConfig};
+use crate::grid::Grid;
 use crate::recovery::{BreakerConfig, RecoveryStrategy};
 use crate::schedule::FetchPolicy;
-use crate::selection::CostModel;
 use crate::site::SiteConfig;
 use gdmp_replica_catalog::federation::FederationConfig;
 
@@ -44,12 +43,10 @@ pub struct GridBuilder {
     trusts: Vec<(String, String)>,
     trust_all: bool,
     subscriptions: Vec<(String, String)>,
-    params: Option<TransferConfig>,
     default_profile: Option<WanProfile>,
     profiles: Vec<(String, String, WanProfile)>,
     telemetry: Option<Option<Registry>>,
     fetch: Option<FetchPolicy>,
-    cost_model: Option<Box<dyn CostModel>>,
     recovery: Option<Box<dyn RecoveryStrategy>>,
     breaker: Option<BreakerConfig>,
     federation: Option<FederationConfig>,
@@ -96,12 +93,6 @@ impl GridBuilder {
         self
     }
 
-    /// GridFTP parameters for every Data Mover transfer.
-    pub fn transfer_params(mut self, params: TransferConfig) -> Self {
-        self.params = Some(params);
-        self
-    }
-
     /// WAN profile for site pairs without an explicit one.
     pub fn default_profile(mut self, profile: WanProfile) -> Self {
         self.default_profile = Some(profile);
@@ -132,12 +123,6 @@ impl GridBuilder {
     /// Single- vs multi-source fetching for [`Grid::replicate`].
     pub fn fetch_policy(mut self, policy: FetchPolicy) -> Self {
         self.fetch = Some(policy);
-        self
-    }
-
-    /// Replica-ranking cost model (default: history-based prediction).
-    pub fn cost_model(mut self, model: Box<dyn CostModel>) -> Self {
-        self.cost_model = Some(model);
         self
     }
 
@@ -177,9 +162,6 @@ impl GridBuilder {
         if let Some(sink) = self.telemetry {
             grid.attach_telemetry(sink.unwrap_or_else(Registry::new));
         }
-        if let Some(params) = self.params {
-            grid.params = params;
-        }
         if let Some(profile) = self.default_profile {
             grid.set_default_profile(profile);
         }
@@ -204,9 +186,6 @@ impl GridBuilder {
         }
         if let Some(policy) = self.fetch {
             grid.set_fetch_policy(policy);
-        }
-        if let Some(model) = self.cost_model {
-            grid.set_cost_model(model);
         }
         if let Some(strategy) = self.recovery {
             grid.install_recovery(strategy);

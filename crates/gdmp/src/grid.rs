@@ -33,7 +33,6 @@ use crate::recovery::{
     BreakerConfig, CircuitBreaker, FailureCtx, FailureKind, RecoveryAction, RecoveryStrategy,
 };
 use crate::schedule::FetchPolicy;
-use crate::selection::{CostModel, HistoryCostModel};
 use crate::site::{Site, SiteConfig};
 
 /// GridFTP parameters the Data Mover uses for every transfer.
@@ -195,8 +194,6 @@ pub struct Grid {
     /// How [`Grid::replicate`] fetches: classic single-source (default) or
     /// striped multi-source pulls.
     pub(crate) fetch: FetchPolicy,
-    /// Replica-ranking cost model consulted by the selection phase.
-    cost_model: Box<dyn CostModel>,
     /// Observed per-link throughput EWMA, bits/s, keyed `(src, dst)`, fed
     /// by clean attempts under `MultiSource` (and [`Grid::note_observed_throughput`]).
     /// `SingleSource` never touches it: the default path stays bit-stable.
@@ -251,7 +248,6 @@ impl Grid {
             chaos: ChaosState::default(),
             breaker: CircuitBreaker::default(),
             fetch: FetchPolicy::SingleSource,
-            cost_model: Box::new(HistoryCostModel::default()),
             history: HashMap::new(),
             defer_state: HashMap::new(),
             reports: Vec::new(),
@@ -302,14 +298,11 @@ impl Grid {
             .and_then(|id| self.slot.get(id.index() as usize).copied().flatten())
     }
 
-    pub fn add_site(&mut self, mut cfg: SiteConfig) {
+    pub fn add_site(&mut self, cfg: SiteConfig) {
         let id = self.intern_site(&cfg.name);
         assert!(self.slot[id.index() as usize].is_none(), "site {} already exists", cfg.name);
-        // Sites inherit the grid's registry unless the config brought its own.
-        if self.telemetry.is_enabled() && !cfg.telemetry.is_enabled() {
-            cfg.telemetry = self.telemetry.clone();
-        }
-        let site = Site::new(&cfg, &self.ca);
+        let mut site = Site::new(&cfg, &self.ca);
+        site.set_telemetry(self.telemetry.clone());
         self.slot[id.index() as usize] = Some(self.sites.len());
         self.sites.push(site);
         // Keep `order` sorted by name (the old map's iteration order).
@@ -462,10 +455,6 @@ impl Grid {
         self.federation.as_ref()
     }
 
-    pub fn federation_enabled(&self) -> bool {
-        self.federation.is_some()
-    }
-
     /// Run every soft-state push round whose boundary the clock has
     /// passed, with losses and RLI crashes answered by the chaos state,
     /// and publish the staleness gauge. No-op with federation off.
@@ -492,13 +481,7 @@ impl Grid {
         self.breaker = CircuitBreaker::new(config);
     }
 
-    /// Whether `site`'s circuit breaker is open right now (cost models use
-    /// this to penalize sources in cooldown).
-    pub fn breaker_is_open(&self, site: &str) -> bool {
-        self.breaker.is_open(site, self.clock)
-    }
-
-    // ---- fetch policy & replica cost model --------------------------------
+    // ---- fetch policy & throughput history -------------------------------
 
     /// How [`Grid::replicate`] fetches files; [`FetchPolicy::SingleSource`]
     /// unless changed.
@@ -509,17 +492,6 @@ impl Grid {
     /// Switch between single-source and striped multi-source fetching.
     pub fn set_fetch_policy(&mut self, policy: FetchPolicy) {
         self.fetch = policy;
-    }
-
-    /// The replica-ranking cost model (default:
-    /// [`HistoryCostModel`]).
-    pub fn cost_model(&self) -> &dyn CostModel {
-        &*self.cost_model
-    }
-
-    /// Install a custom replica-ranking cost model.
-    pub fn set_cost_model(&mut self, model: Box<dyn CostModel>) {
-        self.cost_model = model;
     }
 
     /// The observed throughput EWMA for the `src -> dst` link, bits/s, if

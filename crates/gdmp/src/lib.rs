@@ -53,10 +53,7 @@ pub use recovery::{
     FailureKind, RecoveryAction, RecoveryStrategy, SimpleRetry,
 };
 pub use schedule::{Assignment, FetchPolicy, MultiSourcePlan, PlanExecution};
-pub use selection::{
-    estimate_sources, estimate_sources_with, AnalyticCostModel, CostInputs, CostModel,
-    HistoryCostModel, SourceEstimate,
-};
+pub use selection::{estimate_sources, SourceEstimate};
 pub use site::{Site, SiteConfig};
 
 // The storage-backend seam (Section 4.4): re-exported so scenario files
@@ -77,7 +74,6 @@ pub mod prelude {
     pub use crate::grid::{Grid, LookupResult, LookupVia, ReplicationReport, TransferConfig};
     pub use crate::recovery::{BackoffRetry, BreakerConfig, RecoveryStrategy, SimpleRetry};
     pub use crate::schedule::{FetchPolicy, MultiSourcePlan};
-    pub use crate::selection::{AnalyticCostModel, CostModel, HistoryCostModel};
     pub use crate::site::SiteConfig;
     pub use bytes::Bytes;
     pub use gdmp_gridftp::sim::WanProfile;

@@ -125,7 +125,7 @@ impl MultiSourcePlan {
 #[derive(Debug, Clone)]
 pub struct SourceProgress {
     pub name: String,
-    /// The cost model's throughput prediction, bits/s.
+    /// Selection's throughput prediction, bits/s.
     pub predicted_bps: f64,
     /// Pending ranges, front first.
     queue: Vec<(u64, u64)>,
@@ -145,7 +145,7 @@ impl SourceProgress {
         self.queue.iter().map(|(s, e)| e - s).sum()
     }
 
-    /// Predicted time to drain the queue from now, by the cost model.
+    /// Predicted time to drain the queue from now, by selection's prediction.
     fn predicted_finish(&self) -> SimDuration {
         self.elapsed
             + SimDuration::from_secs_f64(
@@ -603,7 +603,7 @@ mod tests {
 
     #[test]
     fn stealing_relieves_stragglers() {
-        // The cost model predicted equal sources, so the plan split the
+        // Selection predicted equal sources, so the plan split the
         // file evenly — but one source turns out 100x slower. Stealing
         // must shift the straggler's queue to the fast source.
         let ests = [est("fast", 10e6), est("slow", 10e6)];

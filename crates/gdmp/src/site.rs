@@ -33,9 +33,6 @@ pub struct SiteConfig {
     pub storage: StorageConfig,
     /// Key seed (deterministic certificates).
     pub key_seed: u64,
-    /// Telemetry sink for this site's server and storage; the no-op
-    /// disabled registry by default, so existing call sites are unaffected.
-    pub telemetry: Registry,
 }
 
 impl SiteConfig {
@@ -48,7 +45,6 @@ impl SiteConfig {
             eviction: EvictionPolicy::Lru,
             storage: StorageConfig::classic_tape(),
             key_seed,
-            telemetry: Registry::default(),
         }
     }
 
@@ -60,12 +56,6 @@ impl SiteConfig {
     /// Select the archive adapter behind this site's disk pool.
     pub fn with_storage(mut self, storage: StorageConfig) -> Self {
         self.storage = storage;
-        self
-    }
-
-    /// Attach a telemetry registry shared by this site's handlers and HRM.
-    pub fn with_telemetry(mut self, reg: Registry) -> Self {
-        self.telemetry = reg;
         self
     }
 }
@@ -112,14 +102,14 @@ pub struct Site {
 }
 
 impl Site {
-    /// Build a site and its host credential, signed by the grid CA.
+    /// Build a site and its host credential, signed by the grid CA, with
+    /// telemetry disabled until [`Site::set_telemetry`].
     pub fn new(cfg: &SiteConfig, ca: &CertificateAuthority) -> Site {
         let keys = KeyPair::from_seed(cfg.key_seed);
         let dn = DistinguishedName::host(&cfg.org, &format!("gdmp.{}", cfg.org));
         let cert = ca.issue(dn, keys.public, 0, u64::MAX / 2);
-        let mut storage =
+        let storage =
             HierarchicalStorage::with_config(cfg.pool_capacity, cfg.eviction, &cfg.storage);
-        storage.set_telemetry(cfg.telemetry.clone());
         Site {
             name: cfg.name.clone(),
             url_prefix: format!("gsiftp://gdmp.{}/data", cfg.org),
@@ -136,7 +126,7 @@ impl Site {
             tags: TagCatalog::new(),
             plugins: PluginRegistry::new(),
             discovered_objects: Vec::new(),
-            telemetry: cfg.telemetry.clone(),
+            telemetry: Registry::default(),
         }
     }
 
