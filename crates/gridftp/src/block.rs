@@ -209,11 +209,6 @@ impl Reassembler {
         self.eods == self.channels && self.received.is_complete(self.size)
     }
 
-    /// All channels EODed but bytes are missing — the transfer must restart.
-    pub fn is_stalled(&self) -> bool {
-        self.eods == self.channels && !self.received.is_complete(self.size)
-    }
-
     pub fn received(&self) -> &ByteRanges {
         &self.received
     }
@@ -329,7 +324,6 @@ mod tests {
             }
         }
         assert!(!r.is_complete());
-        assert!(r.is_stalled());
         let (_, ranges) = r.into_partial();
         assert_eq!(ranges.missing(3000).len(), 1);
     }

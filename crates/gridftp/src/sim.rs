@@ -82,7 +82,8 @@ impl WanProfile {
     }
 
     /// Does nothing: the simulator has one engine (DESIGN §14). Kept only
-    /// because `benchmark/`, frozen in this PR, calls it (see ROADMAP).
+    /// because the benchmark driver under `benchmark/` calls it; it goes
+    /// with the next change to that driver (see ROADMAP).
     pub fn with_workers(self, _workers: usize) -> Self {
         self
     }
@@ -178,7 +179,13 @@ impl WanProfile {
         buffer: u64,
         warm: bool,
     ) -> SessionOutcome {
-        self.simulate_warm(bytes, streams, buffer, false, warm).0
+        let recipe = Recipe::of(self, bytes, streams, buffer, warm);
+        let mut net = recipe.opened();
+        for (id, sz) in recipe.stream_flows().zip(stream_bytes(bytes, streams)) {
+            net.set_flow_bytes(id, sz);
+        }
+        net.set_max_sim_time(self.hard_stop(bytes, streams, buffer));
+        self.run_session(net, &recipe, bytes)
     }
 
     /// Hard stop of one session's simulation — a guard against a simulation
@@ -198,37 +205,6 @@ impl WanProfile {
         SimDuration(floor.nanos().saturating_add(payload.nanos()))
     }
 
-    /// [`WanProfile::simulate_transfer`] that also returns the session's
-    /// cumulative progress curve, for callers that need to know how many
-    /// bytes had landed by a given elapsed time (mid-transfer faults,
-    /// straggler detection).
-    pub fn simulate_transfer_progress(
-        &self,
-        bytes: u64,
-        streams: u32,
-        buffer: u64,
-    ) -> (SimTransferReport, TransferProgress) {
-        let (outcome, progress) = self.simulate_warm(bytes, streams, buffer, true, false);
-        (outcome.report, progress.expect("progress requested"))
-    }
-
-    fn simulate_warm(
-        &self,
-        bytes: u64,
-        streams: u32,
-        buffer: u64,
-        want_progress: bool,
-        warm: bool,
-    ) -> (SessionOutcome, Option<TransferProgress>) {
-        let recipe = Recipe::of(self, bytes, streams, buffer, warm);
-        let mut net = recipe.opened();
-        for (id, sz) in recipe.stream_flows().zip(stream_bytes(bytes, streams)) {
-            net.set_flow_bytes(id, sz);
-        }
-        net.set_max_sim_time(self.hard_stop(bytes, streams, buffer));
-        self.run_session(net, &recipe, bytes, want_progress)
-    }
-
     /// The construction the checkpointed path must reproduce: the network
     /// is built with the real sizes and the simulator's default hard stop,
     /// and simulated from t = 0 in one uninterrupted run.
@@ -238,63 +214,25 @@ impl WanProfile {
         bytes: u64,
         streams: u32,
         buffer: u64,
-        want_progress: bool,
         warm: bool,
-    ) -> (SessionOutcome, Option<TransferProgress>) {
+    ) -> SessionOutcome {
         let recipe = Recipe::of(self, bytes, streams, buffer, warm);
         let net =
             recipe.network(stream_bytes(bytes, streams), NetworkConfig::default().max_sim_time);
-        self.run_session(net, &recipe, bytes, want_progress)
+        self.run_session(net, &recipe, bytes)
     }
 
     /// Run an assembled session (from wherever its network stands) to
     /// completion and report on it.
-    fn run_session(
-        &self,
-        mut net: Network,
-        recipe: &Recipe,
-        bytes: u64,
-        want_progress: bool,
-    ) -> (SessionOutcome, Option<TransferProgress>) {
+    fn run_session(&self, mut net: Network, recipe: &Recipe, bytes: u64) -> SessionOutcome {
         let Recipe { streams, buffer, .. } = *recipe;
         let ids: Vec<FlowId> = recipe.stream_flows().collect();
-        if want_progress {
-            net.enable_progress_trace();
-        }
         let results = net.run();
         let session: Vec<_> = ids.iter().map(|i| results[i.0]).collect();
         let agg =
             SessionResult::aggregate(&session).expect("all session flows are finite and complete");
         let data_time = agg.finished.since(agg.started);
         let setup = SimDuration(self.rtt().nanos() * u64::from(self.control_rtts));
-        let progress = want_progress.then(|| {
-            // Merge the per-stream traces into one monotone session curve:
-            // every sample becomes a delta at its timestamp, sorted and
-            // prefix-summed. Times are rebased onto the data phase start.
-            let mut deltas: Vec<(SimDuration, u64)> = Vec::new();
-            for id in &ids {
-                let mut prev = 0u64;
-                for &(t, b) in net.progress_trace(*id).unwrap_or(&[]) {
-                    if b > prev {
-                        let elapsed =
-                            if t > agg.started { t.since(agg.started) } else { SimDuration::ZERO };
-                        deltas.push((elapsed, b - prev));
-                        prev = b;
-                    }
-                }
-            }
-            deltas.sort_by_key(|&(t, _)| t);
-            let mut samples = Vec::with_capacity(deltas.len() + 1);
-            let mut cum = 0u64;
-            for (t, d) in deltas {
-                cum += d;
-                match samples.last_mut() {
-                    Some((last_t, last_b)) if *last_t == t => *last_b = cum,
-                    _ => samples.push((t, cum)),
-                }
-            }
-            TransferProgress { samples, bytes, data_time }
-        });
         let report = SimTransferReport {
             bytes,
             streams,
@@ -307,7 +245,7 @@ impl WanProfile {
             events_inherited: net.events_inherited(),
             events_skipped: net.events_skipped(),
         };
-        (SessionOutcome { report, stats: net.stats() }, progress)
+        SessionOutcome { report, stats: net.stats() }
     }
 }
 
@@ -456,56 +394,6 @@ impl Recipe {
     }
 }
 
-/// Cumulative progress of one simulated session's data phase.
-///
-/// Samples are `(elapsed since the data phase began, cumulative bytes
-/// acked across all streams)`, monotone in both coordinates.
-#[derive(Debug, Clone)]
-pub struct TransferProgress {
-    samples: Vec<(SimDuration, u64)>,
-    bytes: u64,
-    data_time: SimDuration,
-}
-
-impl TransferProgress {
-    /// Bytes landed by `elapsed` into the data phase, interpolating
-    /// linearly between samples. Clamps to the full size once the data
-    /// phase is over.
-    pub fn bytes_by(&self, elapsed: SimDuration) -> u64 {
-        if elapsed >= self.data_time {
-            return self.bytes;
-        }
-        // Last sample at or before `elapsed`.
-        let idx = self.samples.partition_point(|&(t, _)| t <= elapsed);
-        let (t0, b0) = if idx == 0 { (SimDuration::ZERO, 0) } else { self.samples[idx - 1] };
-        let (t1, b1) = match self.samples.get(idx) {
-            Some(&s) => s,
-            None => (self.data_time, self.bytes),
-        };
-        if t1 <= t0 {
-            return b1.min(self.bytes);
-        }
-        let frac = (elapsed - t0).as_secs_f64() / (t1 - t0).as_secs_f64();
-        let interp = b0 as f64 + (b1 - b0) as f64 * frac;
-        (interp as u64).min(self.bytes)
-    }
-
-    /// The merged `(elapsed, cumulative bytes)` samples.
-    pub fn samples(&self) -> &[(SimDuration, u64)] {
-        &self.samples
-    }
-
-    /// Total bytes of the session.
-    pub fn total_bytes(&self) -> u64 {
-        self.bytes
-    }
-
-    /// Duration of the data phase.
-    pub fn data_time(&self) -> SimDuration {
-        self.data_time
-    }
-}
-
 /// Outcome of one simulated transfer.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SimTransferReport {
@@ -553,18 +441,12 @@ mod tests {
     const MB: u64 = 1024 * 1024;
 
     /// Everything a caller can observe of one simulated transfer: the
-    /// report (the per-call `events_inherited` aside), the progress curve
-    /// and the telemetry export.
-    type Observed = (SimTransferReport, Vec<(SimDuration, u64)>, SimDuration, String);
+    /// report (the per-call `events_inherited` aside) and the telemetry
+    /// export.
+    type Observed = (SimTransferReport, String);
 
-    fn observe((outcome, progress): (SessionOutcome, Option<TransferProgress>)) -> Observed {
-        let progress = progress.expect("progress requested");
-        (
-            SimTransferReport { events_inherited: 0, ..outcome.report },
-            progress.samples().to_vec(),
-            progress.data_time(),
-            published(&outcome),
-        )
+    fn observe(outcome: SessionOutcome) -> Observed {
+        (SimTransferReport { events_inherited: 0, ..outcome.report }, published(&outcome))
     }
 
     /// What `outcome` leaves in a fresh registry.
@@ -584,8 +466,8 @@ mod tests {
         warm: bool,
     ) -> [Observed; 2] {
         [
-            observe(p.simulate_warm(bytes, streams, buffer, true, warm)),
-            observe(p.simulate_from_scratch(bytes, streams, buffer, true, warm)),
+            observe(p.simulate_session(bytes, streams, buffer, warm)),
+            observe(p.simulate_from_scratch(bytes, streams, buffer, warm)),
         ]
     }
 
@@ -666,11 +548,6 @@ mod tests {
                     "{} bytes, {} streams, {} buffer, warm {}, {:?}",
                     bytes, streams, buffer, warm, profile
                 );
-                // The public entry keeps the same outcome: what it publishes
-                // is what the reference published.
-                let kept = profile.simulate_session(bytes, streams, buffer, warm);
-                prop_assert_eq!(SimTransferReport { events_inherited: 0, ..kept.report }, scratch.0);
-                prop_assert_eq!(published(&kept), scratch.3);
             }
         }
     }

@@ -5,7 +5,9 @@
 //! library). GDMP triggers explicit file-stage requests between the two
 //! through an HRM-style API, pays mount/seek/stream latencies for tape
 //! access, and reserves disk space before transfers
-//! (`allocate_storage(datasize)`).
+//! (`allocate_storage(datasize)`). [`HierarchicalStorage`] over a
+//! [`TapeLibrary`] (or another [`StorageBackend`]) is the staging model:
+//! each request either hits the pool or pays the archive's stage latency.
 //!
 //! All latencies are [`gdmp_simnet::time::SimDuration`] values returned to
 //! the caller; this crate never sleeps or reads a real clock.
@@ -13,7 +15,6 @@
 pub mod backend;
 pub mod hrm;
 pub mod pool;
-pub mod stager;
 pub mod tape;
 
 pub use backend::{
@@ -22,5 +23,4 @@ pub use backend::{
 };
 pub use hrm::{HierarchicalStorage, HrmError, Residence, StageOutcome};
 pub use pool::{DiskPool, EvictionPolicy, PoolError, Reservation};
-pub use stager::{StageCompletion, StageRequest, StagingQueue};
 pub use tape::{TapeError, TapeLibrary, TapeSpec};

@@ -193,13 +193,6 @@ impl TapeLibrary {
         self.stats.mounts += 1;
         self.spec.mount_time
     }
-
-    /// Tapes currently in drives (for tests/diagnostics).
-    pub fn mounted_tapes(&self) -> Vec<usize> {
-        let mut v: Vec<_> = self.mounted.iter().map(|(t, _)| *t).collect();
-        v.sort_unstable();
-        v
-    }
 }
 
 #[cfg(test)]
@@ -289,14 +282,19 @@ mod tests {
 
     #[test]
     fn drive_lru_dismount() {
+        let mounted_tapes = |t: &TapeLibrary| {
+            let mut v: Vec<_> = t.mounted.iter().map(|(tape, _)| *tape).collect();
+            v.sort_unstable();
+            v
+        };
         let mut t = lib();
         t.archive("t0", Bytes::from(vec![0u8; 900])).unwrap(); // tape 0
         t.archive("t1", Bytes::from(vec![0u8; 900])).unwrap(); // tape 1
         t.archive("t2", Bytes::from(vec![0u8; 900])).unwrap(); // tape 2
                                                                // Two drives: most recently used tapes stay mounted.
-        assert_eq!(t.mounted_tapes(), vec![1, 2]);
+        assert_eq!(mounted_tapes(&t), vec![1, 2]);
         t.stage("t0").unwrap(); // mounts tape 0, evicting LRU (tape 1)
-        assert_eq!(t.mounted_tapes(), vec![0, 2]);
+        assert_eq!(mounted_tapes(&t), vec![0, 2]);
     }
 
     #[test]

@@ -111,11 +111,6 @@ impl ObjectCopier {
         let per_obj = SimDuration::from_nanos(objects as u64 * self.spec.per_object_ns);
         stream + per_obj
     }
-
-    /// Copier throughput in bytes/second for large transfers (asymptotic).
-    pub fn throughput_bytes_per_sec(&self) -> u64 {
-        self.spec.bytes_per_sec
-    }
 }
 
 #[cfg(test)]

@@ -207,18 +207,6 @@ impl ReplicaCatalog {
         Ok(())
     }
 
-    pub fn delete_location(
-        &mut self,
-        collection: &str,
-        location: &str,
-    ) -> Result<(), CatalogError> {
-        self.require_collection(collection)?;
-        self.dir
-            .delete(&self.location_dn(collection, location))
-            .map_err(|_| CatalogError::NoSuchLocation(location.to_string()))?;
-        Ok(())
-    }
-
     pub fn list_locations(&mut self, collection: &str) -> Result<Vec<String>, CatalogError> {
         let dn = self.require_collection(collection)?;
         Ok(names(self.dir.search(&dn, Scope::OneLevel, &class_is("GlobusReplicaLocation"))))

@@ -92,20 +92,6 @@ impl BloomFilter {
             *a |= b;
         }
     }
-
-    /// Fraction of bits set — the saturation the FP rate grows with.
-    pub fn fill_ratio(&self) -> f64 {
-        let set: u32 = self.bits.iter().map(|w| w.count_ones()).sum();
-        f64::from(set) / self.m as f64
-    }
-
-    pub fn bit_count(&self) -> u64 {
-        self.m
-    }
-
-    pub fn hash_count(&self) -> u32 {
-        self.k
-    }
 }
 
 // ---- configuration -------------------------------------------------------
@@ -355,18 +341,6 @@ pub struct LookupPlan {
     pub staleness_ns: u64,
 }
 
-impl LookupPlan {
-    /// Materialize the hint sites as owned names (tests, reports).
-    pub fn hint_names(&self, names: &NameTable) -> Vec<String> {
-        self.hints.iter().map(|&id| names.resolve_sym(id).to_string()).collect()
-    }
-
-    /// Materialize the scatter sites as owned names (tests, reports).
-    pub fn scatter_names(&self, names: &NameTable) -> Vec<String> {
-        self.scatter.iter().map(|&id| names.resolve_sym(id).to_string()).collect()
-    }
-}
-
 /// Counters the federation keeps about itself; `wrong_answers` is the one
 /// the federation invariant demands stays zero forever.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -541,11 +515,6 @@ impl FederatedCatalog {
     /// the confirm step of the ladder (the grid pays the RPC, then asks).
     pub fn lrc_holds(&self, site: &str, lfn: &str) -> bool {
         self.try_site_id(site).is_some_and(|id| self.lrcs[id.index() as usize].holds(lfn))
-    }
-
-    /// Id-keyed confirm step — the allocation-free hot path the ladder uses.
-    pub fn lrc_holds_id(&self, site: SiteId, lfn: &str) -> bool {
-        self.lrcs[site.index() as usize].holds(lfn)
     }
 
     // ---- mutation --------------------------------------------------------
@@ -844,7 +813,7 @@ mod tests {
         // (children push before parents), so one tick suffices.
         f.tick(t(30), &mut NoFaults);
         let plan = f.plan_lookup("hot.db", t(31), &NoFaults);
-        assert_eq!(plan.hint_names(&f.name_table()), vec!["site007".to_string()]);
+        assert_eq!(plan.hints, vec![f.try_site_id("site007").unwrap()]);
         assert!(plan.scatter.is_empty());
         assert!(!plan.degraded);
     }
@@ -858,7 +827,7 @@ mod tests {
         // Bloom FP possible but wildly unlikely at this fill; hints must
         // not include non-holders *after confirm*, which is the grid's job.
         for &h in &plan.hints {
-            assert!(!f.lrc_holds_id(h, "ghost.db"));
+            assert!(!f.lrc_holds(f.site_name(h), "ghost.db"));
         }
     }
 
@@ -922,7 +891,7 @@ mod tests {
         let plan = f.plan_lookup("x.db", t(31), &LeafDown("rli-leaf-0"));
         assert!(plan.degraded);
         assert_eq!(plan.scatter.len(), 8, "exactly the dead leaf's sites");
-        assert!(plan.scatter_names(&f.name_table()).contains(&"site001".to_string()));
+        assert!(plan.scatter.contains(&f.try_site_id("site001").unwrap()));
         assert!(plan.hints.is_empty(), "the holder sits under the dead leaf");
     }
 

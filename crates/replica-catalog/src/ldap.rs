@@ -587,12 +587,6 @@ impl Directory {
     pub fn is_empty(&self) -> bool {
         self.entries.is_empty()
     }
-
-    /// True when the two directories hold identical entries (operation
-    /// counters are ignored) — the replica-consistency check.
-    pub fn content_eq(&self, other: &Directory) -> bool {
-        self.entries == other.entries
-    }
 }
 
 #[cfg(test)]

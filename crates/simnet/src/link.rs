@@ -153,15 +153,6 @@ impl Link {
             }
         }
     }
-
-    /// Mean queueing delay per transmitted packet.
-    pub fn mean_queue_delay(&self) -> SimDuration {
-        if self.packets_transmitted == 0 {
-            SimDuration::ZERO
-        } else {
-            self.total_queue_delay / self.packets_transmitted
-        }
-    }
 }
 
 #[cfg(test)]

@@ -155,24 +155,6 @@ impl Default for NetworkConfig {
 }
 
 impl NetworkConfig {
-    /// Minimum retransmission timeout.
-    pub fn with_min_rto(mut self, rto: SimDuration) -> Self {
-        self.min_rto = rto;
-        self
-    }
-
-    /// Initial congestion window, in segments.
-    pub fn with_initial_cwnd(mut self, cwnd: f64) -> Self {
-        self.initial_cwnd = cwnd;
-        self
-    }
-
-    /// Hard stop on simulated time.
-    pub fn with_max_sim_time(mut self, limit: SimDuration) -> Self {
-        self.max_sim_time = limit;
-        self
-    }
-
     /// Fidelity mode (see [`FastForward`]).
     pub fn with_fast_forward(mut self, mode: FastForward) -> Self {
         self.fast_forward = mode;

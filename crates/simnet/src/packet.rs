@@ -80,8 +80,6 @@ pub mod wire {
     pub const HEADER: u32 = 40;
     /// Full frame size of an MSS-sized segment.
     pub const FULL_FRAME: u32 = MSS + HEADER;
-    /// Size of a bare ACK on the wire.
-    pub const ACK_BYTES: u32 = HEADER;
 }
 
 /// Number of MSS segments needed to carry `bytes` of payload.

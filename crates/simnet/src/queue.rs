@@ -65,16 +65,6 @@ impl DropTailQueue {
     pub fn pop(&mut self) -> Option<Packet> {
         self.buf.pop_front()
     }
-
-    /// Drop probability observed so far.
-    pub fn loss_rate(&self) -> f64 {
-        let offered = self.accepted + self.drops;
-        if offered == 0 {
-            0.0
-        } else {
-            self.drops as f64 / offered as f64
-        }
-    }
 }
 
 #[cfg(test)]
@@ -126,7 +116,7 @@ mod tests {
         q.push(pkt(0));
         q.push(pkt(1));
         q.push(pkt(2));
-        assert!((q.loss_rate() - 2.0 / 3.0).abs() < 1e-12);
+        assert_eq!((q.accepted, q.drops), (1, 2));
     }
 
     #[test]
