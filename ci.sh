@@ -2,9 +2,10 @@
 # Local CI gate. The registry is offline (vendored shims via [patch.crates-io]),
 # so every cargo invocation runs with --offline.
 #
-#   ./ci.sh                fmt + unsafe gate + cited-path gate (every crate
-#                          path README, DESIGN, EXPERIMENTS and ROADMAP cite
-#                          exists) + clippy + build + example transcripts
+#   ./ci.sh                fmt + unsafe gate + cited-path gate (every crate,
+#                          example and scenario path and every
+#                          `<crate>::<module>` README, DESIGN, EXPERIMENTS and
+#                          ROADMAP cite exists) + clippy + build + example transcripts
 #                          (every examples/ binary prints exactly its
 #                          examples/transcripts/<name>.txt) + test + benches
 #                          compile + docs, the scenario smoke (every committed
@@ -59,20 +60,41 @@ if grep -rlw unsafe crates/*/src | grep -vxF -e crates/simnet/src/engine.rs -e c
   exit 1
 fi
 
-echo "==> cited paths: every crate path the docs cite exists"
-# Full `crates/<crate>/…` paths and the `<crate>/{src,tests,benches}/…`
-# shorthand; a trailing `:line` or sentence full stop is not part of the path.
+echo "==> cited paths: every crate, example, scenario and module the docs cite exists"
+docs=(README.md DESIGN.md EXPERIMENTS.md ROADMAP.md)
+# Full `crates/<crate>/…` paths, the `<crate>/{src,tests,benches}/…`
+# shorthand, and `examples/…` and `scenarios/…` paths (globs allowed); a
+# trailing `:line` or sentence full stop is not part of the path.
 crate_names=$(ls crates | paste -sd'|' -)
-cited=$(grep -noE "(crates/[A-Za-z0-9_-]+|\b($crate_names)/(src|tests|benches))(/[A-Za-z0-9_.-]*)*" \
-  README.md DESIGN.md EXPERIMENTS.md ROADMAP.md | sed -E 's/\.+$//')
+cited=$(grep -noE "(crates/[A-Za-z0-9_-]+|\b($crate_names)/(src|tests|benches)|\b(examples|scenarios)/[A-Za-z0-9_.*-]*)(/[A-Za-z0-9_.*-]*)*" \
+  "${docs[@]}" | sed -E 's/\.+$//')
 missing=0
+exists() { # <path or glob>
+  local match
+  for match in $1; do [[ -e "$match" ]] && return 0; done
+  return 1
+}
 while IFS=: read -r doc line path; do
-  [[ "$path" == crates/* ]] || path="crates/$path"
-  if [[ ! -e "$path" ]]; then
+  case "$path" in crates/* | examples/* | scenarios/*) ;; *) path="crates/$path" ;; esac
+  if ! exists "$path"; then
     echo "$doc:$line cites $path, which does not exist" >&2
     missing=1
   fi
 done <<<"$cited"
+# `<crate>::<module>` (or `gdmp_<crate>::<module>`) must name a module file,
+# a module directory, or an inline `pub mod` of the crate's lib.rs.
+crate_idents=$(ls crates | sed 's/-/[-_]/g' | paste -sd'|' -)
+modules=$(grep -noE "\b(gdmp_)?($crate_idents)::[a-z_][a-z0-9_]*" "${docs[@]}")
+while IFS=: read -r doc line ref; do
+  crate=${ref%%::*}
+  crate=${crate#gdmp_}
+  module=${ref#*::}
+  src="crates/${crate//_/-}/src"
+  if [[ ! -e "$src/$module.rs" && ! -d "$src/$module" ]] && ! grep -qE "^pub mod $module \{" "$src/lib.rs"; then
+    echo "$doc:$line cites $ref, which is no module of $src" >&2
+    missing=1
+  fi
+done <<<"$modules"
 [[ "$missing" == 0 ]] || exit 1
 
 echo "==> cargo clippy -D warnings"

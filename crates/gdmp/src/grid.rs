@@ -16,7 +16,7 @@ use gdmp_gridftp::sim::{SessionOutcome, WanProfile};
 use gdmp_gsi::cert::CertificateAuthority;
 use gdmp_gsi::context::{challenge_legs, SecurityContext};
 use gdmp_gsi::name::DistinguishedName;
-use gdmp_intern::{Lfn, SiteId, Symbol, SymbolTable};
+use gdmp_intern::{Lfn, NameTable, SiteId, Symbol, SymbolTable};
 use gdmp_objectstore::ObjectFileCatalog;
 use gdmp_replica_catalog::federation::{
     FederatedCatalog, FederationConfig, FederationFaults, LookupPlan,
@@ -149,6 +149,16 @@ impl FederationFaults for ChaosFaultView<'_> {
     fn lose_update(&mut self, from: &str) -> bool {
         self.chaos.should_drop_update(from)
     }
+}
+
+/// Where a [`Grid::lookup_ladder`] stands: the sites probed so far and the
+/// first LRC that never answered, named through the federation's ids.
+struct Ladder<'a> {
+    from: &'a str,
+    lfn: &'a str,
+    names: NameTable,
+    probed: std::collections::BTreeSet<SiteId>,
+    first_unreachable: Option<SiteId>,
 }
 
 /// The assembled data grid.
@@ -912,12 +922,17 @@ impl Grid {
             degraded: plan.degraded,
             staleness_ns: plan.staleness_ns,
         };
-        let mut probed: std::collections::BTreeSet<SiteId> = std::collections::BTreeSet::new();
-        let mut first_unreachable: Option<SiteId> = None;
+        let mut ladder = Ladder {
+            from,
+            lfn,
+            names,
+            probed: std::collections::BTreeSet::new(),
+            first_unreachable: None,
+        };
 
         // Rung 0: the requester's own LRC, authoritative and free.
         if let Some(id) = from_id {
-            probed.insert(id);
+            ladder.probed.insert(id);
         }
         if self.federation.as_ref().expect("checked").lrc_holds(from, lfn) {
             result.holders.push(from.to_string());
@@ -928,22 +943,7 @@ impl Grid {
 
         // Rung 1: RLI hints, each confirmed at the owning LRC. A denial
         // from a *reachable* LRC is a bloom false positive / stale entry.
-        for &site_id in &plan.hints {
-            if !probed.insert(site_id) {
-                continue;
-            }
-            let site = names.resolve_sym(site_id);
-            match self.confirm_at(from, site, lfn, &mut result, reg) {
-                Some(true) => result.holders.push(site.to_string()),
-                Some(false) => {
-                    result.false_positives += 1;
-                    reg.counter_add("rli_false_positives", &[], 1);
-                }
-                None => {
-                    first_unreachable.get_or_insert(site_id);
-                }
-            }
-        }
+        self.probe_rung(&mut ladder, plan.hints.iter().copied(), true, &mut result, reg);
         if !result.holders.is_empty() {
             result.via = LookupVia::Rli;
             reg.counter_add("rli_hits", &[], result.holders.len() as u64);
@@ -953,19 +953,7 @@ impl Grid {
 
         // Rung 2 (degraded): the index is blind to dead subtrees — ask
         // those LRCs directly.
-        for &site_id in &plan.scatter {
-            if !probed.insert(site_id) {
-                continue;
-            }
-            let site = names.resolve_sym(site_id);
-            match self.confirm_at(from, site, lfn, &mut result, reg) {
-                Some(true) => result.holders.push(site.to_string()),
-                Some(false) => {}
-                None => {
-                    first_unreachable.get_or_insert(site_id);
-                }
-            }
-        }
+        self.probe_rung(&mut ladder, plan.scatter.iter().copied(), false, &mut result, reg);
         if !result.holders.is_empty() {
             result.via = LookupVia::Scatter;
             self.federation.as_mut().expect("checked").audit_answer(lfn, &result.holders);
@@ -976,21 +964,14 @@ impl Grid {
         // false negatives are impossible, but lost/expired summaries make
         // the index forget). Federation ids walk sites in sorted name
         // order, so id iteration replaces the old full name-list clone.
-        let fallback: Vec<SiteId> =
-            (0..total_sites).map(SiteId).filter(|id| !probed.contains(id)).take(fanout).collect();
+        let fallback: Vec<SiteId> = (0..total_sites)
+            .map(SiteId)
+            .filter(|id| !ladder.probed.contains(id))
+            .take(fanout)
+            .collect();
         if !fallback.is_empty() {
             reg.counter_add("lookup_fallbacks", &[], 1);
-            for &site_id in &fallback {
-                probed.insert(site_id);
-                let site = names.resolve_sym(site_id);
-                match self.confirm_at(from, site, lfn, &mut result, reg) {
-                    Some(true) => result.holders.push(site.to_string()),
-                    Some(false) => {}
-                    None => {
-                        first_unreachable.get_or_insert(site_id);
-                    }
-                }
-            }
+            self.probe_rung(&mut ladder, fallback, false, &mut result, reg);
         }
         if !result.holders.is_empty() {
             result.via = LookupVia::Fallback;
@@ -999,31 +980,50 @@ impl Grid {
         }
 
         // Rung 4: full LRC scatter — the slowest honest answer there is.
-        for site_id in (0..total_sites).map(SiteId) {
-            if probed.contains(&site_id) {
-                continue;
-            }
-            let site = names.resolve_sym(site_id);
-            match self.confirm_at(from, site, lfn, &mut result, reg) {
-                Some(true) => result.holders.push(site.to_string()),
-                Some(false) => {}
-                None => {
-                    first_unreachable.get_or_insert(site_id);
-                }
-            }
-        }
+        self.probe_rung(&mut ladder, (0..total_sites).map(SiteId), false, &mut result, reg);
         self.federation.as_mut().expect("checked").audit_answer(lfn, &result.holders);
         if !result.holders.is_empty() {
             result.via = LookupVia::Scatter;
             return Ok(result);
         }
-        match first_unreachable {
+        match ladder.first_unreachable {
             // Some holder may be hiding behind an unreachable LRC: a
             // retryable miss, not a verdict.
             Some(site_id) => {
-                Err(GdmpError::SiteUnreachable(names.resolve_sym(site_id).to_string()))
+                Err(GdmpError::SiteUnreachable(ladder.names.resolve_sym(site_id).to_string()))
             }
             None => Err(GdmpError::NotPublished(lfn.to_string())),
+        }
+    }
+
+    /// One rung of [`Grid::lookup_ladder`]: confirm the file at each site
+    /// of `rung` not probed yet, in order, and sort each answer into a
+    /// holder, a false positive (counted on the RLI-hint rung only) or an
+    /// LRC that never answered.
+    fn probe_rung(
+        &mut self,
+        ladder: &mut Ladder<'_>,
+        rung: impl IntoIterator<Item = SiteId>,
+        hints: bool,
+        result: &mut LookupResult,
+        reg: &Registry,
+    ) {
+        for site_id in rung {
+            if !ladder.probed.insert(site_id) {
+                continue;
+            }
+            let site = ladder.names.resolve_sym(site_id);
+            match self.confirm_at(ladder.from, site, ladder.lfn, result, reg) {
+                Some(true) => result.holders.push(site.to_string()),
+                Some(false) if hints => {
+                    result.false_positives += 1;
+                    reg.counter_add("rli_false_positives", &[], 1);
+                }
+                Some(false) => {}
+                None => {
+                    ladder.first_unreachable.get_or_insert(site_id);
+                }
+            }
         }
     }
 

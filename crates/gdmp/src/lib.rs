@@ -56,11 +56,10 @@ pub use schedule::{Assignment, FetchPolicy, MultiSourcePlan, PlanExecution};
 pub use selection::{estimate_sources, SourceEstimate};
 pub use site::{Site, SiteConfig};
 
-// The storage-backend seam (Section 4.4): re-exported so scenario files
+// The archive and its media (Section 4.4): re-exported so scenario files
 // and per-site storage selection need only the `gdmp` crate.
 pub use gdmp_mass_storage::backend::{
-    BackendError, BackendStats, CostUnits, DiskArraySpec, ObjectStoreSpec, OpReceipt,
-    StorageBackend, StorageConfig,
+    BackendError, BackendStats, CostUnits, DiskArraySpec, ObjectStoreSpec, OpReceipt, StorageConfig,
 };
 pub use gdmp_mass_storage::tape::TapeSpec;
 
@@ -77,9 +76,7 @@ pub mod prelude {
     pub use crate::site::SiteConfig;
     pub use bytes::Bytes;
     pub use gdmp_gridftp::sim::WanProfile;
-    pub use gdmp_mass_storage::backend::{
-        DiskArraySpec, ObjectStoreSpec, StorageBackend, StorageConfig,
-    };
+    pub use gdmp_mass_storage::backend::{DiskArraySpec, ObjectStoreSpec, StorageConfig};
     pub use gdmp_mass_storage::tape::TapeSpec;
     pub use gdmp_replica_catalog::federation::{
         FederatedCatalog, FederationConfig, FederationStats,

@@ -53,7 +53,7 @@ impl SiteConfig {
         self
     }
 
-    /// Select the archive adapter behind this site's disk pool.
+    /// Select the archive medium behind this site's disk pool.
     pub fn with_storage(mut self, storage: StorageConfig) -> Self {
         self.storage = storage;
         self

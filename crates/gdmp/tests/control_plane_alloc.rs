@@ -6,46 +6,17 @@
 //! paths built owned `String`/tuple keys per call; the id-keyed maps make
 //! the probes pure hashing.
 //!
-//! Kept to a single `#[test]` so no concurrently running test can leak
-//! setup allocations into the measured window.
+//! The allocator counts per thread, so neither the test harness's own
+//! threads nor anything else running in the process leak into the
+//! measured window.
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+#[path = "../../telemetry/tests/counting_alloc/mod.rs"]
+mod counting_alloc;
 
+use counting_alloc::allocations_during;
 use gdmp::{Grid, SiteConfig};
 use gdmp_intern::{Interner, SiteId, Symbol, SymbolTable};
 use gdmp_replica_catalog::FederationConfig;
-
-static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
-
-struct CountingAlloc;
-
-// SAFETY: delegates directly to the system allocator; the counter is a
-// relaxed atomic with no further side effects.
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        System.alloc(layout)
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        System.dealloc(ptr, layout)
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        System.realloc(ptr, layout, new_size)
-    }
-}
-
-#[global_allocator]
-static GLOBAL: CountingAlloc = CountingAlloc;
-
-fn allocations_during(f: impl FnOnce()) -> u64 {
-    let before = ALLOCATIONS.load(Ordering::Relaxed);
-    f();
-    ALLOCATIONS.load(Ordering::Relaxed) - before
-}
 
 #[test]
 fn steady_state_control_plane_probes_do_not_allocate() {

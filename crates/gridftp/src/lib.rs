@@ -30,6 +30,6 @@ pub use crc::{crc32, Crc32};
 pub use ranges::ByteRanges;
 pub use server::{GridFtpServer, ServerConfig};
 pub use sim::{SimTransferReport, WanProfile};
-pub use store::{FileStore, MemStore};
+pub use store::MemStore;
 pub use stripe::{StripedProfile, StripedReport};
 pub use tuning::{tune, TuningAdvice};

@@ -21,7 +21,7 @@ use gdmp_gsi::proxy::CredentialChain;
 use crate::block::{partition, Block, BlockDecoder, Reassembler};
 use crate::crc::crc32;
 use crate::protocol::{replies, Command, Reply};
-use crate::store::FileStore;
+use crate::store::MemStore;
 
 /// Server configuration.
 #[derive(Clone)]
@@ -48,7 +48,7 @@ pub struct GridFtpServer {
 
 impl GridFtpServer {
     /// Start on an ephemeral loopback port.
-    pub fn start(store: Arc<dyn FileStore>, cfg: ServerConfig) -> std::io::Result<GridFtpServer> {
+    pub fn start(store: MemStore, cfg: ServerConfig) -> std::io::Result<GridFtpServer> {
         let listener = TcpListener::bind("127.0.0.1:0")?;
         let addr = listener.local_addr()?;
         listener.set_nonblocking(true)?;
@@ -59,7 +59,7 @@ impl GridFtpServer {
             while !shutdown2.load(Ordering::Relaxed) {
                 match listener.accept() {
                     Ok((stream, _)) => {
-                        let store = Arc::clone(&store);
+                        let store = store.clone();
                         let cfg = cfg.clone();
                         let nonce = nonce_counter.fetch_add(0x9e37_79b9, Ordering::Relaxed);
                         std::thread::spawn(move || {
@@ -116,7 +116,7 @@ pub(crate) fn hex_decode(s: &str) -> Option<Vec<u8>> {
 }
 
 struct Session {
-    store: Arc<dyn FileStore>,
+    store: MemStore,
     cfg: ServerConfig,
     nonce: u64,
     authed: Option<String>,
@@ -131,7 +131,7 @@ struct Session {
 }
 
 impl Session {
-    fn new(store: Arc<dyn FileStore>, cfg: ServerConfig, nonce: u64) -> Self {
+    fn new(store: MemStore, cfg: ServerConfig, nonce: u64) -> Self {
         Session {
             store,
             cfg,
@@ -394,10 +394,8 @@ impl Session {
         if failed || !reasm.is_complete() {
             return Ok(Reply::new(451, "upload incomplete"));
         }
-        match self.store.put(path, reasm.into_bytes()) {
-            Ok(()) => Ok(replies::complete()),
-            Err(e) => Ok(Reply::new(452, e)),
-        }
+        self.store.put(path, reasm.into_bytes());
+        Ok(replies::complete())
     }
 }
 

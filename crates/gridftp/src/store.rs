@@ -1,23 +1,16 @@
-//! The file store a GridFTP server serves from.
+//! The in-memory file store a GridFTP server serves from.
 //!
-//! GDMP adapts its per-site disk pool to this trait; tests use the simple
-//! in-memory implementation.
+//! The loopback server, its tests and the whole-stack test keep their
+//! files here; the simulated grid's sites keep theirs in their own
+//! `gdmp-mass-storage` disk pools, which never reach a socket.
 
 use std::collections::HashMap;
-use std::sync::Arc;
+use std::sync::{Arc, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
 use bytes::Bytes;
-use parking_lot::RwLock;
 
-/// What a server needs from its storage backend.
-pub trait FileStore: Send + Sync + 'static {
-    fn get(&self, name: &str) -> Option<Bytes>;
-    fn put(&self, name: &str, data: Bytes) -> Result<(), String>;
-    fn delete(&self, name: &str) -> Result<(), String>;
-    fn size(&self, name: &str) -> Option<u64>;
-}
-
-/// In-memory store, shared across server threads.
+/// In-memory store, shared across server threads: clones see the same
+/// files.
 #[derive(Debug, Default, Clone)]
 pub struct MemStore {
     files: Arc<RwLock<HashMap<String, Bytes>>>,
@@ -31,34 +24,39 @@ impl MemStore {
     pub fn with(files: &[(&str, Bytes)]) -> Self {
         let s = Self::new();
         for (n, d) in files {
-            s.put(n, d.clone()).expect("fresh store accepts files");
+            s.put(n, d.clone());
         }
         s
     }
 
     pub fn names(&self) -> Vec<String> {
-        let mut v: Vec<_> = self.files.read().keys().cloned().collect();
+        let mut v: Vec<_> = self.read().keys().cloned().collect();
         v.sort();
         v
     }
-}
 
-impl FileStore for MemStore {
-    fn get(&self, name: &str) -> Option<Bytes> {
-        self.files.read().get(name).cloned()
+    pub fn get(&self, name: &str) -> Option<Bytes> {
+        self.read().get(name).cloned()
     }
 
-    fn put(&self, name: &str, data: Bytes) -> Result<(), String> {
-        self.files.write().insert(name.to_string(), data);
-        Ok(())
+    pub fn put(&self, name: &str, data: Bytes) {
+        self.write().insert(name.to_string(), data);
     }
 
-    fn delete(&self, name: &str) -> Result<(), String> {
-        self.files.write().remove(name).map(|_| ()).ok_or_else(|| format!("no such file: {name}"))
+    pub fn delete(&self, name: &str) -> Result<(), String> {
+        self.write().remove(name).map(|_| ()).ok_or_else(|| format!("no such file: {name}"))
     }
 
-    fn size(&self, name: &str) -> Option<u64> {
-        self.files.read().get(name).map(|d| d.len() as u64)
+    pub fn size(&self, name: &str) -> Option<u64> {
+        self.read().get(name).map(|d| d.len() as u64)
+    }
+
+    fn read(&self) -> RwLockReadGuard<'_, HashMap<String, Bytes>> {
+        self.files.read().expect("a session thread panicked while holding the store lock")
+    }
+
+    fn write(&self) -> RwLockWriteGuard<'_, HashMap<String, Bytes>> {
+        self.files.write().expect("a session thread panicked while holding the store lock")
     }
 }
 
@@ -70,7 +68,7 @@ mod tests {
     fn memstore_crud() {
         let s = MemStore::new();
         assert!(s.get("a").is_none());
-        s.put("a", Bytes::from_static(b"hello")).unwrap();
+        s.put("a", Bytes::from_static(b"hello"));
         assert_eq!(s.size("a"), Some(5));
         assert_eq!(s.get("a").unwrap(), Bytes::from_static(b"hello"));
         s.delete("a").unwrap();
@@ -81,7 +79,7 @@ mod tests {
     fn memstore_is_shared_across_clones() {
         let s = MemStore::new();
         let s2 = s.clone();
-        s.put("x", Bytes::from_static(b"1")).unwrap();
+        s.put("x", Bytes::from_static(b"1"));
         assert!(s2.get("x").is_some());
     }
 }

@@ -2,13 +2,11 @@
 //! extended-block transfers, partial retrieval, restart, CRC verification,
 //! store, delete.
 
-use std::sync::Arc;
-
 use bytes::Bytes;
 use gdmp_gridftp::client::{ClientConfig, ClientError, GridFtpClient};
 use gdmp_gridftp::crc::crc32;
 use gdmp_gridftp::server::{GridFtpServer, ServerConfig};
-use gdmp_gridftp::store::{FileStore, MemStore};
+use gdmp_gridftp::store::MemStore;
 use gdmp_gsi::cert::{CertificateAuthority, KeyPair};
 use gdmp_gsi::name::DistinguishedName;
 use gdmp_gsi::proxy::CredentialChain;
@@ -44,7 +42,7 @@ fn sample(n: usize) -> Bytes {
 fn start_server(g: &Grid, files: &[(&str, Bytes)]) -> (GridFtpServer, MemStore) {
     let store = MemStore::with(files);
     let server = GridFtpServer::start(
-        Arc::new(store.clone()),
+        store.clone(),
         ServerConfig {
             credential: g.server_cred.clone(),
             ca_public: g.ca.public_key(),

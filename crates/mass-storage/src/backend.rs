@@ -1,39 +1,38 @@
-//! Pluggable archive backends: the MosaicFS-style split between the
-//! staging/replica-tracking core and thin per-technology adapters.
+//! The archive tier behind a site's disk pool: one [`Archive`], three
+//! media.
 //!
-//! GDMP (Section 4.4) layers replication above interchangeable Mass
-//! Storage Systems — HPSS at SLAC, Castor at CERN, Enstore at FNAL. This
-//! module is that seam in code: [`HierarchicalStorage`] keeps the disk
-//! pool, the staging rules, and the failover logic, and talks to the
-//! archive tier only through [`StorageBackend`]. Three adapters ship:
+//! GDMP (Section 4.4) reaches HPSS at SLAC, Castor at CERN and Enstore at
+//! FNAL through one HRM interface; only the cost of an operation differs.
+//! So does this module: [`Archive`] owns the archived files, the capacity
+//! accounting, the uniform errors and the [`BackendStats`], and asks its
+//! medium, picked by [`StorageConfig`], only what each store and fetch
+//! costs:
 //!
-//! * [`TapeBackend`] — the classic robot library ([`crate::tape`]),
-//!   mount + seek + stream latencies, byte-identical to the pre-trait
-//!   `HierarchicalStorage` behaviour;
-//! * [`DiskArrayBackend`] — a bounded nearline disk array: fixed per-op
-//!   latency plus a streaming rate, refuses writes past its capacity;
-//! * [`ObjectStoreBackend`] — an unbounded remote object store: every
-//!   request pays a round trip plus streaming, and operations carry
-//!   per-request and per-byte cost units.
+//! * **tape** — the robot library ([`crate::tape`]): mount + seek + stream
+//!   latencies over a fixed number of drives with LRU dismount; 100 cost
+//!   units per mount paid plus 1 per MiB streamed;
+//! * **disk array** — a bounded nearline array: fixed per-op latency plus
+//!   a streaming rate, 1 unit per op, and writes past its capacity are
+//!   refused with [`BackendError::Full`];
+//! * **object store** — an unbounded remote store: every request pays a
+//!   round trip plus streaming, and costs per request plus per MiB.
 //!
 //! ## The latency/cost contract
 //!
-//! Every mutating operation returns an [`OpReceipt`]. Adapters must keep
-//! both fields **pure functions of the operation sequence**: no wall
-//! clocks, no ambient randomness, so same ops ⇒ same receipts, byte for
-//! byte (the conformance suite asserts this for every adapter). Latency
-//! is sim-time the caller charges to its clock; `cost` is an abstract
-//! integer tally (mounts, requests, shipped megabytes) that policy layers
-//! can budget against without floating-point drift.
-//!
-//! [`HierarchicalStorage`]: crate::hrm::HierarchicalStorage
+//! Every store and fetch returns an [`OpReceipt`]. Both fields are **pure
+//! functions of the operation sequence**: no wall clocks, no ambient
+//! randomness, so same ops ⇒ same receipts, byte for byte (the
+//! conformance suite pins them for every medium). Latency is sim-time the
+//! caller charges to its clock; `cost` is an abstract integer tally
+//! (mounts, requests, shipped megabytes) that policy layers can budget
+//! against without floating-point drift.
 
 use std::collections::HashMap;
 
 use bytes::Bytes;
 use gdmp_simnet::time::SimDuration;
 
-use crate::tape::{TapeError, TapeLibrary, TapeSpec};
+use crate::tape::{Slot, TapeDrives, TapeSpec};
 
 /// Abstract, deterministic cost units (see the module docs).
 pub type CostUnits = u64;
@@ -42,11 +41,11 @@ const MIB: u64 = 1024 * 1024;
 
 /// Whole mebibytes touched by an operation, rounded up (1 minimum for a
 /// non-empty payload), so per-byte pricing stays integral.
-fn mib_ceil(bytes: u64) -> u64 {
+pub(crate) fn mib_ceil(bytes: u64) -> u64 {
     bytes.div_ceil(MIB)
 }
 
-/// What one mutating backend operation charged.
+/// What one store or fetch charged.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct OpReceipt {
     /// Sim-time the operation took; the caller charges its clock.
@@ -55,12 +54,12 @@ pub struct OpReceipt {
     pub cost: CostUnits,
 }
 
-/// Adapter-side errors, uniform across backends.
+/// Archive errors, the same on every medium.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum BackendError {
     NoSuchFile(String),
     AlreadyStored(String),
-    /// A bounded backend was asked to absorb more than its free space.
+    /// A bounded medium was asked to absorb more than its free space.
     Full {
         name: String,
         size: u64,
@@ -82,17 +81,8 @@ impl std::fmt::Display for BackendError {
 
 impl std::error::Error for BackendError {}
 
-impl From<TapeError> for BackendError {
-    fn from(e: TapeError) -> Self {
-        match e {
-            TapeError::NoSuchFile(n) => BackendError::NoSuchFile(n),
-            TapeError::AlreadyArchived(n) => BackendError::AlreadyStored(n),
-        }
-    }
-}
-
-/// Uniform operation counters every adapter maintains. `mounts` is zero
-/// for backends without removable media.
+/// Operation counters of an [`Archive`]. `mounts` is zero for media
+/// without removable volumes.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct BackendStats {
     pub stores: u64,
@@ -105,43 +95,7 @@ pub struct BackendStats {
     pub cost_units: CostUnits,
 }
 
-/// The archive tier behind a site's disk pool. See the module docs for
-/// the latency/cost contract adapters must uphold.
-pub trait StorageBackend: std::fmt::Debug {
-    /// Short adapter name (`"tape"`, `"disk_array"`, `"object_store"`).
-    fn kind(&self) -> &'static str;
-
-    /// Write a file into the archive.
-    fn store(&mut self, name: &str, data: Bytes) -> Result<OpReceipt, BackendError>;
-
-    /// Read a file back (a stage request from the core's point of view).
-    fn fetch(&mut self, name: &str) -> Result<(Bytes, OpReceipt), BackendError>;
-
-    /// Drop a file from the archive.
-    fn evict(&mut self, name: &str) -> Result<(), BackendError>;
-
-    fn contains(&self, name: &str) -> bool;
-
-    /// Auditor's view of a file's contents: no latency, no cost, no stats
-    /// — invariant checks must not perturb the simulation.
-    fn peek(&self, name: &str) -> Option<Bytes>;
-
-    /// Archived names, sorted (deterministic iteration for observers).
-    fn file_names(&self) -> Vec<String>;
-
-    fn len(&self) -> usize;
-
-    fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Bytes the backend can still absorb; `None` means unbounded.
-    fn free_bytes(&self) -> Option<u64>;
-
-    fn stats(&self) -> BackendStats;
-}
-
-/// Declarative pick of an archive adapter — what a scenario file's
+/// Declarative pick of an archive medium — what a scenario file's
 /// per-site `storage` stanza compiles into and [`SiteConfig`] carries.
 ///
 /// [`SiteConfig`]: https://docs.rs/gdmp (the `gdmp` crate's site config)
@@ -161,7 +115,7 @@ impl StorageConfig {
         StorageConfig::Tape(TapeSpec::classic())
     }
 
-    /// Short adapter name this config builds (`"tape"`, ...).
+    /// Short medium name this config builds (`"tape"`, ...).
     pub fn kind(&self) -> &'static str {
         match self {
             StorageConfig::Tape(_) => "tape",
@@ -170,12 +124,19 @@ impl StorageConfig {
         }
     }
 
-    /// Instantiate the adapter.
-    pub fn build(&self) -> Box<dyn StorageBackend> {
-        match self {
-            StorageConfig::Tape(spec) => Box::new(TapeBackend::new(*spec)),
-            StorageConfig::DiskArray(spec) => Box::new(DiskArrayBackend::new(*spec)),
-            StorageConfig::ObjectStore(spec) => Box::new(ObjectStoreBackend::new(*spec)),
+    /// An empty archive on this medium.
+    pub fn build(&self) -> Archive {
+        let medium = match self {
+            StorageConfig::Tape(spec) => Medium::Tape(TapeDrives::new(*spec)),
+            StorageConfig::DiskArray(spec) => Medium::DiskArray(*spec),
+            StorageConfig::ObjectStore(spec) => Medium::ObjectStore(*spec),
+        };
+        Archive {
+            kind: self.kind(),
+            medium,
+            files: HashMap::new(),
+            used: 0,
+            stats: BackendStats::default(),
         }
     }
 }
@@ -185,93 +146,6 @@ impl Default for StorageConfig {
         StorageConfig::classic_tape()
     }
 }
-
-// ---- tape ----------------------------------------------------------------
-
-/// The tape library as a [`StorageBackend`]. Latencies are exactly
-/// [`TapeLibrary`]'s (mount + seek + stream); cost charges 100 units per
-/// mount actually paid plus 1 per MiB streamed.
-#[derive(Debug, Clone)]
-pub struct TapeBackend {
-    lib: TapeLibrary,
-    stats: BackendStats,
-}
-
-impl TapeBackend {
-    pub fn new(spec: TapeSpec) -> Self {
-        TapeBackend { lib: TapeLibrary::new(spec), stats: BackendStats::default() }
-    }
-
-    /// The underlying library, for drive-level diagnostics
-    /// (mounted tapes, fill levels).
-    pub fn library(&self) -> &TapeLibrary {
-        &self.lib
-    }
-
-    fn charge(&mut self, mounts_before: u64, bytes: u64) -> CostUnits {
-        let cost = (self.lib.stats.mounts - mounts_before) * 100 + mib_ceil(bytes);
-        self.stats.cost_units += cost;
-        self.stats.mounts = self.lib.stats.mounts;
-        cost
-    }
-}
-
-impl StorageBackend for TapeBackend {
-    fn kind(&self) -> &'static str {
-        "tape"
-    }
-
-    fn store(&mut self, name: &str, data: Bytes) -> Result<OpReceipt, BackendError> {
-        let size = data.len() as u64;
-        let mounts_before = self.lib.stats.mounts;
-        let latency = self.lib.archive(name, data)?;
-        self.stats.stores += 1;
-        self.stats.bytes_written += size;
-        let cost = self.charge(mounts_before, size);
-        Ok(OpReceipt { latency, cost })
-    }
-
-    fn fetch(&mut self, name: &str) -> Result<(Bytes, OpReceipt), BackendError> {
-        let mounts_before = self.lib.stats.mounts;
-        let (data, latency) = self.lib.stage(name)?;
-        self.stats.fetches += 1;
-        self.stats.bytes_read += data.len() as u64;
-        let cost = self.charge(mounts_before, data.len() as u64);
-        Ok((data, OpReceipt { latency, cost }))
-    }
-
-    fn evict(&mut self, name: &str) -> Result<(), BackendError> {
-        self.lib.delete(name)?;
-        self.stats.evictions += 1;
-        Ok(())
-    }
-
-    fn contains(&self, name: &str) -> bool {
-        self.lib.contains(name)
-    }
-
-    fn peek(&self, name: &str) -> Option<Bytes> {
-        self.lib.peek(name)
-    }
-
-    fn file_names(&self) -> Vec<String> {
-        self.lib.file_names()
-    }
-
-    fn len(&self) -> usize {
-        self.lib.len()
-    }
-
-    fn free_bytes(&self) -> Option<u64> {
-        None // the robot opens a fresh tape whenever the last one fills
-    }
-
-    fn stats(&self) -> BackendStats {
-        self.stats
-    }
-}
-
-// ---- nearline disk array -------------------------------------------------
 
 /// Physical shape of a nearline disk array.
 #[derive(Debug, Clone, Copy)]
@@ -293,102 +167,16 @@ impl DiskArraySpec {
             stream_bytes_per_sec: 80_000_000,
         }
     }
-}
 
-/// Bounded disk-array adapter: every op pays the fixed latency plus the
-/// streaming time; cost is 1 unit per operation (spindles are cheap, the
-/// op slots are the scarce resource).
-#[derive(Debug, Clone)]
-pub struct DiskArrayBackend {
-    spec: DiskArraySpec,
-    files: HashMap<String, Bytes>,
-    used: u64,
-    stats: BackendStats,
-}
-
-impl DiskArrayBackend {
-    pub fn new(spec: DiskArraySpec) -> Self {
-        DiskArrayBackend { spec, files: HashMap::new(), used: 0, stats: BackendStats::default() }
-    }
-
-    fn op_receipt(&mut self, bytes: u64) -> OpReceipt {
-        let latency = self.spec.op_latency
-            + SimDuration::serialization(bytes, self.spec.stream_bytes_per_sec * 8);
-        self.stats.cost_units += 1;
+    /// Every op pays the fixed latency plus the streaming time; cost is 1
+    /// unit per op (spindles are cheap, the op slots are the scarce
+    /// resource).
+    fn receipt(&self, size: u64) -> OpReceipt {
+        let latency =
+            self.op_latency + SimDuration::serialization(size, self.stream_bytes_per_sec * 8);
         OpReceipt { latency, cost: 1 }
     }
 }
-
-impl StorageBackend for DiskArrayBackend {
-    fn kind(&self) -> &'static str {
-        "disk_array"
-    }
-
-    fn store(&mut self, name: &str, data: Bytes) -> Result<OpReceipt, BackendError> {
-        if self.files.contains_key(name) {
-            return Err(BackendError::AlreadyStored(name.to_string()));
-        }
-        let size = data.len() as u64;
-        let free = self.spec.capacity - self.used;
-        if size > free {
-            return Err(BackendError::Full { name: name.to_string(), size, free });
-        }
-        self.files.insert(name.to_string(), data);
-        self.used += size;
-        self.stats.stores += 1;
-        self.stats.bytes_written += size;
-        Ok(self.op_receipt(size))
-    }
-
-    fn fetch(&mut self, name: &str) -> Result<(Bytes, OpReceipt), BackendError> {
-        let data = self
-            .files
-            .get(name)
-            .cloned()
-            .ok_or_else(|| BackendError::NoSuchFile(name.to_string()))?;
-        let size = data.len() as u64;
-        self.stats.fetches += 1;
-        self.stats.bytes_read += size;
-        let receipt = self.op_receipt(size);
-        Ok((data, receipt))
-    }
-
-    fn evict(&mut self, name: &str) -> Result<(), BackendError> {
-        let data =
-            self.files.remove(name).ok_or_else(|| BackendError::NoSuchFile(name.to_string()))?;
-        self.used -= data.len() as u64;
-        self.stats.evictions += 1;
-        Ok(())
-    }
-
-    fn contains(&self, name: &str) -> bool {
-        self.files.contains_key(name)
-    }
-
-    fn peek(&self, name: &str) -> Option<Bytes> {
-        self.files.get(name).cloned()
-    }
-
-    fn file_names(&self) -> Vec<String> {
-        let mut v: Vec<_> = self.files.keys().cloned().collect();
-        v.sort();
-        v
-    }
-
-    fn len(&self) -> usize {
-        self.files.len()
-    }
-
-    fn free_bytes(&self) -> Option<u64> {
-        Some(self.spec.capacity - self.used)
-    }
-
-    fn stats(&self) -> BackendStats {
-        self.stats
-    }
-}
-
-// ---- remote object store -------------------------------------------------
 
 /// Shape of an object-store-like remote archive.
 #[derive(Debug, Clone, Copy)]
@@ -413,89 +201,156 @@ impl ObjectStoreSpec {
             cost_per_mib: 2,
         }
     }
+
+    /// Every request pays the round trip plus streaming; cost is
+    /// per-request plus per-MiB (the cloud-bill model).
+    fn receipt(&self, size: u64) -> OpReceipt {
+        let latency = self.rtt + SimDuration::serialization(size, self.stream_bytes_per_sec * 8);
+        OpReceipt { latency, cost: self.cost_per_request + self.cost_per_mib * mib_ceil(size) }
+    }
 }
 
-/// Unbounded remote-object-store adapter: every request pays the RTT plus
-/// streaming; cost is per-request plus per-MiB (the cloud-bill model).
-#[derive(Debug, Clone)]
-pub struct ObjectStoreBackend {
-    spec: ObjectStoreSpec,
-    objects: HashMap<String, Bytes>,
+/// What an archive medium is, and so what its operations cost.
+#[derive(Debug)]
+pub(crate) enum Medium {
+    Tape(TapeDrives),
+    DiskArray(DiskArraySpec),
+    ObjectStore(ObjectStoreSpec),
+}
+
+impl Medium {
+    /// Receipt for writing `size` bytes; on tape, also where they land.
+    fn write(&mut self, size: u64) -> (OpReceipt, Option<Slot>) {
+        match self {
+            Medium::Tape(drives) => {
+                let (receipt, slot) = drives.write(size);
+                (receipt, Some(slot))
+            }
+            Medium::DiskArray(spec) => (spec.receipt(size), None),
+            Medium::ObjectStore(spec) => (spec.receipt(size), None),
+        }
+    }
+
+    /// Receipt for reading a file back.
+    fn read(&mut self, file: &Entry) -> OpReceipt {
+        let size = file.data.len() as u64;
+        match self {
+            Medium::Tape(drives) => {
+                drives.read(file.slot.expect("every file on tape has a slot"), size)
+            }
+            Medium::DiskArray(spec) => spec.receipt(size),
+            Medium::ObjectStore(spec) => spec.receipt(size),
+        }
+    }
+}
+
+/// An archived file: its bytes and, on tape, where they sit.
+#[derive(Debug)]
+struct Entry {
+    data: Bytes,
+    slot: Option<Slot>,
+}
+
+/// The archive tier behind a site's disk pool: the archived files, their
+/// capacity accounting and counters, priced by one medium (see the module
+/// docs). Built by [`StorageConfig::build`].
+#[derive(Debug)]
+pub struct Archive {
+    kind: &'static str,
+    pub(crate) medium: Medium,
+    files: HashMap<String, Entry>,
+    /// Bytes held; bounds stores only on a medium with a capacity.
+    used: u64,
     stats: BackendStats,
 }
 
-impl ObjectStoreBackend {
-    pub fn new(spec: ObjectStoreSpec) -> Self {
-        ObjectStoreBackend { spec, objects: HashMap::new(), stats: BackendStats::default() }
+impl Archive {
+    /// Short medium name (`"tape"`, `"disk_array"`, `"object_store"`).
+    pub fn kind(&self) -> &'static str {
+        self.kind
     }
 
-    fn request_receipt(&mut self, bytes: u64) -> OpReceipt {
-        let latency =
-            self.spec.rtt + SimDuration::serialization(bytes, self.spec.stream_bytes_per_sec * 8);
-        let cost = self.spec.cost_per_request + self.spec.cost_per_mib * mib_ceil(bytes);
-        self.stats.cost_units += cost;
-        OpReceipt { latency, cost }
-    }
-}
-
-impl StorageBackend for ObjectStoreBackend {
-    fn kind(&self) -> &'static str {
-        "object_store"
-    }
-
-    fn store(&mut self, name: &str, data: Bytes) -> Result<OpReceipt, BackendError> {
-        if self.objects.contains_key(name) {
+    /// Write a file into the archive.
+    pub fn store(&mut self, name: &str, data: Bytes) -> Result<OpReceipt, BackendError> {
+        if self.files.contains_key(name) {
             return Err(BackendError::AlreadyStored(name.to_string()));
         }
         let size = data.len() as u64;
-        self.objects.insert(name.to_string(), data);
+        if let Some(free) = self.free_bytes().filter(|&free| size > free) {
+            return Err(BackendError::Full { name: name.to_string(), size, free });
+        }
+        let (receipt, slot) = self.medium.write(size);
+        self.files.insert(name.to_string(), Entry { data, slot });
+        self.used += size;
         self.stats.stores += 1;
         self.stats.bytes_written += size;
-        Ok(self.request_receipt(size))
+        self.charge(receipt);
+        Ok(receipt)
     }
 
-    fn fetch(&mut self, name: &str) -> Result<(Bytes, OpReceipt), BackendError> {
-        let data = self
-            .objects
-            .get(name)
-            .cloned()
-            .ok_or_else(|| BackendError::NoSuchFile(name.to_string()))?;
-        let size = data.len() as u64;
+    /// Read a file back (a stage request from the HRM's point of view).
+    pub fn fetch(&mut self, name: &str) -> Result<(Bytes, OpReceipt), BackendError> {
+        let file =
+            self.files.get(name).ok_or_else(|| BackendError::NoSuchFile(name.to_string()))?;
+        let receipt = self.medium.read(file);
+        let data = file.data.clone();
         self.stats.fetches += 1;
-        self.stats.bytes_read += size;
-        let receipt = self.request_receipt(size);
+        self.stats.bytes_read += data.len() as u64;
+        self.charge(receipt);
         Ok((data, receipt))
     }
 
-    fn evict(&mut self, name: &str) -> Result<(), BackendError> {
-        self.objects.remove(name).ok_or_else(|| BackendError::NoSuchFile(name.to_string()))?;
+    /// Drop a file from the archive.
+    pub fn evict(&mut self, name: &str) -> Result<(), BackendError> {
+        let file =
+            self.files.remove(name).ok_or_else(|| BackendError::NoSuchFile(name.to_string()))?;
+        self.used -= file.data.len() as u64;
         self.stats.evictions += 1;
         Ok(())
     }
 
-    fn contains(&self, name: &str) -> bool {
-        self.objects.contains_key(name)
+    fn charge(&mut self, receipt: OpReceipt) {
+        self.stats.cost_units += receipt.cost;
+        if let Medium::Tape(drives) = &self.medium {
+            self.stats.mounts = drives.mounts;
+        }
     }
 
-    fn peek(&self, name: &str) -> Option<Bytes> {
-        self.objects.get(name).cloned()
+    pub fn contains(&self, name: &str) -> bool {
+        self.files.contains_key(name)
     }
 
-    fn file_names(&self) -> Vec<String> {
-        let mut v: Vec<_> = self.objects.keys().cloned().collect();
+    /// Auditor's view of a file's contents: no latency, no cost, no stats
+    /// — invariant checks must not perturb the simulation.
+    pub fn peek(&self, name: &str) -> Option<Bytes> {
+        self.files.get(name).map(|f| f.data.clone())
+    }
+
+    /// Archived names, sorted (deterministic iteration for observers).
+    pub fn file_names(&self) -> Vec<String> {
+        let mut v: Vec<_> = self.files.keys().cloned().collect();
         v.sort();
         v
     }
 
-    fn len(&self) -> usize {
-        self.objects.len()
+    pub fn len(&self) -> usize {
+        self.files.len()
     }
 
-    fn free_bytes(&self) -> Option<u64> {
-        None
+    pub fn is_empty(&self) -> bool {
+        self.files.is_empty()
     }
 
-    fn stats(&self) -> BackendStats {
+    /// Bytes the archive can still absorb; `None` means unbounded (the
+    /// robot opens a fresh tape whenever the last one fills).
+    pub fn free_bytes(&self) -> Option<u64> {
+        match &self.medium {
+            Medium::DiskArray(spec) => Some(spec.capacity - self.used),
+            Medium::Tape(_) | Medium::ObjectStore(_) => None,
+        }
+    }
+
+    pub fn stats(&self) -> BackendStats {
         self.stats
     }
 }
@@ -506,25 +361,32 @@ mod tests {
 
     #[test]
     fn tape_backend_matches_raw_library_latencies() {
-        let spec = TapeSpec::classic();
-        let mut lib = TapeLibrary::new(spec);
-        let mut backend = TapeBackend::new(spec);
+        // Classic library, 4 MiB: the store mounts the first tape (60 s +
+        // 0.4194304 s streaming, 100 + 4 units); the fetch finds it
+        // mounted at offset 0 and pays the streaming alone.
+        let mut archive = StorageConfig::classic_tape().build();
         let data = Bytes::from(vec![3u8; 4 * 1024 * 1024]);
-        let raw = lib.archive("a", data.clone()).unwrap();
-        let receipt = backend.store("a", data).unwrap();
-        assert_eq!(receipt.latency, raw, "adapter must not change tape latencies");
-        let (_, raw_stage) = lib.stage("a").unwrap();
-        let (_, stage_receipt) = backend.fetch("a").unwrap();
-        assert_eq!(stage_receipt.latency, raw_stage);
+        let receipt = archive.store("a", data).unwrap();
+        assert_eq!(
+            receipt,
+            OpReceipt { latency: SimDuration::from_nanos(60_419_430_400), cost: 104 },
+            "adapter must not change tape latencies"
+        );
+        let (_, stage_receipt) = archive.fetch("a").unwrap();
+        assert_eq!(
+            stage_receipt,
+            OpReceipt { latency: SimDuration::from_nanos(419_430_400), cost: 4 }
+        );
     }
 
     #[test]
     fn disk_array_enforces_capacity() {
-        let mut b = DiskArrayBackend::new(DiskArraySpec {
+        let mut b = StorageConfig::DiskArray(DiskArraySpec {
             capacity: 1000,
             op_latency: SimDuration::from_millis(5),
             stream_bytes_per_sec: 1_000_000,
-        });
+        })
+        .build();
         b.store("a", Bytes::from(vec![0u8; 600])).unwrap();
         match b.store("b", Bytes::from(vec![0u8; 600])) {
             Err(BackendError::Full { free, .. }) => assert_eq!(free, 400),
@@ -538,7 +400,7 @@ mod tests {
     #[test]
     fn object_store_cost_is_request_plus_bytes() {
         let spec = ObjectStoreSpec::remote();
-        let mut b = ObjectStoreBackend::new(spec);
+        let mut b = StorageConfig::ObjectStore(spec).build();
         let r = b.store("x", Bytes::from(vec![0u8; 3 * 1024 * 1024])).unwrap();
         assert_eq!(r.cost, spec.cost_per_request + 3 * spec.cost_per_mib);
         assert!(r.latency >= spec.rtt);

@@ -6,14 +6,14 @@
 //! the pool; GDMP starts the WAN transfer only once the file is on disk.
 //!
 //! The core owns the staging rules, the disk cache, and the statistics;
-//! the archive tier is any [`StorageBackend`] adapter (tape library,
-//! nearline disk array, remote object store — see [`crate::backend`]).
+//! the archive tier is one [`Archive`] on a tape library, a nearline disk
+//! array or a remote object store (see [`crate::backend`]).
 
 use bytes::Bytes;
 use gdmp_simnet::time::SimDuration;
 use gdmp_telemetry::Registry;
 
-use crate::backend::{BackendError, StorageBackend, StorageConfig};
+use crate::backend::{Archive, BackendError, StorageConfig};
 use crate::pool::{DiskPool, EvictionPolicy, PoolError};
 use crate::tape::TapeSpec;
 
@@ -74,16 +74,16 @@ pub struct HrmStats {
     pub disk_hits: u64,
     pub stage_requests: u64,
     pub total_stage_latency_ns: u64,
-    /// Cost units charged by the archive backend across all operations.
+    /// Cost units charged by the archive across all operations.
     pub archive_cost_units: u64,
 }
 
-/// Disk pool + archive backend under a single staging API.
+/// Disk pool + archive under a single staging API.
 #[derive(Debug)]
 pub struct HierarchicalStorage {
     pub pool: DiskPool,
     /// The archive tier (tape library unless configured otherwise).
-    pub archive: Box<dyn StorageBackend>,
+    pub archive: Archive,
     pub stats: HrmStats,
     /// Telemetry sink; disabled (no-op) unless attached.
     telemetry: Registry,
@@ -95,20 +95,11 @@ impl HierarchicalStorage {
         Self::with_config(pool_capacity, policy, &StorageConfig::Tape(tape_spec))
     }
 
-    /// Disk pool in front of the adapter a [`StorageConfig`] describes.
+    /// Disk pool in front of the archive a [`StorageConfig`] describes.
     pub fn with_config(pool_capacity: u64, policy: EvictionPolicy, config: &StorageConfig) -> Self {
-        Self::with_backend(pool_capacity, policy, config.build())
-    }
-
-    /// Disk pool in front of an explicit adapter instance.
-    pub fn with_backend(
-        pool_capacity: u64,
-        policy: EvictionPolicy,
-        archive: Box<dyn StorageBackend>,
-    ) -> Self {
         HierarchicalStorage {
             pool: DiskPool::new(pool_capacity, policy),
-            archive,
+            archive: config.build(),
             stats: HrmStats::default(),
             telemetry: Registry::default(),
         }
@@ -285,7 +276,7 @@ mod tests {
     #[test]
     fn staging_works_identically_over_every_adapter() {
         // The HRM's staging behaviour (evict → request → stage back) is
-        // adapter-independent; only the latency/cost numbers differ.
+        // medium-independent; only the latency/cost numbers differ.
         for config in [
             tape_config(),
             StorageConfig::DiskArray(DiskArraySpec::commodity()),

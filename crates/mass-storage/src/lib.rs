@@ -5,9 +5,12 @@
 //! library). GDMP triggers explicit file-stage requests between the two
 //! through an HRM-style API, pays mount/seek/stream latencies for tape
 //! access, and reserves disk space before transfers
-//! (`allocate_storage(datasize)`). [`HierarchicalStorage`] over a
-//! [`TapeLibrary`] (or another [`StorageBackend`]) is the staging model:
-//! each request either hits the pool or pays the archive's stage latency.
+//! (`allocate_storage(datasize)`). [`HierarchicalStorage`] over an
+//! [`Archive`] is the staging model: each request either hits the pool or
+//! pays the archive's stage latency. The archive is one store on one of
+//! three media — a tape library, a nearline disk array or a remote object
+//! store — and only the latency and cost of its operations differ
+//! ([`backend`]).
 //!
 //! All latencies are [`gdmp_simnet::time::SimDuration`] values returned to
 //! the caller; this crate never sleeps or reads a real clock.
@@ -18,9 +21,9 @@ pub mod pool;
 pub mod tape;
 
 pub use backend::{
-    BackendError, BackendStats, CostUnits, DiskArrayBackend, DiskArraySpec, ObjectStoreBackend,
-    ObjectStoreSpec, OpReceipt, StorageBackend, StorageConfig, TapeBackend,
+    Archive, BackendError, BackendStats, CostUnits, DiskArraySpec, ObjectStoreSpec, OpReceipt,
+    StorageConfig,
 };
 pub use hrm::{HierarchicalStorage, HrmError, Residence, StageOutcome};
 pub use pool::{DiskPool, EvictionPolicy, PoolError, Reservation};
-pub use tape::{TapeError, TapeLibrary, TapeSpec};
+pub use tape::TapeSpec;

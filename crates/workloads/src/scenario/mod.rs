@@ -113,7 +113,7 @@ pub struct SiteDecl {
     pub storage: StorageDecl,
 }
 
-/// Per-site archive backend selection — the scenario-schema face of
+/// Per-site archive medium selection — the scenario-schema face of
 /// [`StorageConfig`].
 #[derive(Debug, Clone, PartialEq)]
 pub enum StorageDecl {

@@ -3,12 +3,10 @@
 //! protocol crates and the object store working together outside the
 //! simulated grid.
 
-use std::sync::Arc;
-
 use gdmp_gridftp::client::{ClientConfig, GridFtpClient};
 use gdmp_gridftp::crc::crc32;
 use gdmp_gridftp::server::{GridFtpServer, ServerConfig};
-use gdmp_gridftp::store::{FileStore, MemStore};
+use gdmp_gridftp::store::MemStore;
 use gdmp_integration_tests::TestPki;
 use gdmp_objectstore::{
     standard_assocs, synth_payload, Federation, LogicalOid, ObjectKind, StoredObject,
@@ -48,7 +46,7 @@ fn database_file_replication_over_real_tcp() {
     // Source site: the image sits in the GridFTP-served store.
     let store = MemStore::with(&[("events.db", image.clone())]);
     let server = GridFtpServer::start(
-        Arc::new(store),
+        store,
         ServerConfig {
             credential: pki.host.clone(),
             ca_public: pki.ca.public_key(),
@@ -121,9 +119,9 @@ fn object_extraction_over_real_tcp() {
     let image = chunks[0].encode();
 
     let store = MemStore::new();
-    store.put(&chunks[0].name, image.clone()).unwrap();
+    store.put(&chunks[0].name, image.clone());
     let server = GridFtpServer::start(
-        Arc::new(store),
+        store,
         ServerConfig {
             credential: pki.host.clone(),
             ca_public: pki.ca.public_key(),
@@ -172,9 +170,9 @@ fn staged_file_served_over_tcp() {
     assert!(outcome.latency.nanos() > 0);
 
     let store = MemStore::new();
-    store.put("cold.dat", outcome.data).unwrap();
+    store.put("cold.dat", outcome.data);
     let server = GridFtpServer::start(
-        Arc::new(store),
+        store,
         ServerConfig {
             credential: pki.host.clone(),
             ca_public: pki.ca.public_key(),
