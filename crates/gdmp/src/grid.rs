@@ -9,12 +9,14 @@
 //! describes.
 
 use std::collections::HashMap;
+use std::sync::Arc;
 
 use bytes::Bytes;
 use gdmp_gridftp::crc::crc32;
 use gdmp_gridftp::sim::{SessionOutcome, WanProfile};
 use gdmp_gsi::cert::CertificateAuthority;
 use gdmp_gsi::context::{challenge_legs, SecurityContext};
+use gdmp_gsi::gridmap::VoGrants;
 use gdmp_gsi::name::DistinguishedName;
 use gdmp_intern::{Lfn, NameTable, SiteId, Symbol, SymbolTable};
 use gdmp_objectstore::ObjectFileCatalog;
@@ -329,17 +331,23 @@ impl Grid {
         self.sites[callee_slot].gridmap.add_full(caller_id, &local_user);
     }
 
-    /// Mutual full trust between every pair of sites.
+    /// Mutual full trust between every pair of sites: each site joins
+    /// one shared VO gridmap that maps every site's DN to `{site}_svc`.
     pub fn trust_all(&mut self) {
-        let order = self.order.clone();
-        for &a in &order {
-            let a_name = self.site_ids.resolve_arc(a);
-            for &b in &order {
-                if a != b {
-                    let b_name = self.site_ids.resolve_arc(b);
-                    self.trust(&a_name, &b_name);
-                }
-            }
+        // In name order, so that of two sites sharing a DN the later one's
+        // account wins, as granting pair by pair did.
+        let members: Vec<(usize, DistinguishedName, String)> = self
+            .order
+            .iter()
+            .map(|&id| {
+                let slot = self.slot[id.index() as usize].expect("ordered sites exist");
+                let site = &self.sites[slot];
+                (slot, site.identity().clone(), format!("{}_svc", site.name))
+            })
+            .collect();
+        let vo = Arc::new(VoGrants::full(members.iter().map(|(_, dn, user)| (dn, user.as_str()))));
+        for (slot, dn, user) in &members {
+            self.sites[*slot].gridmap.join(&vo, dn, user);
         }
     }
 

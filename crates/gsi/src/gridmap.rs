@@ -5,7 +5,8 @@
 //! to local accounts, plus per-operation access control for the four GDMP
 //! client services (subscribe, publish, fetch catalog, transfer files).
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
+use std::sync::Arc;
 
 use serde::{Deserialize, Serialize};
 
@@ -56,16 +57,61 @@ impl std::fmt::Display for AuthzError {
 
 impl std::error::Error for AuthzError {}
 
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 struct Entry {
     local_user: String,
-    allowed: HashSet<Operation>,
+    /// One bit per [`Operation`], indexed by its discriminant.
+    allowed: u8,
+}
+
+impl Entry {
+    fn new(local_user: &str, ops: &[Operation]) -> Entry {
+        let allowed = ops.iter().fold(0, |mask, &op| mask | (1 << op as u8));
+        Entry { local_user: local_user.to_string(), allowed }
+    }
+}
+
+/// The grants a virtual organisation shares: every member's DN mapped to
+/// its account with every operation allowed. Built once and held by every
+/// member's [`GridMap`] by reference.
+#[derive(Debug, Default)]
+pub struct VoGrants {
+    /// DN → the grant of the last member (in build order) with that DN.
+    grants: HashMap<DistinguishedName, Entry>,
+    /// DN → the grant of the member before the last, for DNs members share.
+    shadowed: HashMap<DistinguishedName, Entry>,
+}
+
+impl VoGrants {
+    /// Full grants for `members`, in order: of two members sharing a DN,
+    /// the later one's account wins.
+    pub fn full<'a>(
+        members: impl ExactSizeIterator<Item = (&'a DistinguishedName, &'a str)>,
+    ) -> VoGrants {
+        let mut vo =
+            VoGrants { grants: HashMap::with_capacity(members.len()), ..VoGrants::default() };
+        for (dn, local_user) in members {
+            if let Some(earlier) =
+                vo.grants.insert(dn.clone(), Entry::new(local_user, &Operation::ALL))
+            {
+                vo.shadowed.insert(dn.clone(), earlier);
+            }
+        }
+        vo
+    }
 }
 
 /// A site's gridmap: DN → (local account, allowed operations).
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+///
+/// The entries are the shared [`VoGrants`] the site joined, if any, under
+/// the site's own overrides: an explicit grant (`Some`) or a removal of a
+/// VO grant (`None`). Edits write only to the overrides, so one site's
+/// edit never reaches another site.
+#[derive(Debug, Clone, Default)]
 pub struct GridMap {
-    entries: HashMap<DistinguishedName, Entry>,
+    vo: Option<Arc<VoGrants>>,
+    /// Invariant: a `None` override names a DN the VO grants.
+    overrides: HashMap<DistinguishedName, Option<Entry>>,
 }
 
 impl GridMap {
@@ -75,10 +121,7 @@ impl GridMap {
 
     /// Map `dn` to `local_user` with the given operations.
     pub fn add(&mut self, dn: DistinguishedName, local_user: &str, ops: &[Operation]) {
-        self.entries.insert(
-            dn,
-            Entry { local_user: local_user.to_string(), allowed: ops.iter().copied().collect() },
-        );
+        self.overrides.insert(dn, Some(Entry::new(local_user, ops)));
     }
 
     /// Map `dn` with every operation allowed.
@@ -87,7 +130,50 @@ impl GridMap {
     }
 
     pub fn remove(&mut self, dn: &DistinguishedName) -> bool {
-        self.entries.remove(dn).is_some()
+        let mapped = self.entry(dn).is_some();
+        if self.vo_grant(dn).is_some() {
+            self.overrides.insert(dn.clone(), None);
+        } else {
+            self.overrides.remove(dn);
+        }
+        mapped
+    }
+
+    /// Join `vo` as the member `member` with account `local_user`: every
+    /// DN `vo` grants maps to its VO grant, replacing any earlier entry,
+    /// except the member's own DN, which keeps what it held unless another
+    /// member shares it. Entries for DNs outside `vo`, including those of
+    /// a VO joined earlier, stay.
+    pub fn join(&mut self, vo: &Arc<VoGrants>, member: &DistinguishedName, local_user: &str) {
+        let own = match vo.grants.get(member) {
+            Some(last) if last.local_user == local_user => {
+                Some(vo.shadowed.get(member).or(self.entry(member)).cloned())
+            }
+            _ => None,
+        };
+        if let Some(old) = self.vo.take().filter(|old| !Arc::ptr_eq(old, vo)) {
+            for (dn, grant) in &old.grants {
+                if !vo.grants.contains_key(dn) {
+                    self.overrides.entry(dn.clone()).or_insert_with(|| Some(grant.clone()));
+                }
+            }
+        }
+        self.overrides.retain(|dn, entry| entry.is_some() && !vo.grants.contains_key(dn));
+        if let Some(entry) = own {
+            self.overrides.insert(member.clone(), entry);
+        }
+        self.vo = Some(Arc::clone(vo));
+    }
+
+    fn vo_grant(&self, dn: &DistinguishedName) -> Option<&Entry> {
+        self.vo.as_ref().and_then(|vo| vo.grants.get(dn))
+    }
+
+    fn entry(&self, dn: &DistinguishedName) -> Option<&Entry> {
+        match self.overrides.get(dn) {
+            Some(entry) => entry.as_ref(),
+            None => self.vo_grant(dn),
+        }
     }
 
     /// Authorize `dn` for `op`; on success return the local account name.
@@ -97,20 +183,27 @@ impl GridMap {
     /// see, and reachability checks must not depend on per-operation
     /// grants. Unknown identities are still rejected.
     pub fn authorize(&self, dn: &DistinguishedName, op: Operation) -> Result<&str, AuthzError> {
-        let entry = self.entries.get(dn).ok_or_else(|| AuthzError::UnknownIdentity(dn.clone()))?;
-        if op == Operation::Ping || entry.allowed.contains(&op) {
+        let entry = self.entry(dn).ok_or_else(|| AuthzError::UnknownIdentity(dn.clone()))?;
+        if op == Operation::Ping || entry.allowed & (1 << op as u8) != 0 {
             Ok(&entry.local_user)
         } else {
             Err(AuthzError::Denied { who: dn.clone(), op })
         }
     }
 
+    /// The number of mapped DNs.
     pub fn len(&self) -> usize {
-        self.entries.len()
+        let vo = self.vo.as_ref().map_or(0, |vo| vo.grants.len());
+        // A removal names a VO grant, so the count never drops below zero.
+        self.overrides.iter().fold(vo, |n, (dn, entry)| match (entry, self.vo_grant(dn)) {
+            (Some(_), None) => n + 1,
+            (Some(_), Some(_)) => n,
+            (None, _) => n - 1,
+        })
     }
 
     pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
+        self.len() == 0
     }
 }
 
@@ -165,6 +258,32 @@ mod tests {
         for op in Operation::ALL {
             assert!(gm.authorize(&alice(), op).is_ok());
         }
+    }
+
+    #[test]
+    fn a_vo_member_maps_the_others_but_not_itself() {
+        let (cern, anl) = (alice(), DistinguishedName::user("anl.gov", "bob"));
+        let vo = Arc::new(VoGrants::full([(&cern, "cern_svc"), (&anl, "anl_svc")].into_iter()));
+        let (mut at_cern, mut at_anl) = (GridMap::new(), GridMap::new());
+        at_cern.join(&vo, &cern, "cern_svc");
+        at_anl.join(&vo, &anl, "anl_svc");
+        assert_eq!(at_cern.authorize(&anl, Operation::Admin), Ok("anl_svc"));
+        assert!(matches!(
+            at_cern.authorize(&cern, Operation::Ping),
+            Err(AuthzError::UnknownIdentity(_))
+        ));
+        assert_eq!((at_cern.len(), at_anl.len()), (1, 1));
+        // An edit stays on its own site.
+        at_cern.add(anl.clone(), "anl_ro", &[Operation::FetchCatalog]);
+        assert!(at_anl.remove(&cern));
+        assert_eq!(
+            at_cern.authorize(&anl, Operation::Admin).unwrap_err().to_string(),
+            "/O=Grid/OU=anl.gov/CN=bob not authorized for Admin"
+        );
+        assert_eq!((at_cern.len(), at_anl.len()), (1, 0));
+        let mut fresh = GridMap::new();
+        fresh.join(&vo, &cern, "cern_svc");
+        assert_eq!(fresh.authorize(&anl, Operation::Admin), Ok("anl_svc"));
     }
 
     #[test]

@@ -103,18 +103,6 @@ impl DistinguishedName {
     }
 }
 
-/// DNs key gridmaps; serialize them as their canonical `/K=V/...` string so
-/// DN-keyed maps render as plain JSON objects.
-impl serde::MapKey for DistinguishedName {
-    fn to_key(&self) -> String {
-        self.to_string()
-    }
-
-    fn from_key(key: &str) -> Result<Self, serde::DeError> {
-        DistinguishedName::parse(key).map_err(|e| serde::DeError::custom(e.to_string()))
-    }
-}
-
 impl fmt::Display for DistinguishedName {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         for (k, v) in &self.components {
