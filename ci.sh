@@ -2,7 +2,9 @@
 # Local CI gate. The registry is offline (vendored shims via [patch.crates-io]),
 # so every cargo invocation runs with --offline.
 #
-#   ./ci.sh                fmt + unsafe gate + cited-path gate (every crate,
+#   ./ci.sh                fmt + unsafe gate + owned-state gate (no
+#                          `thread_local!` or `static mut` under crates/*/src)
+#                          + cited-path gate (every crate,
 #                          example and scenario path and every
 #                          `<crate>::<module>` README, DESIGN, EXPERIMENTS and
 #                          ROADMAP cite exists) + clippy + build + example transcripts
@@ -57,6 +59,12 @@ cargo fmt --all -- --check
 echo "==> unsafe gate: only the event-queue heap and the CRC kernel may use it"
 if grep -rlw unsafe crates/*/src | grep -vxF -e crates/simnet/src/engine.rs -e crates/gridftp/src/crc.rs; then
   echo "the files above use \`unsafe\`; keep it to simnet/src/engine.rs and gridftp/src/crc.rs" >&2
+  exit 1
+fi
+
+echo "==> owned-state gate: no thread-local or static mutable state outlives its owner"
+if grep -rnE 'thread_local!|static mut' crates/*/src; then
+  echo "the lines above keep state no value owns; hand it to the value that uses it (DESIGN §10)" >&2
   exit 1
 fi
 

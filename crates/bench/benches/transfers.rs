@@ -5,7 +5,7 @@
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 
-use gdmp_gridftp::sim::WanProfile;
+use gdmp_gridftp::sim::{SessionCache, WanProfile};
 use gdmp_simnet::link::LinkSpec;
 use gdmp_simnet::network::{FlowSpec, Network};
 use gdmp_simnet::time::{SimDuration, SimTime};
@@ -13,39 +13,41 @@ use gdmp_simnet::time::{SimDuration, SimTime};
 const MB: u64 = 1024 * 1024;
 
 /// Reduced Figure-5/6 points: cost of simulating a 5 MB transfer at
-/// several stream counts and both buffer settings. Every iteration after
-/// the first continues from the recipe's stored cross-traffic warm-up, so
+/// several stream counts and both buffer settings. Each point owns one
+/// cache and every iteration moves one more byte, so an iteration misses
+/// the session memo but continues from the recipe's cross-traffic warm-up;
 /// the rate is per event an iteration dispatches itself.
 fn bench_fig_points(c: &mut Criterion) {
     let mut g = c.benchmark_group("sim_transfer_5MB");
     let profile = WanProfile::cern_anl_production();
     for &streams in &[1u32, 4, 8] {
         for &(label, buffer) in &[("untuned64k", 64 * 1024u64), ("tuned1M", MB)] {
-            profile.simulate_transfer(5 * MB, streams, buffer);
-            let steady = profile.simulate_transfer(5 * MB, streams, buffer);
+            let mut cache = SessionCache::default();
+            let mut bytes = 5 * MB;
+            let mut next = move |n| {
+                bytes += 1;
+                cache.session(&profile, black_box(bytes), n, buffer, false).report
+            };
+            next(streams);
+            let steady = next(streams);
             g.throughput(Throughput::Elements(steady.events_processed - steady.events_inherited));
             g.bench_with_input(BenchmarkId::new(label, streams), &streams, |b, &n| {
-                b.iter(|| profile.simulate_transfer(black_box(5 * MB), n, buffer))
+                b.iter(|| next(n))
             });
         }
     }
     g.finish();
 }
 
-/// The same points with a recipe no earlier iteration left a warm-up for:
-/// the control round trips are part of the profile, so of the recipe, but
-/// not of the packet simulation, and cycling through more values than the
-/// per-thread store holds makes every iteration simulate its warm-up.
+/// The same points on a fresh cache per iteration: every iteration
+/// simulates its warm-up.
 fn bench_cold_recipe(c: &mut Criterion) {
     let mut g = c.benchmark_group("sim_transfer_5MB_cold_recipe");
+    let profile = WanProfile::cern_anl_production();
+    let cold = |n| {
+        SessionCache::default().session(&profile, black_box(5 * MB), n, 64 * 1024, false).report
+    };
     for &streams in &[1u32, 8] {
-        let mut profile = WanProfile::cern_anl_production();
-        let mut cold = move |n| {
-            profile.control_rtts = 8 + (profile.control_rtts + 1) % 64;
-            let r = profile.simulate_transfer(black_box(5 * MB), n, 64 * 1024);
-            assert_eq!(r.events_inherited, 0, "the recipe was still in the store");
-            r
-        };
         g.throughput(Throughput::Elements(cold(streams).events_processed));
         g.bench_with_input(BenchmarkId::new("untuned64k", streams), &streams, |b, &n| {
             b.iter(|| cold(n))

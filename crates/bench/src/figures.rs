@@ -1,6 +1,6 @@
 //! Figures 5 and 6: GridFTP throughput vs number of parallel streams.
 
-use gdmp_gridftp::sim::WanProfile;
+use gdmp_gridftp::sim::{SessionCache, WanProfile};
 use gdmp_workloads::FigureSweep;
 
 use crate::parallel::{default_workers, par_map};
@@ -18,8 +18,8 @@ pub struct FigRow {
 
 /// Run one figure's full parameter grid on the CERN↔ANL production
 /// profile. Deterministic; ~40 packet-level simulations, fanned out over
-/// worker threads (each point is an independent simulation) and merged
-/// back in grid order, so the rows are byte-identical to a serial run.
+/// worker threads one stream count at a time and merged back in grid
+/// order, so the rows are byte-identical to a serial run.
 pub fn fig_sweep(sweep: &FigureSweep) -> Vec<FigRow> {
     fig_sweep_on(sweep, WanProfile::cern_anl_production())
 }
@@ -30,19 +30,29 @@ pub fn fig_sweep_on(sweep: &FigureSweep, profile: WanProfile) -> Vec<FigRow> {
     sweep_rows(sweep, profile, default_workers())
 }
 
+/// One task, and one [`SessionCache`], per stream count: its file sizes
+/// share one cross-traffic warm-up.
 fn sweep_rows(sweep: &FigureSweep, profile: WanProfile, workers: usize) -> Vec<FigRow> {
-    let points: Vec<(u64, u32)> = sweep.points().collect();
-    par_map(&points, workers, |&(file_bytes, streams)| {
-        let r = profile.simulate_transfer(file_bytes, streams, sweep.buffer);
-        FigRow {
-            file_bytes,
-            streams,
-            buffer: sweep.buffer,
-            mbps: r.throughput_mbps(),
-            retransmitted_segments: r.retransmitted_segments,
-            timeouts: r.timeouts,
-        }
-    })
+    let by_streams = par_map(&sweep.streams, workers, |&streams| {
+        let mut cache = SessionCache::default();
+        sweep
+            .file_sizes
+            .iter()
+            .map(|&file_bytes| {
+                let r = cache.session(&profile, file_bytes, streams, sweep.buffer, false).report;
+                FigRow {
+                    file_bytes,
+                    streams,
+                    buffer: sweep.buffer,
+                    mbps: r.throughput_mbps(),
+                    retransmitted_segments: r.retransmitted_segments,
+                    timeouts: r.timeouts,
+                }
+            })
+            .collect::<Vec<_>>()
+    });
+    // Back to `sweep.points()` order: file size major, stream count minor.
+    (0..sweep.file_sizes.len()).flat_map(|f| by_streams.iter().map(move |rows| rows[f])).collect()
 }
 
 /// Render a figure as the paper's table: one row per file size, one column
@@ -122,13 +132,14 @@ mod tests {
 
     #[test]
     fn parallel_sweep_rows_equal_the_serial_ones() {
-        // The serial sweep reuses each stream count's cross-traffic warm-up
-        // across file sizes on this thread; every sweep worker keeps a
-        // store of its own and sees the points in whatever order it pulls
-        // them. The rows must not tell.
+        // Each stream count's file sizes share one warm-up, whichever
+        // worker runs them and in whatever order the workers pull them.
+        // The rows must not tell, and must come back in grid order.
         let sweep = FigureSweep::quick(64 * 1024);
         let profile = WanProfile::cern_anl_production();
         let serial = sweep_rows(&sweep, profile, 1);
+        let order: Vec<(u64, u32)> = serial.iter().map(|r| (r.file_bytes, r.streams)).collect();
+        assert_eq!(order, sweep.points().collect::<Vec<_>>());
         for workers in [2, 3] {
             assert_eq!(sweep_rows(&sweep, profile, workers), serial, "{workers} sweep workers");
         }

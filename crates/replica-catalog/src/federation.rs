@@ -302,28 +302,6 @@ struct RliNode {
     summaries: BTreeMap<u32, Summary>,
 }
 
-/// Which rung of the degradation ladder answered a lookup.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum LookupPath {
-    /// RLI hints existed and at least one confirmed at its LRC.
-    RliHit,
-    /// No (confirmed) hint — a bounded fan-out query found the file.
-    Fallback,
-    /// A dead RLI subtree (or an exhausted fallback) forced direct LRC
-    /// scatter.
-    Scatter,
-}
-
-impl LookupPath {
-    pub fn label(self) -> &'static str {
-        match self {
-            LookupPath::RliHit => "rli_hit",
-            LookupPath::Fallback => "fallback",
-            LookupPath::Scatter => "scatter",
-        }
-    }
-}
-
 /// The query plan the index produced for one lookup: who to confirm, who
 /// to scatter to because the index can no longer speak for them, and how
 /// stale the consulted soft state was. Sites are interned ids — resolve
@@ -345,11 +323,6 @@ pub struct LookupPlan {
 /// the federation invariant demands stays zero forever.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct FederationStats {
-    pub lookups: u64,
-    pub rli_hits: u64,
-    pub false_positives: u64,
-    pub fallbacks: u64,
-    pub scatters: u64,
     pub updates_delivered: u64,
     pub updates_lost: u64,
     /// Confirmed lookup results that contradicted ground-truth LRC

@@ -21,8 +21,8 @@ pub mod service;
 
 pub use catalog::{CatalogError, PhysicalLocation, ReplicaCatalog};
 pub use federation::{
-    BloomFilter, FederatedCatalog, FederationConfig, FederationFaults, FederationStats, LookupPath,
-    LookupPlan, NoFaults,
+    BloomFilter, FederatedCatalog, FederationConfig, FederationFaults, FederationStats, LookupPlan,
+    NoFaults,
 };
 pub use ldap::{Directory, Filter, LdapDn, LdapError, Scope};
 pub use service::{FileMeta, ReplicaCatalogService, ReplicaInfo};
