@@ -571,19 +571,26 @@ fn failover_gives_up_when_all_sources_broken() {
 fn object_view_index_files_replicate_like_any_file() {
     let mut grid = three_site_grid();
     store_events(&mut grid, "cern", "ev.db", 0..40, ObjectKind::Aod, 128);
+    store_events(&mut grid, "cern", "esd.db", 0..25, ObjectKind::Esd, 256);
     grid.publish_database("cern", "ev.db").unwrap();
+    grid.publish_database("cern", "esd.db").unwrap();
 
     // CERN publishes the global view as an index file; ANL replicates it
     // with ordinary file replication and rebuilds the view from it.
     let idx = grid.publish_object_view_index("cern").unwrap();
+    assert!(grid.load_object_view_index("anl", &idx).is_err(), "anl holds no copy yet");
     grid.replicate("anl", &idx).unwrap();
     let rebuilt = grid.load_object_view_index("anl", &idx).unwrap();
-    assert!(rebuilt.file_count() >= 1);
+    assert_eq!(rebuilt.file_count(), 2);
     assert_eq!(
         rebuilt.files_of(LogicalOid::new(7, ObjectKind::Aod)),
         vec!["ev.db"],
         "rebuilt view must locate objects"
     );
+    // The rebuilt view is the global one: every file with every object.
+    let view = grid.object_view.snapshot();
+    assert_eq!(view.iter().map(|(_, objects)| objects.len()).collect::<Vec<_>>(), [25, 40]);
+    assert_eq!(rebuilt.snapshot(), view);
     // The index file itself is a first-class catalog citizen.
     assert_eq!(grid.catalog.locate(&idx).unwrap().len(), 2);
 }

@@ -37,7 +37,6 @@ pub mod queue;
 mod sim;
 pub mod tcp;
 pub mod time;
-mod wheel;
 
 pub use link::LinkSpec;
 pub use network::{FastForward, FlowResult, FlowSpec, Network, NetworkConfig, SessionResult};
