@@ -29,7 +29,7 @@ use gdmp_telemetry::Registry;
 
 use crate::chaos::FaultSchedule;
 use crate::grid::Grid;
-use crate::recovery::{BreakerConfig, RecoveryStrategy};
+use crate::recovery::{BreakerConfig, CircuitBreaker, RecoveryStrategy};
 use crate::schedule::FetchPolicy;
 use crate::site::SiteConfig;
 use gdmp_replica_catalog::federation::FederationConfig;
@@ -188,13 +188,13 @@ impl GridBuilder {
             grid.set_fetch_policy(policy);
         }
         if let Some(strategy) = self.recovery {
-            grid.install_recovery(strategy);
+            grid.recovery = Some(strategy);
         }
         if let Some(config) = self.breaker {
-            grid.arm_breaker(config);
+            grid.breaker = CircuitBreaker::new(config);
         }
         if let Some(schedule) = self.chaos {
-            grid.install_fault_schedule(schedule);
+            grid.inject_fault_schedule(schedule);
         }
         grid
     }

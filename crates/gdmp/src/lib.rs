@@ -26,11 +26,14 @@ pub mod error;
 pub mod failure;
 pub mod grid;
 pub mod invariants;
+mod lookup;
 pub mod message;
 mod mover;
 pub mod objrep;
 pub mod plugins;
+mod publish;
 pub mod recovery;
+mod rpc;
 pub mod schedule;
 pub mod selection;
 mod session;

@@ -77,13 +77,6 @@ impl Grid {
         self.faults.insert((lfn, Some(site)), FaultState::new(plan));
     }
 
-    /// Install a pluggable error-recovery strategy (Section 4.3's future
-    /// work) via `Grid::builder(..).recovery`. Default: retry the same
-    /// source `params.max_attempts` times.
-    pub(crate) fn install_recovery(&mut self, strategy: Box<dyn RecoveryStrategy>) {
-        self.recovery = Some(strategy);
-    }
-
     /// The next injected-fault verdict for a transfer of `lfn` from
     /// `source`. Probes are allocation-free: an lfn or site never named by
     /// an injection is not interned, so unknown names short-circuit clean.
@@ -281,18 +274,6 @@ impl Grid {
         }
         outcome?;
 
-        // Every replica holds identical content (publication CRC), and each
-        // credited range stays valid after its source left.
-        let data = f.exec.assemble(&f.held);
-        let crc_span = reg.span_start("crc_verify", self.clock.nanos());
-        self.clock += SimDuration::from_millis(1); // CRC pass
-        reg.span_note(crc_span, "passed", true);
-        reg.span_end(crc_span, self.clock.nanos());
-        if let Some(idx) = f.finisher {
-            let source = f.exec.sources()[idx].name.as_str();
-            self.breaker.record_success(source);
-            reg.series_set("breaker_open", &[("src", source)], self.clock.nanos(), 0);
-        }
         // The fetch of record is the largest contributor still in the plan;
         // per-source byte counts live in the telemetry counters.
         let mut report = f.report;
@@ -304,6 +285,24 @@ impl Grid {
             .max_by(|a, b| a.bytes_fetched.cmp(&b.bytes_fetched).then_with(|| b.name.cmp(&a.name)))
             .map(|s| s.name.clone())
             .expect("a complete plan has a live member");
+        // Every replica holds identical content (publication CRC), and each
+        // credited range stays valid after its source left. A copy that
+        // fails the check closes no breaker and installs nothing.
+        let data = f.exec.assemble(&f.held);
+        let crc_span = reg.span_start("crc_verify", self.clock.nanos());
+        self.clock += SimDuration::from_millis(1); // CRC pass
+        let passed = crc32(&data) == info.meta.crc32;
+        reg.span_note(crc_span, "passed", passed);
+        reg.span_end(crc_span, self.clock.nanos());
+        if !passed {
+            reg.counter_add("crc_failures", &[("src", report.from.as_str()), ("dst", dst)], 1);
+            return Err(GdmpError::IntegrityFailure { lfn: lfn.to_string() });
+        }
+        if let Some(idx) = f.finisher {
+            let source = f.exec.sources()[idx].name.as_str();
+            self.breaker.record_success(source);
+            reg.series_set("breaker_open", &[("src", source)], self.clock.nanos(), 0);
+        }
 
         self.install_replica(dst, lfn, info, &report.from, &data, reg)?;
 
@@ -442,15 +441,15 @@ impl Grid {
     /// cut — with no pin held yet.
     fn prepare_file(&mut self, f: &mut Fetch, source: &str) -> Result<Option<GdmpError>> {
         let (dst, reg) = (f.dst, f.reg);
-        if self.chaos.is_active() {
-            self.apply_due_faults();
-            if !self.chaos.can_rpc(dst, source) || !self.chaos.can_flow(source, dst) {
-                return Ok(Some(if self.chaos.is_down(source) {
-                    GdmpError::SiteUnreachable(source.to_string())
-                } else {
-                    GdmpError::LinkDown { from: source.to_string(), to: dst.to_string() }
-                }));
-            }
+        if let Some((_, refused)) = self.refusal(dst, source, true) {
+            // A crashed source is named; any other refusal is the data
+            // path from it cut.
+            return Ok(Some(match refused {
+                GdmpError::SiteUnreachable(site) if site == source => {
+                    GdmpError::SiteUnreachable(site)
+                }
+                _ => GdmpError::LinkDown { from: source.to_string(), to: dst.to_string() },
+            }));
         }
         let stage_span = reg.span_start("staging", self.clock.nanos());
         reg.span_note(stage_span, "source", source);
@@ -497,10 +496,7 @@ impl Grid {
         // A fault may have fired during a backoff wait or a prior attempt: a
         // path already severed fails the attempt before any byte moves
         // (connection refused).
-        if self.chaos.is_active() && {
-            self.apply_due_faults();
-            !self.chaos.can_flow(source, dst)
-        } {
+        if self.refusal(source, dst, false).is_some() {
             reg.counter_add("source_unreachable", &[("src", source)], 1);
             let detail = format!("{lfn}: {source} -> {dst} unreachable");
             reg.record(at.nanos(), "transfer_blocked", detail);
@@ -672,9 +668,9 @@ impl Grid {
         })
     }
 
-    /// Deliver verified bytes to the destination: CRC check, space
-    /// reservation, file-type post-processing, catalog registration, and
-    /// import-queue cleanup.
+    /// Deliver verified bytes to the destination: space reservation,
+    /// file-type post-processing, replica registration, and import-queue
+    /// cleanup.
     fn install_replica(
         &mut self,
         dst: &str,
@@ -685,11 +681,6 @@ impl Grid {
         reg: &Registry,
     ) -> Result<()> {
         let size = info.meta.size;
-        let actual_crc = crc32(data);
-        if actual_crc != info.meta.crc32 {
-            reg.counter_add("crc_failures", &[("src", origin), ("dst", dst)], 1);
-            return Err(GdmpError::IntegrityFailure { lfn: lfn.to_string() });
-        }
         {
             let reserve_span = reg.span_start("space_reserve", self.clock.nanos());
             reg.span_note(reserve_span, "bytes", size);
@@ -709,25 +700,17 @@ impl Grid {
 
         // Make the new replica visible to the grid.
         let register_span = reg.span_start("catalog_register", self.clock.nanos());
-        let url = self.site(dst)?.url_prefix.clone();
-        self.catalog.add_replica(lfn, dst, &url)?;
-        if let Some(fed) = self.federation.as_mut() {
-            fed.publish(dst, lfn);
-        }
         let notice = FileNotice {
             lfn: lfn.to_string(),
             meta: info.meta.clone(),
             origin: origin.to_string(),
         };
-        {
-            let now_ns = self.clock.nanos();
-            let dst_site = self.site_mut(dst)?;
-            dst_site.export_catalog.push(notice);
-            dst_site.import_queue.retain(|n| n.lfn != lfn);
-            let depth = dst_site.import_queue.len() as i64;
-            reg.gauge_set("site_import_queue_depth", &[("site", dst)], depth);
-            reg.series_set("site_import_queue_depth", &[("site", dst)], now_ns, depth);
-        }
+        self.register_replica(dst, notice, false)?;
+        let import_queue = &mut self.site_mut(dst)?.import_queue;
+        import_queue.retain(|n| n.lfn != lfn);
+        let depth = import_queue.len() as i64;
+        reg.gauge_set("site_import_queue_depth", &[("site", dst)], depth);
+        reg.series_set("site_import_queue_depth", &[("site", dst)], self.clock.nanos(), depth);
         reg.span_end(register_span, self.clock.nanos());
         Ok(())
     }

@@ -106,21 +106,21 @@ impl Grid {
             let dst_site = self.site(dst)?;
             wanted.iter().copied().filter(|o| !dst_site.federation.contains(*o)).collect()
         };
-        let already_present = wanted.len() - missing.len();
+        let mut report = ObjectReplicationReport {
+            requested: wanted.len(),
+            already_present: wanted.len() - missing.len(),
+            objects_moved: 0,
+            bytes_moved: 0,
+            chunk_files: Vec::new(),
+            sources: Vec::new(),
+            copier_cpu: SimDuration::ZERO,
+            transfer_time: SimDuration::ZERO,
+            makespan: SimDuration::ZERO,
+            started_at,
+            finished_at: started_at,
+        };
         if missing.is_empty() {
-            return Ok(ObjectReplicationReport {
-                requested: wanted.len(),
-                already_present,
-                objects_moved: 0,
-                bytes_moved: 0,
-                chunk_files: Vec::new(),
-                sources: Vec::new(),
-                copier_cpu: SimDuration::ZERO,
-                transfer_time: SimDuration::ZERO,
-                makespan: SimDuration::ZERO,
-                started_at,
-                finished_at: self.now(),
-            });
+            return Ok(report);
         }
 
         // Step 2: one collective lookup on the global view, assigning each
@@ -151,16 +151,8 @@ impl Grid {
         }
 
         // Steps 3–5 per source; sources proceed in parallel, so the clock
-        // advances by the slowest of them.
+        // advances by the slowest of them: the makespan.
         let copier = ObjectCopier::new(cfg.copier);
-        let mut chunk_files = Vec::new();
-        let mut sources = Vec::new();
-        let mut copier_cpu = SimDuration::ZERO;
-        let mut transfer_time = SimDuration::ZERO;
-        let mut bytes_moved = 0u64;
-        let mut objects_moved = 0usize;
-        let mut slowest = SimDuration::ZERO;
-
         self.objrep_seq += 1;
         let seq = self.objrep_seq;
         for (source, objects) in per_source {
@@ -173,8 +165,8 @@ impl Grid {
                 let src_site = self.site_mut(&source)?;
                 copier.extract(&mut src_site.federation, &objects, &prefix)?
             };
-            copier_cpu = copier_cpu + stats.cpu_time;
-            objects_moved += stats.objects_copied;
+            report.copier_cpu = report.copier_cpu + stats.cpu_time;
+            report.objects_moved += stats.objects_copied;
 
             // Per-chunk copy and transfer times.
             let profile = self.profile_between(&source, dst);
@@ -186,12 +178,12 @@ impl Grid {
                 copy_times.push(copier.cost(chunk.object_count(), chunk.payload_bytes()));
                 let r = self.session(&profile, image.len() as u64, false, reg);
                 xfer_times.push(r.setup_time + r.data_time);
-                transfer_time = transfer_time + r.data_time;
-                bytes_moved += image.len() as u64;
+                report.transfer_time = report.transfer_time + r.data_time;
+                report.bytes_moved += image.len() as u64;
                 images.push(image);
             }
             let source_makespan = pipeline_makespan(&copy_times, &xfer_times, cfg.pipelined);
-            slowest = slowest.max(source_makespan);
+            report.makespan = report.makespan.max(source_makespan);
 
             // Step 4: first-class citizens at the destination.
             for (chunk, image) in chunks.iter().zip(images) {
@@ -203,45 +195,27 @@ impl Grid {
                     crc32: gdmp_gridftp::crc::crc32(&image),
                     file_type: "objectivity".into(),
                 };
-                {
-                    let dst_site = self.site_mut(dst)?;
-                    dst_site.storage.store(&chunk.name, image, false)?;
-                    dst_site
-                        .federation
-                        .attach(dst_site.storage.pool.peek(&chunk.name).expect("just stored"))?;
-                    dst_site.export_catalog.push(FileNotice {
-                        lfn: chunk.name.clone(),
-                        meta: meta.clone(),
-                        origin: source.clone(),
-                    });
-                }
-                let url = self.site(dst)?.url_prefix.clone();
-                self.catalog.publish(Some(&chunk.name), dst, &url, &meta)?;
+                let dst_site = self.site_mut(dst)?;
+                dst_site.storage.store(&chunk.name, image, false)?;
+                dst_site
+                    .federation
+                    .attach(dst_site.storage.pool.peek(&chunk.name).expect("just stored"))?;
+                let notice = FileNotice { lfn: chunk.name.clone(), meta, origin: source.clone() };
+                self.register_replica(dst, notice, true)?;
                 self.object_view.record_file(&chunk.name, &objects_in_chunk);
-                chunk_files.push(chunk.name.clone());
+                report.chunk_files.push(chunk.name.clone());
             }
             // Step 5: nothing persists at the source — the extraction files
             // were streamed out and deleted ("the new file can be deleted
             // at the source site").
             reg.span_note(src_span, "chunks", chunks.len() as u64);
             reg.span_end(src_span, self.now().nanos());
-            sources.push(source);
+            report.sources.push(source);
         }
 
-        self.advance(slowest);
-        Ok(ObjectReplicationReport {
-            requested: wanted.len(),
-            already_present,
-            objects_moved,
-            bytes_moved,
-            chunk_files,
-            sources,
-            copier_cpu,
-            transfer_time,
-            makespan: slowest,
-            started_at,
-            finished_at: self.now(),
-        })
+        self.advance(report.makespan);
+        report.finished_at = self.now();
+        Ok(report)
     }
 
     /// What *file-level* replication would have to ship for the same set

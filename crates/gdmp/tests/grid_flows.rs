@@ -4,10 +4,12 @@
 
 use bytes::Bytes;
 use gdmp::{
-    ConsistencyPolicy, FaultPlan, GdmpError, Grid, ObjectReplicationConfig, Request, SiteConfig,
+    check_grid, ConsistencyPolicy, FaultPlan, GdmpError, Grid, ObjectReplicationConfig, Request,
+    SiteConfig,
 };
 use gdmp_gridftp::crc::crc32;
 use gdmp_objectstore::{standard_assocs, synth_payload, LogicalOid, ObjectKind, StoredObject};
+use gdmp_replica_catalog::federation::FederationConfig;
 
 const MB: u64 = 1024 * 1024;
 
@@ -326,6 +328,55 @@ fn object_replication_skips_objects_already_present() {
     let r = grid.object_replicate("anl", &second, ObjectReplicationConfig::default()).unwrap();
     assert_eq!(r.already_present, 5);
     assert_eq!(r.objects_moved, 5);
+}
+
+#[test]
+fn extraction_files_reach_the_destination_lrc_under_federation() {
+    let mut grid = Grid::builder("cms")
+        .site(SiteConfig::named("cern", "cern.ch", 11))
+        .site(SiteConfig::named("anl", "anl.gov", 12))
+        .site(SiteConfig::named("lyon", "in2p3.fr", 13))
+        .trust_all()
+        .federation(FederationConfig::default())
+        .build();
+    store_events(&mut grid, "cern", "bulk.db", 0..50, ObjectKind::Aod, 1024);
+    grid.publish_database("cern", "bulk.db").unwrap();
+    let wanted: Vec<_> = (0..10).map(|e| LogicalOid::new(e, ObjectKind::Aod)).collect();
+    let report = grid.object_replicate("anl", &wanted, ObjectReplicationConfig::default()).unwrap();
+    // The extraction file is registered where every replica is: the
+    // federated lookup from a third site confirms it at anl's LRC.
+    let found = grid.lookup_replicas("lyon", &report.chunk_files[0]).unwrap();
+    assert_eq!(found.holders, vec!["anl".to_string()]);
+    check_grid(&mut grid).assert_clean("federated object replication");
+}
+
+#[test]
+fn a_corrupt_source_copy_fails_the_crc_and_installs_nothing() {
+    let mut grid = Grid::builder("cms")
+        .site(SiteConfig::named("cern", "cern.ch", 11))
+        .site(SiteConfig::named("anl", "anl.gov", 12))
+        .trust_all()
+        .federation(FederationConfig::default())
+        .telemetry()
+        .build();
+    grid.publish_file("cern", "run1.dat", flat(64, 7), "flat").unwrap();
+    // Bad disks at cern: the pool copy no longer matches the published CRC.
+    let cern = grid.site_mut("cern").unwrap();
+    cern.storage.pool.remove("run1.dat").unwrap();
+    cern.storage.pool.put("run1.dat", flat(64, 8)).unwrap();
+
+    let err = grid.replicate("anl", "run1.dat").unwrap_err();
+    assert!(matches!(err, GdmpError::IntegrityFailure { ref lfn } if lfn == "run1.dat"), "{err}");
+    // Nothing reached anl: not its pool, not the catalog, not its LRC.
+    assert!(grid.site("anl").unwrap().storage.pool.peek("run1.dat").is_none());
+    assert!(grid.site("anl").unwrap().export_catalog.is_empty());
+    assert!(grid.catalog.site_files("anl").unwrap_or_default().is_empty());
+    assert!(!grid.federation().unwrap().lrc_holds("anl", "run1.dat"));
+    // The verify span says so, and no breaker closed on cern's behalf.
+    let export = grid.telemetry().export_json_lines();
+    let verify = export.lines().find(|l| l.contains("\"crc_verify\"")).expect("a crc_verify span");
+    assert!(verify.contains("\"passed\":false"), "{verify}");
+    assert!(!export.contains("breaker_open"), "a failed verify records no breaker success");
 }
 
 #[test]
