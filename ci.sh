@@ -7,7 +7,8 @@
 #                          + cited-path gate (every crate,
 #                          example and scenario path and every
 #                          `<crate>::<module>` README, DESIGN, EXPERIMENTS and
-#                          ROADMAP cite exists) + clippy + build + example transcripts
+#                          ROADMAP cite exists, and no `path:N` cite names a
+#                          line past the end of its file) + clippy + build + example transcripts
 #                          (every examples/ binary prints exactly its
 #                          examples/transcripts/<name>.txt) + test + benches
 #                          compile + docs, the scenario smoke (every committed
@@ -74,7 +75,8 @@ docs=(README.md DESIGN.md EXPERIMENTS.md ROADMAP.md)
 # shorthand, and `examples/…` and `scenarios/…` paths (globs allowed); a
 # trailing `:line` or sentence full stop is not part of the path.
 crate_names=$(ls crates | paste -sd'|' -)
-cited=$(grep -noE "(crates/[A-Za-z0-9_-]+|\b($crate_names)/(src|tests|benches)|\b(examples|scenarios)/[A-Za-z0-9_.*-]*)(/[A-Za-z0-9_.*-]*)*" \
+# A `path:N` or `path:N-M` cite must also name lines the file has.
+cited=$(grep -noE "(crates/[A-Za-z0-9_-]+|\b($crate_names)/(src|tests|benches)|\b(examples|scenarios)/[A-Za-z0-9_.*-]*)(/[A-Za-z0-9_.*-]*)*(:[0-9]+(-[0-9]+)?)?" \
   "${docs[@]}" | sed -E 's/\.+$//')
 missing=0
 exists() { # <path or glob>
@@ -82,10 +84,13 @@ exists() { # <path or glob>
   for match in $1; do [[ -e "$match" ]] && return 0; done
   return 1
 }
-while IFS=: read -r doc line path; do
+while IFS=: read -r doc line path lines; do
   case "$path" in crates/* | examples/* | scenarios/*) ;; *) path="crates/$path" ;; esac
   if ! exists "$path"; then
     echo "$doc:$line cites $path, which does not exist" >&2
+    missing=1
+  elif [[ -n "$lines" ]] && { [[ ! -f "$path" ]] || ((${lines#*-} > $(wc -l <"$path"))); }; then
+    echo "$doc:$line cites $path:$lines, past the end of the file" >&2
     missing=1
   fi
 done <<<"$cited"
