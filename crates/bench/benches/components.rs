@@ -3,6 +3,7 @@
 use criterion::{black_box, criterion_group, criterion_main, Criterion, Throughput};
 
 use bytes::Bytes;
+use gdmp::{Grid, SiteConfig};
 use gdmp_gridftp::block::{partition, Reassembler};
 use gdmp_gridftp::crc::{crc32, Crc32};
 use gdmp_objectstore::{
@@ -12,6 +13,7 @@ use gdmp_objectstore::{
 use gdmp_replica_catalog::ldap::attrs;
 use gdmp_replica_catalog::service::{FileMeta, ReplicaCatalogService};
 use gdmp_replica_catalog::{Directory, Filter, LdapDn, ReplicaCatalog, Scope};
+use gdmp_workloads::{Placement, Population};
 
 /// The file sizes of `grid_mix`, `push_soak` and `bulk_wan`, each through
 /// both CRC kernels. `portable` feeds `update` 112 bytes at a time: below
@@ -146,6 +148,24 @@ fn bench_objectstore(c: &mut Criterion) {
         let fed = build();
         let image = fed.export("d.db").unwrap();
         b.iter(|| DatabaseFile::decode(black_box(image.clone())).unwrap())
+    });
+    // A population at `object_analysis`'s shape, a fifth of its events:
+    // tag, AOD and ESD, 2 000 events per file, sizes scaled 0.01, built
+    // and published at one site.
+    g.bench_function("populate_3x20k", |b| {
+        const KINDS: &[ObjectKind] = &[ObjectKind::Tag, ObjectKind::Aod, ObjectKind::Esd];
+        let population = Population {
+            events: 20_000,
+            kinds: KINDS,
+            placement: Placement::ByKindChunks { events_per_file: 2_000 },
+            size_scale: 0.01,
+        };
+        let grid = || {
+            let mut grid = Grid::new("bench");
+            grid.add_site(SiteConfig::named("cern", "cern.ch", 1));
+            grid
+        };
+        b.iter_with_setup(grid, |mut grid| population.build(&mut grid, "cern").unwrap())
     });
     g.finish();
 }

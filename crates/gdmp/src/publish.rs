@@ -100,7 +100,10 @@ impl Grid {
     }
 
     /// Publish an Objectivity database file straight out of the site's
-    /// federation, recording its objects in the global object view.
+    /// federation, recording its objects in the global object view. A file
+    /// the federation produced and has not changed is published as the
+    /// image it was written as: its objects, the disk pool and the archive
+    /// then share one buffer.
     pub fn publish_database(&mut self, site_name: &str, file_name: &str) -> Result<FileMeta> {
         let (image, objects) = {
             let site = self.site(site_name)?;

@@ -7,9 +7,11 @@
 
 use std::collections::BTreeMap;
 
-use bytes::{Buf, BufMut, Bytes, BytesMut};
+use bytes::{Buf, BufMut, Bytes};
 
-use crate::model::{Association, LogicalOid, ObjectKind, Oid, StoredObject};
+use crate::model::{
+    standard_link, synth_fill, Association, FreshObject, LogicalOid, ObjectKind, Oid, StoredObject,
+};
 
 /// Binary format magic + version.
 const MAGIC: &[u8; 8] = b"GDMPODB1";
@@ -116,34 +118,42 @@ impl DatabaseFile {
     /// image in place of the file's own — what a federation exporting a
     /// file it keeps attached needs, without copying the file first.
     pub fn encode_requiring(&self, required_schema: &[(String, u32)]) -> Bytes {
-        let mut buf = BytesMut::with_capacity(64 + self.payload_bytes() as usize);
-        buf.put_slice(MAGIC);
-        buf.put_u32_le(self.db_id);
-        put_str(&mut buf, &self.name);
-        buf.put_u16_le(required_schema.len() as u16);
-        for (ty, v) in required_schema {
-            put_str(&mut buf, ty);
-            buf.put_u32_le(*v);
-        }
-        buf.put_u32_le(self.containers.len() as u32);
+        let records: usize =
+            self.iter().map(|(_, o)| record_len(o.payload.len(), links(&o.assocs))).sum();
+        let mut buf =
+            ImageBuf::new(self.db_id, &self.name, required_schema, self.containers.len(), records);
         for (cid, c) in &self.containers {
-            buf.put_u32_le(*cid);
-            buf.put_u64_le(c.objects.len() as u64);
+            buf.put_container(*cid, c.objects.len());
             for o in &c.objects {
-                buf.put_u64_le(o.logical.event);
-                buf.put_u16_le(o.logical.kind.code());
-                buf.put_u32_le(o.version);
-                buf.put_u32_le(o.payload.len() as u32);
-                buf.put_slice(&o.payload);
-                buf.put_u16_le(o.assocs.len() as u16);
-                for a in &o.assocs {
-                    put_str(&mut buf, &a.label);
-                    buf.put_u64_le(a.target.event);
-                    buf.put_u16_le(a.target.kind.code());
-                }
+                let fill = |out: &mut [u8]| out.copy_from_slice(&o.payload);
+                buf.put_record(o.logical, o.version, o.payload.len(), fill, links(&o.assocs));
             }
         }
-        buf.freeze()
+        buf.finish()
+    }
+
+    /// The image of file `name` holding `objects` in container 0, in
+    /// order — byte for byte what storing them one by one and encoding the
+    /// file would give — written in one pass, each payload synthesized in
+    /// place.
+    pub(crate) fn produce_image(
+        db_id: u32,
+        name: &str,
+        required_schema: &[(String, u32)],
+        objects: &[FreshObject],
+    ) -> Bytes {
+        let records: usize =
+            objects.iter().map(|o| record_len(o.len, standard_link(o.logical).into_iter())).sum();
+        let containers = usize::from(!objects.is_empty());
+        let mut buf = ImageBuf::new(db_id, name, required_schema, containers, records);
+        if containers == 1 {
+            buf.put_container(0, objects.len());
+        }
+        for o in objects {
+            let fill = |out: &mut [u8]| synth_fill(o.logical, o.version, out);
+            buf.put_record(o.logical, o.version, o.len, fill, standard_link(o.logical).into_iter());
+        }
+        buf.finish()
     }
 
     /// Decode an image produced by [`DatabaseFile::encode`].
@@ -207,7 +217,86 @@ impl DatabaseFile {
     }
 }
 
-fn put_str(buf: &mut BytesMut, s: &str) {
+/// An image being written: the layout's one writer, shared by the encoder
+/// and the producer. Sized exactly up front, so the image is written in
+/// place and handed over without a copy.
+struct ImageBuf {
+    buf: Vec<u8>,
+}
+
+impl ImageBuf {
+    /// The header of an image of `containers` containers whose container
+    /// headers and records take `records` bytes besides.
+    fn new(
+        db_id: u32,
+        name: &str,
+        required_schema: &[(String, u32)],
+        containers: usize,
+        records: usize,
+    ) -> Self {
+        let schema: usize = required_schema.iter().map(|(ty, _)| 6 + ty.len()).sum();
+        let len = MAGIC.len() + 4 + 2 + name.len() + 2 + schema + 4 + 12 * containers + records;
+        let mut buf = Vec::with_capacity(len);
+        buf.put_slice(MAGIC);
+        buf.put_u32_le(db_id);
+        put_str(&mut buf, name);
+        buf.put_u16_le(required_schema.len() as u16);
+        for (ty, v) in required_schema {
+            put_str(&mut buf, ty);
+            buf.put_u32_le(*v);
+        }
+        buf.put_u32_le(containers as u32);
+        ImageBuf { buf }
+    }
+
+    fn put_container(&mut self, cid: u32, objects: usize) {
+        self.buf.put_u32_le(cid);
+        self.buf.put_u64_le(objects as u64);
+    }
+
+    /// One object record; `fill` writes its `len` payload bytes in place.
+    fn put_record<'a>(
+        &mut self,
+        logical: LogicalOid,
+        version: u32,
+        len: usize,
+        fill: impl FnOnce(&mut [u8]),
+        assocs: impl ExactSizeIterator<Item = (&'a str, LogicalOid)>,
+    ) {
+        let buf = &mut self.buf;
+        buf.put_u64_le(logical.event);
+        buf.put_u16_le(logical.kind.code());
+        buf.put_u32_le(version);
+        buf.put_u32_le(len as u32);
+        let at = buf.len();
+        buf.resize(at + len, 0);
+        fill(&mut buf[at..]);
+        buf.put_u16_le(assocs.len() as u16);
+        for (label, target) in assocs {
+            put_str(buf, label);
+            buf.put_u64_le(target.event);
+            buf.put_u16_le(target.kind.code());
+        }
+    }
+
+    fn finish(self) -> Bytes {
+        debug_assert_eq!(self.buf.len(), self.buf.capacity(), "image sized exactly");
+        Bytes::from(self.buf)
+    }
+}
+
+/// Bytes [`ImageBuf::put_record`] writes for a payload of `len` bytes and
+/// these associations.
+fn record_len<'a>(len: usize, assocs: impl Iterator<Item = (&'a str, LogicalOid)>) -> usize {
+    20 + len + assocs.map(|(label, _)| 12 + label.len()).sum::<usize>()
+}
+
+/// A stored object's associations as the record writer takes them.
+fn links(assocs: &[Association]) -> impl ExactSizeIterator<Item = (&str, LogicalOid)> {
+    assocs.iter().map(|a| (a.label.as_str(), a.target))
+}
+
+fn put_str(buf: &mut Vec<u8>, s: &str) {
     buf.put_u16_le(s.len() as u16);
     buf.put_slice(s.as_bytes());
 }

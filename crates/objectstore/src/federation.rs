@@ -16,7 +16,7 @@ use std::collections::{BTreeMap, HashMap};
 use bytes::Bytes;
 
 use crate::database::{CodecError, DatabaseFile};
-use crate::model::{Association, LogicalOid, Oid, StoredObject};
+use crate::model::{Association, FreshObject, LogicalOid, ObjectKind, Oid, StoredObject};
 use crate::schema::{SchemaError, SchemaRegistry};
 
 /// Federation-level errors.
@@ -93,6 +93,11 @@ pub struct Federation {
     /// logical → (physical oid, version): highest version wins. The oid's
     /// `db` names the file, so no file name is stored per object.
     index: HashMap<LogicalOid, (Oid, u32)>,
+    /// The image of each file this federation produced, by file name, until
+    /// the file changes or is detached: its objects' payloads are views
+    /// into it, and [`export`](Self::export) hands it out while its schema
+    /// stamp holds.
+    produced: HashMap<String, Bytes>,
     /// The type descriptors this federation knows (attach precondition).
     pub schema: SchemaRegistry,
     /// Reads served through `get`/`navigate` (I/O accounting).
@@ -117,6 +122,39 @@ impl Federation {
             return Err(FedError::AlreadyAttached(file_name.to_string()));
         }
         self.adopt(DatabaseFile::new(0, file_name));
+        Ok(())
+    }
+
+    /// Produce a new file holding `objects` in container 0, in order: its
+    /// image is written once, each payload synthesized in place and
+    /// stamped with this federation's next database id and current schema
+    /// requirements, then attached like any image, so every object is a
+    /// view into it. Objects are checked against [`store`](Self::store)'s
+    /// read-only rule as if stored one by one, before the file name, and
+    /// nothing is attached when either check fails.
+    pub fn produce(&mut self, file_name: &str, objects: &[FreshObject]) -> Result<(), FedError> {
+        // Each object against what is stored already and against the
+        // objects before it, which cannot repeat it when they come sorted.
+        let sorted = objects.windows(2).all(|w| {
+            (w[0].logical.kind, w[0].logical.event) < (w[1].logical.kind, w[1].logical.event)
+        });
+        let mut earlier: HashMap<LogicalOid, u32> = HashMap::new();
+        for o in objects {
+            let newest = earlier.get(&o.logical).or(self.index.get(&o.logical).map(|(_, v)| v));
+            if newest.is_some_and(|&v| v >= o.version) {
+                return Err(FedError::ReadOnlyViolation(o.logical));
+            }
+            if !sorted {
+                earlier.insert(o.logical, o.version);
+            }
+        }
+        if self.is_attached(file_name) {
+            return Err(FedError::AlreadyAttached(file_name.to_string()));
+        }
+        let required = self.requirements_for(objects.iter().map(|o| o.logical.kind));
+        let image = DatabaseFile::produce_image(self.next_db_id, file_name, &required, objects);
+        self.attach(image.clone())?;
+        self.produced.insert(file_name.to_string(), image);
         Ok(())
     }
 
@@ -154,6 +192,7 @@ impl Federation {
             .remove(file_name)
             .ok_or_else(|| FedError::NotAttached(file_name.to_string()))?;
         let mut db = self.attached.remove(&id).expect("named files are attached");
+        self.produced.remove(file_name);
         db.required_schema = self.schema_requirements_of(&db);
         let image = db.encode();
         self.reindex();
@@ -162,18 +201,31 @@ impl Federation {
 
     /// Serialize a file without detaching it — the source-side read GDMP
     /// performs when replicating a (read-only) database file. The image is
-    /// stamped with the schema requirements of the kinds it contains.
+    /// stamped with the schema requirements of the kinds it contains. A
+    /// file this federation produced and has not changed since is its
+    /// image already: that is handed out, as long as the requirements are
+    /// still the ones stamped into it.
     pub fn export(&self, file_name: &str) -> Result<Bytes, FedError> {
         let db =
             self.file(file_name).ok_or_else(|| FedError::NotAttached(file_name.to_string()))?;
-        Ok(db.encode_requiring(&self.schema_requirements_of(db)))
+        let required = self.schema_requirements_of(db);
+        match self.produced.get(file_name) {
+            // The decoded file carries its image's stamp.
+            Some(image) if db.required_schema == required => Ok(image.clone()),
+            _ => Ok(db.encode_requiring(&required)),
+        }
     }
 
     /// The `(type, version)` pairs a file needs, per this federation's
     /// current registry.
     pub fn schema_requirements_of(&self, db: &DatabaseFile) -> Vec<(String, u32)> {
-        let kinds: std::collections::BTreeSet<&'static str> =
-            db.iter().map(|(_, o)| o.logical.kind.name()).collect();
+        self.requirements_for(db.iter().map(|(_, o)| o.logical.kind))
+    }
+
+    /// The `(type, version)` pairs objects of these kinds need, sorted by
+    /// type name.
+    fn requirements_for(&self, kinds: impl Iterator<Item = ObjectKind>) -> Vec<(String, u32)> {
+        let kinds: std::collections::BTreeSet<&'static str> = kinds.map(ObjectKind::name).collect();
         kinds.into_iter().map(|k| (k.to_string(), self.schema.version_of(k).unwrap_or(1))).collect()
     }
 
@@ -211,6 +263,7 @@ impl Federation {
             .get(file_name)
             .ok_or_else(|| FedError::NotAttached(file_name.to_string()))?;
         let db = self.attached.get_mut(id).expect("named files are attached");
+        self.produced.remove(file_name);
         let logical = obj.logical;
         let version = obj.version;
         let oid = db.insert(container, obj);
@@ -421,6 +474,74 @@ mod tests {
         fed.detach("aod.db").unwrap();
         assert!(fed.contains(LogicalOid::new(0, ObjectKind::Aod)));
         assert_eq!(fed.file_of(LogicalOid::new(0, ObjectKind::Aod)), Some("copy.db"));
+    }
+
+    fn fresh(event: u64, kind: ObjectKind, version: u32) -> FreshObject {
+        FreshObject { logical: LogicalOid::new(event, kind), version, len: 40 + event as usize }
+    }
+
+    #[test]
+    fn produce_is_storing_object_by_object() {
+        let objects: Vec<FreshObject> = (0..6)
+            .map(|e| fresh(e, ObjectKind::Tag, 1))
+            .chain((0..6).map(|e| fresh(e, ObjectKind::Aod, 1)))
+            .collect();
+        let mut produced = fed_with_aods(10..12);
+        produced.produce("p.db", &objects).unwrap();
+        let mut stored = fed_with_aods(10..12);
+        stored.create_database("p.db").unwrap();
+        for o in &objects {
+            let object = StoredObject {
+                logical: o.logical,
+                version: o.version,
+                payload: synth_payload(o.logical, o.version, o.len),
+                assocs: standard_assocs(o.logical),
+            };
+            stored.store("p.db", 0, object).unwrap();
+        }
+        let (a, b) = (produced.file("p.db").unwrap(), stored.file("p.db").unwrap());
+        assert_eq!((a.db_id, &a.containers), (b.db_id, &b.containers));
+        assert_eq!(produced.export("p.db").unwrap(), stored.export("p.db").unwrap());
+        assert_eq!(produced.object_count(), stored.object_count());
+        for o in &objects {
+            assert_eq!(produced.file_of(o.logical), Some("p.db"));
+        }
+    }
+
+    #[test]
+    fn produce_keeps_the_read_only_rule_and_attaches_nothing_on_error() {
+        let mut fed = fed_with_aods(0..3);
+        let aod = |e| LogicalOid::new(e, ObjectKind::Aod);
+        // Against stored objects: the first offender in order is named.
+        let stale = [
+            fresh(7, ObjectKind::Aod, 1),
+            fresh(2, ObjectKind::Aod, 1),
+            fresh(1, ObjectKind::Aod, 1),
+        ];
+        assert_eq!(fed.produce("n.db", &stale), Err(FedError::ReadOnlyViolation(aod(2))));
+        // Against the objects before it, sorted or not.
+        let repeat = [
+            fresh(9, ObjectKind::Aod, 1),
+            fresh(8, ObjectKind::Aod, 1),
+            fresh(9, ObjectKind::Aod, 1),
+        ];
+        assert_eq!(fed.produce("n.db", &repeat), Err(FedError::ReadOnlyViolation(aod(9))));
+        let older = [fresh(5, ObjectKind::Aod, 2), fresh(5, ObjectKind::Aod, 1)];
+        assert_eq!(fed.produce("n.db", &older), Err(FedError::ReadOnlyViolation(aod(5))));
+        // The rule is checked before the name, as `store` checks it first.
+        assert_eq!(
+            fed.produce("aod.db", &[fresh(0, ObjectKind::Aod, 1)]),
+            Err(FedError::ReadOnlyViolation(aod(0)))
+        );
+        assert_eq!(
+            fed.produce("aod.db", &[fresh(50, ObjectKind::Aod, 1)]),
+            Err(FedError::AlreadyAttached("aod.db".into()))
+        );
+        assert_eq!((fed.files(), fed.object_count()), (vec!["aod.db".to_string()], 3));
+        // A newer version is the sanctioned way, as with `store`.
+        fed.produce("n.db", &[fresh(0, ObjectKind::Aod, 2), fresh(1, ObjectKind::Aod, 2)]).unwrap();
+        assert_eq!(fed.file_of(aod(0)), Some("n.db"));
+        assert_eq!(fed.get(aod(0)).unwrap().version, 2);
     }
 
     #[test]

@@ -31,7 +31,8 @@ pub use copier::{CopierSpec, CopyStats, ObjectCopier};
 pub use database::{CodecError, Container, DatabaseFile};
 pub use federation::{FedError, Federation};
 pub use model::{
-    standard_assocs, synth_payload, Association, LogicalOid, ObjectKind, Oid, StoredObject,
+    standard_assocs, synth_fill, synth_payload, Association, FreshObject, LogicalOid, ObjectKind,
+    Oid, StoredObject,
 };
 pub use recluster::{evaluate as recluster_evaluate, recluster, ReclusterGain, Trace};
 pub use schema::{FieldType, SchemaError, SchemaRegistry, TypeDescriptor};

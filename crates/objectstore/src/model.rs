@@ -144,36 +144,57 @@ impl StoredObject {
     }
 }
 
+/// An object a producer writes fresh: version `version` of `logical`,
+/// with the synthetic payload of `len` bytes ([`synth_payload`]) and the
+/// standard associations ([`standard_assocs`]). A federation writes such
+/// objects straight into a file's image
+/// ([`Federation::produce`](crate::Federation::produce)).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct FreshObject {
+    pub logical: LogicalOid,
+    pub version: u32,
+    pub len: usize,
+}
+
 /// Deterministic synthetic payload for `(logical, version, len)`. A cheap
 /// xorshift fill: reproducible, incompressible-looking, and verifiable.
 pub fn synth_payload(logical: LogicalOid, version: u32, len: usize) -> Bytes {
+    let mut out = vec![0; len];
+    synth_fill(logical, version, &mut out);
+    Bytes::from(out)
+}
+
+/// [`synth_payload`] written in place: fills `out` with the first
+/// `out.len()` bytes of the payload of `(logical, version)`.
+pub fn synth_fill(logical: LogicalOid, version: u32, out: &mut [u8]) {
     let mut state = logical
         .event
         .wrapping_mul(0x9e37_79b9_7f4a_7c15)
         .wrapping_add(u64::from(logical.kind.code()) << 32)
         .wrapping_add(u64::from(version))
         | 1;
-    let mut out = Vec::with_capacity(len);
-    while out.len() < len {
+    for chunk in out.chunks_mut(8) {
         state ^= state << 13;
         state ^= state >> 7;
         state ^= state << 17;
-        out.extend_from_slice(&state.to_le_bytes());
+        chunk.copy_from_slice(&state.to_le_bytes()[..chunk.len()]);
     }
-    out.truncate(len);
-    Bytes::from(out)
 }
 
 /// Standard associations of a freshly produced object: a link to its
 /// upstream (larger, earlier-stage) object of the same event.
 pub fn standard_assocs(logical: LogicalOid) -> Vec<Association> {
-    match logical.kind.upstream() {
-        Some(up) => vec![Association {
-            label: up.name().to_string(),
-            target: LogicalOid::new(logical.event, up),
-        }],
-        None => Vec::new(),
-    }
+    standard_link(logical)
+        .map(|(label, target)| Association { label: label.to_string(), target })
+        .into_iter()
+        .collect()
+}
+
+/// The one standard association of `logical`, as `(label, target)`, if
+/// its kind has an upstream.
+pub(crate) fn standard_link(logical: LogicalOid) -> Option<(&'static str, LogicalOid)> {
+    let up = logical.kind.upstream()?;
+    Some((up.name(), LogicalOid::new(logical.event, up)))
 }
 
 #[cfg(test)]
@@ -225,6 +246,17 @@ mod tests {
         assert_eq!(synth_payload(LogicalOid::new(1, ObjectKind::Tag), 0, 0).len(), 0);
         assert_eq!(synth_payload(LogicalOid::new(1, ObjectKind::Tag), 0, 3).len(), 3);
         assert_eq!(synth_payload(LogicalOid::new(1, ObjectKind::Tag), 0, 101).len(), 101);
+    }
+
+    #[test]
+    fn a_shorter_payload_is_a_prefix_of_a_longer_one() {
+        let l = LogicalOid::new(3, ObjectKind::Esd);
+        let long = synth_payload(l, 2, 37);
+        for len in [0, 1, 8, 13, 36] {
+            let mut short = vec![0xaa; len];
+            synth_fill(l, 2, &mut short);
+            assert_eq!(short, long[..len], "length {len}");
+        }
     }
 
     #[test]

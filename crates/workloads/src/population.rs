@@ -6,8 +6,11 @@
 //! selection], but not by very much." The placement policies let the
 //! benches quantify exactly that.
 
+use std::iter::StepBy;
+use std::ops::Range;
+
 use gdmp::{Grid, Result};
-use gdmp_objectstore::{standard_assocs, synth_payload, LogicalOid, ObjectKind, StoredObject};
+use gdmp_objectstore::{FreshObject, LogicalOid, ObjectKind};
 
 /// How objects are clustered into database files.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -20,6 +23,14 @@ pub enum Placement {
     /// Events striped across files (worst case for selections with event
     /// locality): event e of kind k goes to file `e % files`.
     Striped { files: u64 },
+}
+
+/// One file of a population: its objects are, kind by kind, the objects of
+/// `kinds` for `events`, ascending.
+struct FileLayout<'a> {
+    name: String,
+    kinds: &'a [ObjectKind],
+    events: StepBy<Range<u64>>,
 }
 
 /// Scale factor for object sizes (1.0 = the paper's nominal tiers; benches
@@ -53,44 +64,84 @@ impl Population {
         ((kind.nominal_size() as f64 * self.size_scale) as usize).max(16)
     }
 
-    fn object(&self, event: u64, kind: ObjectKind) -> StoredObject {
-        let logical = LogicalOid::new(event, kind);
-        StoredObject {
-            logical,
-            version: 1,
-            payload: synth_payload(logical, 1, self.object_size(kind)),
-            assocs: standard_assocs(logical),
+    /// Which file (name) an object belongs to under the placement policy.
+    pub fn file_for(&self, event: u64, kind: ObjectKind) -> String {
+        let n = match self.placement {
+            Placement::ByKindChunks { events_per_file }
+            | Placement::MixedEvents { events_per_file } => event / events_per_file,
+            Placement::Striped { files } => event % files,
+        };
+        self.file_name(kind, n)
+    }
+
+    /// The name of file number `n` (of kind `kind`'s files, where files
+    /// hold one kind).
+    fn file_name(&self, kind: ObjectKind, n: u64) -> String {
+        match self.placement {
+            Placement::ByKindChunks { .. } => format!("{}.{n:05}.db", kind.name()),
+            Placement::MixedEvents { .. } => format!("events.{n:05}.db"),
+            Placement::Striped { .. } => format!("stripe.{n:05}.db"),
         }
     }
 
-    /// Which file (name) an object belongs to under the placement policy.
-    pub fn file_for(&self, event: u64, kind: ObjectKind) -> String {
+    /// Every file in the order an object-by-object fill (kind by kind,
+    /// events ascending) first touches it.
+    fn layout(&self) -> Vec<FileLayout<'_>> {
+        let n = self.events;
+        let chunk = |c: u64, per: u64| (c * per..(n.min((c + 1) * per))).step_by(1);
+        let file = |name, kinds, events| FileLayout { name, kinds, events };
         match self.placement {
-            Placement::ByKindChunks { events_per_file } => {
-                format!("{}.{:05}.db", kind.name(), event / events_per_file)
-            }
-            Placement::MixedEvents { events_per_file } => {
-                format!("events.{:05}.db", event / events_per_file)
-            }
-            Placement::Striped { files } => format!("stripe.{:05}.db", event % files),
+            Placement::ByKindChunks { events_per_file } => self
+                .kinds
+                .iter()
+                .flat_map(|kind| {
+                    (0..n.div_ceil(events_per_file)).map(move |c| {
+                        let name = self.file_name(*kind, c);
+                        file(name, std::slice::from_ref(kind), chunk(c, events_per_file))
+                    })
+                })
+                .collect(),
+            _ if self.kinds.is_empty() => Vec::new(),
+            Placement::MixedEvents { events_per_file } => (0..n.div_ceil(events_per_file))
+                .map(|c| {
+                    file(self.file_name(self.kinds[0], c), self.kinds, chunk(c, events_per_file))
+                })
+                .collect(),
+            Placement::Striped { files } => (0..files.min(n))
+                .map(|j| {
+                    file(
+                        self.file_name(self.kinds[0], j),
+                        self.kinds,
+                        (j..n).step_by(files as usize),
+                    )
+                })
+                .collect(),
         }
     }
 
     /// Materialize the population in `site`'s federation and publish every
-    /// file to the grid. Returns the published file names.
+    /// file to the grid. Each file is produced whole, as the image that is
+    /// published; objects are stored in the order of an object-by-object
+    /// fill (kind by kind, events ascending). Returns the published file
+    /// names.
     pub fn build(&self, grid: &mut Grid, site: &str) -> Result<Vec<String>> {
-        let mut files = Vec::new();
+        let layout = self.layout();
+        let mut files = Vec::with_capacity(layout.len());
         {
             let fed = &mut grid.site_mut(site)?.federation;
-            for &kind in self.kinds {
-                for event in 0..self.events {
-                    let file = self.file_for(event, kind);
-                    if !fed.is_attached(&file) {
-                        fed.create_database(&file)?;
-                        files.push(file.clone());
-                    }
-                    fed.store(&file, 0, self.object(event, kind))?;
+            let mut objects = Vec::new();
+            for FileLayout { name, kinds, events } in layout {
+                objects.clear();
+                for &kind in kinds {
+                    let len = self.object_size(kind);
+                    objects.extend(events.clone().map(|event| FreshObject {
+                        logical: LogicalOid::new(event, kind),
+                        version: 1,
+                        len,
+                    }));
                 }
+                fed.produce(&name, &objects)?;
+                files.push(name);
             }
         }
         for f in &files {
