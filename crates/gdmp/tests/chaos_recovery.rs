@@ -5,7 +5,8 @@
 use bytes::Bytes;
 use gdmp::chaos::{FaultEvent, FaultSchedule};
 use gdmp::invariants::check_grid;
-use gdmp::{GdmpError, Grid, SiteConfig};
+use gdmp::{GdmpError, Grid, ObjectReplicationConfig, SiteConfig};
+use gdmp_objectstore::{standard_assocs, synth_payload, LogicalOid, ObjectKind, StoredObject};
 use gdmp_simnet::time::{SimDuration, SimTime};
 
 fn three_site_grid() -> Grid {
@@ -31,6 +32,19 @@ fn three_site_grid_with_schedule(schedule: FaultSchedule) -> Grid {
 
 fn t(secs: u64) -> SimTime {
     SimTime(secs * 1_000_000_000)
+}
+
+/// `events` AOD objects of 512 bytes in a new database file at `site`.
+fn store_events(grid: &mut Grid, site: &str, file: &str, events: std::ops::Range<u64>) {
+    let fed = &mut grid.site_mut(site).unwrap().federation;
+    fed.create_database(file).unwrap();
+    for e in events {
+        let logical = LogicalOid::new(e, ObjectKind::Aod);
+        let payload = synth_payload(logical, 1, 512);
+        let object =
+            StoredObject { logical, version: 1, payload, assocs: standard_assocs(logical) };
+        fed.store(file, 0, object).unwrap();
+    }
 }
 
 #[test]
@@ -219,4 +233,55 @@ fn source_restart_during_backoff_wait_repins_for_the_retry() {
     grid.advance(SimDuration::from_secs(1));
     let inv = check_grid(&mut grid);
     assert!(inv.is_clean(), "{:?}", inv.violations);
+}
+
+/// A crashed destination is what a replication reports, before any
+/// attempt is made against a healthy source.
+#[test]
+fn a_down_destination_is_blamed_not_the_source() {
+    let mut grid = three_site_grid();
+    grid.publish_file("cern", "a.dat", Bytes::from(vec![1u8; 64 * 1024]), "flat").unwrap();
+    grid.inject_fault_schedule(
+        FaultSchedule::new().at(t(0), FaultEvent::SiteDown { site: "lyon".into() }),
+    );
+    let before = grid.now();
+    let err = grid.replicate("lyon", "a.dat").unwrap_err();
+    assert!(matches!(&err, GdmpError::SiteUnreachable(s) if s == "lyon"), "{err}");
+    assert!(err.is_retryable());
+    assert_eq!(grid.now(), before, "no attempt spent sim time");
+}
+
+/// A crashed source serves no objects: with its only holder down, an
+/// object replication fails retryably and moves nothing.
+#[test]
+fn a_crashed_source_serves_no_objects() {
+    let mut grid = three_site_grid();
+    store_events(&mut grid, "cern", "bulk.db", 0..40);
+    grid.publish_database("cern", "bulk.db").unwrap();
+    grid.inject_fault_schedule(
+        FaultSchedule::new().at(t(0), FaultEvent::SiteDown { site: "cern".into() }),
+    );
+    let wanted: Vec<_> = (0..40).step_by(2).map(|e| LogicalOid::new(e, ObjectKind::Aod)).collect();
+    let err =
+        grid.object_replicate("anl", &wanted, ObjectReplicationConfig::default()).unwrap_err();
+    assert!(matches!(&err, GdmpError::SiteUnreachable(s) if s == "cern"), "{err}");
+    assert!(err.is_retryable());
+    let anl = grid.site("anl").unwrap();
+    assert!(wanted.iter().all(|&o| !anl.federation.contains(o)), "no object moved");
+}
+
+/// Of two holders of a file, the one that is down is passed over.
+#[test]
+fn object_replication_fails_over_to_a_live_holder() {
+    let mut grid = three_site_grid();
+    store_events(&mut grid, "cern", "bulk.db", 0..40);
+    grid.publish_database("cern", "bulk.db").unwrap();
+    grid.replicate("lyon", "bulk.db").unwrap();
+    grid.inject_fault_schedule(
+        FaultSchedule::new().at(t(0), FaultEvent::SiteDown { site: "cern".into() }),
+    );
+    let wanted: Vec<_> = (0..40).step_by(2).map(|e| LogicalOid::new(e, ObjectKind::Aod)).collect();
+    let report = grid.object_replicate("anl", &wanted, ObjectReplicationConfig::default()).unwrap();
+    assert_eq!(report.sources, vec!["lyon".to_string()]);
+    assert_eq!(report.objects_moved, wanted.len());
 }
