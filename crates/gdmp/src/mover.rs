@@ -169,6 +169,7 @@ impl Grid {
         if !self.has_site(dst) {
             return Err(GdmpError::NoSuchSite(dst.to_string()));
         }
+        self.refuse_down_destination(dst)?;
         // When the federation is live, source discovery routes through the
         // lookup ladder: every candidate is confirmed against its
         // authoritative LRC, so the flow never pulls from a site whose copy

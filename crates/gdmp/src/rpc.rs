@@ -120,6 +120,20 @@ impl Grid {
         })
     }
 
+    /// A transfer towards a crashed `dst` is refused as `dst`'s outage
+    /// before any source is tried, so no healthy source is blamed for it
+    /// (DESIGN §11). Always `Ok` under an inert schedule.
+    pub(crate) fn refuse_down_destination(&mut self, dst: &str) -> Result<()> {
+        if !self.chaos.is_active() {
+            return Ok(());
+        }
+        self.apply_due_faults();
+        if self.chaos.is_down(dst) {
+            return Err(GdmpError::SiteUnreachable(dst.to_string()));
+        }
+        Ok(())
+    }
+
     /// Liveness-probe `to` from `from`: one Echo RPC. Works against peers
     /// restricted to any operation set ([`gdmp_gsi::gridmap::Operation::Ping`]
     /// is granted to every mapped identity), so reachability checks never

@@ -157,8 +157,8 @@ fn figures_chaos_sweep_replays_its_pins() {
             "seed=1337",
             1337,
             Faults::Seeded { catalog_chaos: None },
-            "published 10 replicated 40 violations 0 clock_ns 515825407706 export \
-             0xdc24fcab9a203833",
+            "published 10 replicated 40 violations 0 clock_ns 487234533460 export \
+             0xdb7b59ee7bef4bcc",
         ),
     ];
     for (label, seed, faults, want) in pins {
