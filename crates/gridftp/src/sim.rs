@@ -214,7 +214,6 @@ impl WanProfile {
             retransmitted_segments: agg.retransmitted_segments,
             timeouts: agg.timeouts,
             events_processed: net.events_processed(),
-            events_inherited: net.events_inherited(),
             events_skipped: net.events_skipped(),
         };
         SessionOutcome { report, stats: net.stats() }
@@ -228,7 +227,6 @@ impl WanProfile {
 /// it stands for; telemetry then reads as if each had been simulated.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SessionOutcome {
-    /// `events_inherited` is that of the call that ran the simulation.
     pub report: SimTransferReport,
     pub stats: NetStats,
 }
@@ -295,11 +293,7 @@ impl Recipe {
     /// The session's network, every flow scheduled and nothing simulated.
     fn network(&self, sizes: impl Iterator<Item = u64>, max_sim_time: SimDuration) -> Network {
         let p = &self.profile;
-        let mut net = Network::new(NetworkConfig {
-            fast_forward: p.fast_forward,
-            max_sim_time,
-            ..NetworkConfig::default()
-        });
+        let mut net = Network::new(NetworkConfig { fast_forward: p.fast_forward, max_sim_time });
         net.add_link(p.link);
         for b in 0..p.background_flows {
             net.add_flow(
@@ -409,12 +403,9 @@ pub struct SimTransferReport {
     pub retransmitted_segments: u64,
     pub timeouts: u64,
     /// Simulator events of this transfer's simulation, cross-traffic
-    /// warm-up included.
+    /// warm-up included, whether this call simulated the warm-up or
+    /// continued from one a [`SessionCache`] kept.
     pub events_processed: u64,
-    /// The part of `events_processed` this simulation did not dispatch
-    /// itself but took over from the warm-up an earlier session on the same
-    /// [`SessionCache`] simulated.
-    pub events_inherited: u64,
     /// Events avoided by steady-state fast-forwarding (0 when exact).
     pub events_skipped: u64,
 }
@@ -444,12 +435,11 @@ mod tests {
     const MB: u64 = 1024 * 1024;
 
     /// Everything a caller can observe of one simulated transfer: the
-    /// report (the per-call `events_inherited` aside) and the telemetry
-    /// export.
+    /// report and the telemetry export.
     type Observed = (SimTransferReport, String);
 
     fn observe(outcome: &SessionOutcome) -> Observed {
-        (SimTransferReport { events_inherited: 0, ..outcome.report }, published(outcome))
+        (outcome.report, published(outcome))
     }
 
     /// What `outcome` leaves in a fresh registry.
@@ -598,36 +588,36 @@ mod tests {
     fn warmup_is_inherited_by_later_transfers_of_a_recipe() {
         let p = WanProfile::cern_anl_production();
         let mut cache = SessionCache::default();
-        let mut pull = |bytes| cache.session(&p, bytes, 3, 48 * 1024, false).report;
-        let first = pull(8 * 1024);
-        let again = pull(8 * 1024);
-        let other = pull(5 * MB);
-        let third = pull(MB);
-        assert_eq!(first.events_inherited, 0, "the first transfer simulates the warm-up itself");
+        let pull =
+            |cache: &mut SessionCache, bytes| cache.session(&p, bytes, 3, 48 * 1024, false).report;
+        let first = pull(&mut cache, 8 * 1024);
+        assert_eq!(cache.warmed.len(), 1, "the first transfer simulates the warm-up and keeps it");
+        let again = pull(&mut cache, 8 * 1024);
         assert_eq!(again, first, "an equal session replays the first one's outcome");
-        assert!(other.events_inherited > 0);
-        assert_eq!(third.events_inherited, other.events_inherited, "one warm-up for every size");
-        assert_eq!(cache.warmed.len(), 1);
+        let other = pull(&mut cache, 5 * MB);
+        let third = pull(&mut cache, MB);
+        assert_eq!(cache.warmed.len(), 1, "one warm-up for every size");
         assert_eq!(cache.outcomes.len(), 3);
-        assert_eq!(
-            SimTransferReport { events_inherited: 0, ..other },
-            p.simulate_from_scratch(5 * MB, 3, 48 * 1024, false).report
-        );
+        let scratch = |bytes| p.simulate_from_scratch(bytes, 3, 48 * 1024, false).report;
+        assert_eq!(other, scratch(5 * MB));
+        assert_eq!(third, scratch(MB));
         // Nothing to reuse without cross traffic.
         let clean = WanProfile::clean(LinkSpec::cern_anl());
         let mut cache = SessionCache::default();
         cache.session(&clean, MB, 2, 64 * 1024, false);
-        assert_eq!(cache.session(&clean, 2 * MB, 2, 64 * 1024, false).report.events_inherited, 0);
+        cache.session(&clean, 2 * MB, 2, 64 * 1024, false);
         assert!(cache.warmed.is_empty());
     }
 
     #[test]
     fn a_fresh_cache_inherits_nothing() {
         let p = WanProfile::cern_anl_production();
-        let first = p.simulate_transfer(8 * 1024, 3, 48 * 1024);
+        let mut cache = SessionCache::default();
+        let first = cache.session(&p, 8 * 1024, 3, 48 * 1024, false).report;
+        assert_eq!(cache.warmed.len(), 1, "the first session simulated its own warm-up");
         let again = p.simulate_transfer(8 * 1024, 3, 48 * 1024);
-        assert_eq!((first.events_inherited, again.events_inherited), (0, 0));
         assert_eq!(again, first);
+        assert_eq!(again, p.simulate_from_scratch(8 * 1024, 3, 48 * 1024, false).report);
     }
 
     #[test]

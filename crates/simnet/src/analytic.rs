@@ -1,8 +1,7 @@
-//! Closed-form TCP throughput models, used to cross-validate the
-//! packet-level simulator and for quick what-if estimates in the tuning
-//! tools.
+//! Closed-form TCP throughput models: the window-limited ceiling of one
+//! flow, and the fluid window model the fast-forward path integrates over
+//! lossless steady-state epochs.
 
-use crate::link::LinkSpec;
 use crate::packet::wire;
 use crate::time::SimDuration;
 
@@ -12,55 +11,6 @@ pub fn window_limited_bps(buffer_bytes: u64, rtt: SimDuration, link_rate_bps: u6
     let window = (buffer_bytes / u64::from(wire::MSS)) * u64::from(wire::MSS);
     let ceiling = window as f64 * 8.0 / rtt.as_secs_f64();
     ceiling.min(link_rate_bps as f64)
-}
-
-/// Aggregate ceiling of `n` window-limited parallel streams sharing a link.
-pub fn parallel_ceiling_bps(
-    n: u32,
-    buffer_bytes: u64,
-    rtt: SimDuration,
-    link_rate_bps: u64,
-) -> f64 {
-    let per = window_limited_bps(buffer_bytes, rtt, link_rate_bps);
-    (per * f64::from(n)).min(link_rate_bps as f64)
-}
-
-/// Time spent in slow start to first reach window `w` segments, starting
-/// from `cwnd0`, with one doubling per RTT. Small transfers never leave
-/// slow start, which is why the paper's 1 MB file gets poor throughput at
-/// any stream count.
-pub fn slow_start_rtts(cwnd0: f64, w: f64) -> f64 {
-    if w <= cwnd0 {
-        0.0
-    } else {
-        (w / cwnd0).log2().ceil()
-    }
-}
-
-/// Crude completion-time estimate for a transfer of `bytes` on an otherwise
-/// idle path: exponential slow-start phase followed by window-limited
-/// steady state. Used for sanity checks only.
-pub fn estimate_completion(bytes: u64, buffer_bytes: u64, spec: &LinkSpec) -> SimDuration {
-    let rtt = spec.propagation * 2;
-    let rtt_s = rtt.as_secs_f64();
-    let mss = f64::from(wire::MSS);
-    let w = (buffer_bytes as f64 / mss).max(1.0).floor();
-    let total_segs = bytes as f64 / mss;
-
-    // Slow start: cwnd 2, 4, 8, ... until w; count segments sent on the way.
-    let mut cwnd = 2.0f64;
-    let mut sent = 0.0;
-    let mut time = rtt_s; // handshake
-    while cwnd < w && sent < total_segs {
-        sent += cwnd;
-        time += rtt_s;
-        cwnd *= 2.0;
-    }
-    if sent < total_segs {
-        let steady_bps = window_limited_bps(buffer_bytes, rtt, spec.rate_bps);
-        time += (total_segs - sent) * mss * 8.0 / steady_bps;
-    }
-    SimDuration::from_secs_f64(time)
 }
 
 /// One flow's state snapshot handed to [`fluid_epoch`].
@@ -201,36 +151,5 @@ mod tests {
     fn tuned_buffer_is_link_limited() {
         let bps = window_limited_bps(1024 * 1024, SimDuration::from_millis(125), 45_000_000);
         assert_eq!(bps, 45e6);
-    }
-
-    #[test]
-    fn ten_untuned_streams_approach_link_rate() {
-        let bps = parallel_ceiling_bps(10, 64 * 1024, SimDuration::from_millis(125), 45_000_000);
-        assert!(bps > 40e6);
-    }
-
-    #[test]
-    fn slow_start_duration() {
-        assert_eq!(slow_start_rtts(2.0, 2.0), 0.0);
-        assert_eq!(slow_start_rtts(2.0, 44.0), 5.0);
-        assert_eq!(slow_start_rtts(2.0, 719.0), 9.0);
-    }
-
-    #[test]
-    fn estimate_close_to_window_model_for_large_files() {
-        let spec = LinkSpec::cern_anl();
-        let est = estimate_completion(100 * 1024 * 1024, 64 * 1024, &spec);
-        // 100 MB at ~4.1 Mb/s ≈ 205 s.
-        let s = est.as_secs_f64();
-        assert!((180.0..240.0).contains(&s), "estimate {s}s");
-    }
-
-    #[test]
-    fn small_file_dominated_by_slow_start() {
-        let spec = LinkSpec::cern_anl();
-        let est = estimate_completion(1024 * 1024, 1024 * 1024, &spec).as_secs_f64();
-        // ~9 RTTs of ramp for 1 MB: throughput well under 10 Mb/s even tuned.
-        let tput = 1024.0 * 1024.0 * 8.0 / est;
-        assert!(tput < 10e6, "1 MB file should be slow-start bound, got {tput}");
     }
 }

@@ -18,6 +18,11 @@ use crate::sim::{Event, FlowState, Sim};
 use crate::tcp::{Ack, Receiver, Sender, SenderConfig};
 use crate::time::{SimDuration, SimTime};
 
+/// Minimum retransmission timeout (1 s was typical for the paper era).
+const MIN_RTO: SimDuration = SimDuration::from_secs(1);
+/// Initial congestion window of a cold flow, segments.
+const INITIAL_CWND: f64 = 2.0;
+
 /// Specification of one TCP flow.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FlowSpec {
@@ -35,8 +40,8 @@ pub struct FlowSpec {
     /// A warm flow models an already-established connection resuming at
     /// its steady-state congestion window (e.g. a reused GridFTP data
     /// channel): no handshake, cwnd starts at this many segments instead
-    /// of [`NetworkConfig::initial_cwnd`], and ssthresh starts there too
-    /// (congestion avoidance, not slow-start).
+    /// of the cold flow's two, and ssthresh starts there too (congestion
+    /// avoidance, not slow-start).
     pub warm_cwnd: Option<f64>,
 }
 
@@ -133,10 +138,6 @@ pub enum FastForward {
 /// Global knobs for a simulation run.
 #[derive(Debug, Clone, Copy)]
 pub struct NetworkConfig {
-    /// Minimum retransmission timeout (1 s was typical for the paper era).
-    pub min_rto: SimDuration,
-    /// Initial congestion window, segments.
-    pub initial_cwnd: f64,
     /// Hard stop: no simulation may run longer than this.
     pub max_sim_time: SimDuration,
     /// Steady-state fast-forwarding (see [`FastForward`]).
@@ -146,8 +147,6 @@ pub struct NetworkConfig {
 impl Default for NetworkConfig {
     fn default() -> Self {
         NetworkConfig {
-            min_rto: SimDuration::from_secs(1),
-            initial_cwnd: 2.0,
             max_sim_time: SimDuration::from_secs(3_600),
             fast_forward: FastForward::Auto,
         }
@@ -205,51 +204,20 @@ pub struct Network {
     cfg: NetworkConfig,
     sim: Sim,
     ff: FfState,
-    /// Telemetry sink (disabled by default); [`Network::run`] publishes
-    /// per-link and per-flow statistics into it once on completion.
-    telemetry: Registry,
-    telemetry_published: bool,
-    /// Events the network this one was forked from had already dispatched
-    /// (see [`Network::fork`]); 0 for a network built from scratch.
-    inherited: u64,
 }
 
 impl Network {
     pub fn new(cfg: NetworkConfig) -> Self {
-        Network {
-            cfg,
-            sim: Sim::new(),
-            ff: FfState::new(),
-            telemetry: Registry::default(),
-            telemetry_published: false,
-            inherited: 0,
-        }
+        Network { cfg, sim: Sim::new(), ff: FfState::new() }
     }
 
     /// A copy of a paused network (see [`Network::run_until`]) that runs on
     /// independently of the original. The copy carries the whole simulation
     /// state — clock, pending events, congestion windows, link queues and
-    /// every counter — so whatever it reports later is what the original
-    /// would have reported; [`Network::events_inherited`] tells the part of
-    /// [`Network::events_processed`] it did not dispatch itself. Telemetry
-    /// is not copied: attach a registry to the fork. Only a network that
-    /// has not yet published its statistics can be forked.
+    /// every counter — so whatever it reports later ([`Network::results`],
+    /// [`Network::stats`]) is what the original would have reported.
     pub fn fork(&self) -> Network {
-        assert!(!self.telemetry_published, "cannot fork a network that has published");
-        Network {
-            cfg: self.cfg,
-            sim: self.sim.clone(),
-            ff: self.ff.clone(),
-            telemetry: Registry::default(),
-            telemetry_published: false,
-            inherited: self.events_processed(),
-        }
-    }
-
-    /// Attach a telemetry registry; link/flow statistics are published into
-    /// it when the simulation completes.
-    pub fn set_telemetry(&mut self, reg: Registry) {
-        self.telemetry = reg;
+        Network { cfg: self.cfg, sim: self.sim.clone(), ff: self.ff.clone() }
     }
 
     /// A network with default config and a single link.
@@ -257,11 +225,6 @@ impl Network {
         let mut net = Network::new(NetworkConfig::default());
         net.add_link(spec);
         net
-    }
-
-    /// Record congestion-window samples for every flow.
-    pub fn enable_cwnd_trace(&mut self) {
-        self.sim.cwnd_traces = Some(vec![Vec::new(); self.sim.flows.len()]);
     }
 
     /// Record cumulative-bytes-acked samples for every flow (one per ACK
@@ -287,9 +250,9 @@ impl Network {
         let sender = Sender::new(SenderConfig {
             total_segments: segments,
             rwnd_segments: rwnd,
-            initial_cwnd: warm.unwrap_or(self.cfg.initial_cwnd),
+            initial_cwnd: warm.unwrap_or(INITIAL_CWND),
             initial_ssthresh: warm.unwrap_or(f64::INFINITY),
-            min_rto: self.cfg.min_rto,
+            min_rto: MIN_RTO,
         });
         let link_spec = |l: LinkId| sim.links[l.0].spec;
         let base_rtt = spec
@@ -325,9 +288,6 @@ impl Network {
             counted_incomplete: spec.bytes.is_some(),
         });
         sim.receivers.push(Receiver::new());
-        if let Some(traces) = &mut sim.cwnd_traces {
-            traces.push(Vec::new());
-        }
         if let Some(traces) = &mut sim.progress_traces {
             traces.push(Vec::new());
         }
@@ -364,10 +324,10 @@ impl Network {
     }
 
     /// Drive the simulation until every finite flow completes (or the
-    /// configured time limit is hit). Returns per-flow results.
+    /// configured time limit is hit). Returns per-flow results; the
+    /// counters are [`Network::stats`].
     pub fn run(&mut self) -> Vec<FlowResult> {
         self.run_until(SimTime::NEVER);
-        self.publish_telemetry();
         self.results()
     }
 
@@ -375,7 +335,7 @@ impl Network {
     /// dispatching the first event at or after `limit`. The pause falls
     /// between two iterations of the event loop, so a later `run` (of this
     /// network or of a [`Network::fork`]) continues exactly as one
-    /// uninterrupted `run` would have. Nothing is published to telemetry.
+    /// uninterrupted `run` would have.
     ///
     /// This is the event loop: pop, dispatch, check completion, maybe
     /// fast-forward. An event at or after `limit` stays in the queue,
@@ -397,18 +357,8 @@ impl Network {
         }
     }
 
-    /// Publish link and flow statistics into the attached registry.
-    /// Idempotent per network: repeated `run` calls publish only once.
-    fn publish_telemetry(&mut self) {
-        if !self.telemetry.is_enabled() || self.telemetry_published {
-            return;
-        }
-        self.telemetry_published = true;
-        self.stats().publish(&self.telemetry);
-    }
-
-    /// The counters [`Network::run`] publishes, as plain data: what a
-    /// caller keeps of a finished simulation to publish it again later.
+    /// The simulation's counters as plain data, the one output a caller
+    /// publishes ([`NetStats::publish`]) or keeps to publish later.
     pub fn stats(&self) -> NetStats {
         NetStats {
             now: self.now(),
@@ -469,23 +419,17 @@ impl Network {
         &self.sim.links[id.0]
     }
 
+    /// The sender of one flow: its whole congestion-control state.
+    pub fn sender(&self, id: FlowId) -> &Sender {
+        &self.sim.flows[id.0].sender
+    }
+
     pub fn now(&self) -> SimTime {
         self.sim.queue.now()
     }
 
     pub fn events_processed(&self) -> u64 {
         self.sim.queue.processed()
-    }
-
-    /// The part of [`Network::events_processed`] that was dispatched by the
-    /// network this one was forked from, not by this one.
-    pub fn events_inherited(&self) -> u64 {
-        self.inherited
-    }
-
-    /// Congestion-window trace of one flow, if tracing was enabled.
-    pub fn cwnd_trace(&self, fid: FlowId) -> Option<&[(SimTime, f64)]> {
-        self.sim.cwnd_traces.as_ref()?.get(fid.0).map(Vec::as_slice)
     }
 
     /// Progress trace of one flow — `(time, cumulative bytes acked)`
@@ -497,11 +441,6 @@ impl Network {
     /// Events the fast-forward path avoided simulating.
     pub fn events_skipped(&self) -> u64 {
         self.ff.skipped
-    }
-
-    /// Analytically skipped epochs.
-    pub fn fastforward_epochs(&self) -> u64 {
-        self.ff.epochs
     }
 }
 
@@ -525,8 +464,8 @@ pub struct FlowStats {
     pub fast_retransmits: u64,
 }
 
-/// Everything a finished [`Network`] publishes to telemetry, detached from
-/// the simulation (see [`Network::stats`]).
+/// Everything a [`Network`] counts, detached from the simulation (see
+/// [`Network::stats`]).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct NetStats {
     /// The network's clock when the snapshot was taken.
@@ -540,9 +479,9 @@ pub struct NetStats {
 
 impl NetStats {
     /// Publish into `reg`. This is the only list of the simulator's
-    /// counters: [`Network::run`] publishes through it, and a caller that
-    /// stands in for a simulation it has already run calls it again, so
-    /// both leave the same export behind.
+    /// counters: a caller publishes a finished simulation through it, and
+    /// one that stands in for a simulation it has already run calls it
+    /// again, so both leave the same export behind.
     pub fn publish(&self, reg: &Registry) {
         if !reg.is_enabled() {
             return;
@@ -816,7 +755,6 @@ fn fast_forward_epoch(ff: &mut FfState, sim: &mut Sim, now: SimTime, deadline: S
             burst_offset = burst_offset + spacing * flight;
         }
         sim.sync_timer(fid);
-        sim.trace_cwnd(fid, t_end);
         sim.note_completion(fid);
     }
     for (link, (bytes, pkts)) in sim.links.iter_mut().zip(link_extra) {
@@ -1034,17 +972,6 @@ mod tests {
     }
 
     #[test]
-    fn cwnd_trace_records_growth() {
-        let mut net = Network::single_link(lan());
-        net.enable_cwnd_trace();
-        let f = net.add_flow(FlowSpec::transfer(MB, MB));
-        net.run();
-        let trace = net.cwnd_trace(f).unwrap();
-        assert!(!trace.is_empty());
-        assert!(trace.iter().any(|(_, c)| *c > 2.0), "cwnd never grew");
-    }
-
-    #[test]
     fn multihop_path_limited_by_slowest_link() {
         // 10 Mb/s access link feeding a 100 Mb/s backbone: throughput is
         // capped by the access link.
@@ -1171,32 +1098,22 @@ mod tests {
 
     #[test]
     fn telemetry_captures_drops_and_retransmits() {
-        let reg = gdmp_telemetry::Registry::new();
         let mut net = Network::single_link(LinkSpec {
             rate_bps: 10_000_000,
             propagation: SimDuration::from_millis(30),
             queue_capacity: 8,
         });
-        net.set_telemetry(reg.clone());
         net.add_flow(FlowSpec::transfer(4 * MB, 2 * MB));
         let results = net.run();
         assert!(results[0].segments_retransmitted > 0);
+        let reg = gdmp_telemetry::Registry::new();
+        net.stats().publish(&reg);
         assert_eq!(
             reg.counter_value("simnet_segments_retransmitted", &[("kind", "transfer")]),
             results[0].segments_retransmitted
         );
         assert!(reg.counter_value("simnet_link_drops", &[("link", "0")]) > 0);
-        assert!(reg.counter_value("simnet_events_processed", &[]) > 0);
-        // The detached snapshot publishes what the network itself did.
-        let replay = gdmp_telemetry::Registry::new();
-        net.stats().publish(&replay);
-        assert_eq!(replay.export_json_lines(), reg.export_json_lines());
-        // A second run() call must not double-publish.
-        net.run();
-        assert_eq!(
-            reg.counter_value("simnet_segments_retransmitted", &[("kind", "transfer")]),
-            results[0].segments_retransmitted
-        );
+        assert_eq!(reg.counter_value("simnet_events_processed", &[]), net.events_processed());
     }
 
     #[test]

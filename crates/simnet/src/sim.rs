@@ -63,7 +63,6 @@ pub(crate) struct Sim {
     pub queue: EventQueue<Event>,
     /// Finite flows that have not finished yet.
     pub incomplete_finite: usize,
-    pub cwnd_traces: Option<Vec<Vec<(SimTime, f64)>>>,
     pub progress_traces: Option<Vec<Vec<(SimTime, u64)>>>,
     /// Reusable transmit-instruction buffer for the per-event hot path.
     pub tx_scratch: Vec<Tx>,
@@ -77,7 +76,6 @@ impl Sim {
             receivers: Vec::new(),
             queue: EventQueue::new(),
             incomplete_finite: 0,
-            cwnd_traces: None,
             progress_traces: None,
             tx_scratch: Vec::new(),
         }
@@ -149,7 +147,6 @@ impl Sim {
                 self.transmit(flow, &txs, now);
                 self.tx_scratch = txs;
                 self.sync_timer(flow);
-                self.trace_cwnd(flow, now);
                 self.trace_progress(flow, now);
                 self.note_completion(flow);
             }
@@ -161,12 +158,8 @@ impl Sim {
                 let mut txs = std::mem::take(&mut self.tx_scratch);
                 self.flows[flow.0].sender.on_rto_into(gen, now, &mut txs);
                 self.transmit(flow, &txs, now);
-                let fired = !txs.is_empty();
                 self.tx_scratch = txs;
                 self.sync_timer(flow);
-                if fired {
-                    self.trace_cwnd(flow, now);
-                }
             }
         }
     }
@@ -215,12 +208,6 @@ impl Sim {
                 flow.pending_rto = Some(deadline);
                 self.queue.schedule(deadline, Event::Rto { flow: fid, gen });
             }
-        }
-    }
-
-    pub fn trace_cwnd(&mut self, fid: FlowId, now: SimTime) {
-        if let Some(traces) = &mut self.cwnd_traces {
-            traces[fid.0].push((now, self.flows[fid.0].sender.cwnd()));
         }
     }
 

@@ -3,7 +3,7 @@
 use crate::time::SimDuration;
 
 /// Smoothed RTT estimator (RFC 6298 constants: α=1/8, β=1/4, K=4).
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RttEstimator {
     srtt: Option<SimDuration>,
     rttvar: SimDuration,

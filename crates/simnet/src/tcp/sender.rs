@@ -27,7 +27,7 @@ pub struct Tx {
 }
 
 /// Static sender parameters.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SenderConfig {
     /// Segments to transfer; `None` means an unbounded (background) flow.
     pub total_segments: Option<u64>,
@@ -45,7 +45,7 @@ pub struct SenderConfig {
 }
 
 /// Per-flow transfer statistics.
-#[derive(Debug, Clone, Copy, Default)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SenderStats {
     pub fast_retransmits: u64,
     pub timeouts: u64,
@@ -53,7 +53,7 @@ pub struct SenderStats {
     pub segments_retransmitted: u64,
 }
 
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Sender {
     cfg: SenderConfig,
     /// Lowest unacknowledged segment.

@@ -53,7 +53,7 @@ impl SimDuration {
         SimDuration(ms * NANOS_PER_MILLI)
     }
 
-    pub fn from_secs(s: u64) -> Self {
+    pub const fn from_secs(s: u64) -> Self {
         SimDuration(s * NANOS_PER_SEC)
     }
 

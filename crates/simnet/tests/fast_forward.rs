@@ -69,7 +69,7 @@ fn auto_runs_are_deterministic() {
             r.iter().map(|f| f.finished).collect::<Vec<_>>(),
             net.events_processed(),
             net.events_skipped(),
-            net.fastforward_epochs(),
+            net.stats().epochs,
         )
     };
     assert_eq!(run(), run());

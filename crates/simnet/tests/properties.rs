@@ -3,12 +3,11 @@
 use proptest::prelude::*;
 
 use gdmp_simnet::link::LinkSpec;
-use gdmp_simnet::network::{FastForward, FlowResult, FlowSpec, Network, NetworkConfig};
+use gdmp_simnet::network::{FastForward, FlowResult, FlowSpec, NetStats, Network, NetworkConfig};
 use gdmp_simnet::packet::FlowId;
 use gdmp_simnet::queue::{DropTailQueue, Enqueue};
-use gdmp_simnet::tcp::Receiver;
+use gdmp_simnet::tcp::{Receiver, Sender};
 use gdmp_simnet::time::{SimDuration, SimTime};
-use gdmp_telemetry::Registry;
 
 fn arb_link() -> impl Strategy<Value = LinkSpec> {
     (1u64..=1000, 1u64..=200, 16usize..=512).prop_map(|(mbps, delay_ms, queue)| LinkSpec {
@@ -18,33 +17,30 @@ fn arb_link() -> impl Strategy<Value = LinkSpec> {
     })
 }
 
-/// Everything observable from one run, comparable with `==`.
+/// Everything observable from one run, comparable with `==`: the flow
+/// results, the counters (clock, events, epochs, links, flows), every
+/// flow's whole sender state and the traced flows' progress.
 #[derive(Debug, PartialEq)]
 struct Observed {
     flows: Vec<FlowResult>,
-    events_processed: u64,
-    events_skipped: u64,
-    ff_epochs: u64,
-    now: SimTime,
-    cwnd: Vec<Vec<(SimTime, f64)>>,
+    stats: NetStats,
+    senders: Vec<Sender>,
     progress: Vec<Vec<(SimTime, u64)>>,
-    telemetry: String,
+}
+
+/// Every flow's sender, as it stands.
+fn senders(net: &Network) -> Vec<Sender> {
+    (0..net.results().len()).map(|i| net.sender(FlowId(i)).clone()).collect()
 }
 
 /// Run an assembled (possibly paused) network to completion and capture it.
 fn finish(mut net: Network, traced: &[FlowId]) -> Observed {
-    let reg = Registry::new();
-    net.set_telemetry(reg.clone());
     let flows = net.run();
     Observed {
         flows,
-        events_processed: net.events_processed(),
-        events_skipped: net.events_skipped(),
-        ff_epochs: net.fastforward_epochs(),
-        now: net.now(),
-        cwnd: traced.iter().map(|&f| net.cwnd_trace(f).unwrap_or(&[]).to_vec()).collect(),
+        stats: net.stats(),
+        senders: senders(&net),
         progress: traced.iter().map(|&f| net.progress_trace(f).unwrap_or(&[]).to_vec()).collect(),
-        telemetry: reg.export_json_lines(),
     }
 }
 
@@ -257,32 +253,31 @@ proptest! {
     /// Pausing anywhere before the end changes nothing: `run_until(t)` then
     /// `run()` is one `run()`, the fork of the paused network agrees with
     /// it too, and the original is none the wiser for having been forked.
+    /// Every flow's sender is compared at the pause and after the run.
     #[test]
     fn pause_and_fork_equal_one_run(which in 0usize..4, permille in 0u64..1000) {
         let (mode, build) = PAUSE_FIXTURES[which];
         let cfg = NetworkConfig::default().with_fast_forward(mode);
         let assemble = || {
             let mut net = Network::new(cfg);
-            net.enable_cwnd_trace();
             net.enable_progress_trace();
             let traced = build(&mut net);
             (net, traced)
         };
         let (net, traced) = assemble();
         let whole = finish(net, &traced);
-        let pause = SimTime(whole.now.nanos() / 1000 * permille);
+        let pause = SimTime(whole.stats.now.nanos() / 1000 * permille);
 
         let (mut net, traced) = assemble();
         net.run_until(pause);
-        let paused_at = (net.now(), net.events_processed(), net.events_skipped(), net.results());
+        let paused_at = (net.stats(), net.results(), senders(&net));
 
         let fork = net.fork();
-        prop_assert_eq!(fork.events_inherited(), net.events_processed());
-        prop_assert_eq!(net.events_inherited(), 0);
+        prop_assert_eq!(&senders(&fork), &paused_at.2, "the fork starts from the paused senders");
         let forked = finish(fork, &traced);
         prop_assert_eq!(
             &paused_at,
-            &(net.now(), net.events_processed(), net.events_skipped(), net.results()),
+            &(net.stats(), net.results(), senders(&net)),
             "running the fork moved the original"
         );
         prop_assert_eq!(&forked, &whole, "fork diverged, paused at {}", pause);

@@ -14,7 +14,6 @@
 use gdmp_simnet::link::LinkSpec;
 use gdmp_simnet::network::{FastForward, FlowResult, FlowSpec, Network, NetworkConfig};
 use gdmp_simnet::time::{SimDuration, SimTime};
-use gdmp_telemetry::Registry;
 
 /// Parallel streams per site transfer.
 const STREAMS: u32 = 2;
@@ -31,8 +30,6 @@ pub struct FanoutOutcome {
     pub flows: Vec<FlowResult>,
     pub events_processed: u64,
     pub events_skipped: u64,
-    /// Sorted telemetry counters `(name{labels}, value)`.
-    pub counters: Vec<(String, u64)>,
 }
 
 /// Per-site link: rates from 8 to ~22 Mb/s, one-way delays from 18 to
@@ -51,9 +48,7 @@ fn site_link(site: u32) -> LinkSpec {
 /// ([`FastForward::Off`]), so the event count is the full packet-level
 /// load.
 pub fn run_fanout(sites: u32) -> FanoutOutcome {
-    let reg = Registry::new();
     let mut net = Network::new(NetworkConfig::default().with_fast_forward(FastForward::Off));
-    net.set_telemetry(reg.clone());
     for site in 0..sites {
         let link = net.add_link(site_link(site));
         // Stagger opens per site and per stream with site-dependent strides
@@ -78,20 +73,10 @@ pub fn run_fanout(sites: u32) -> FanoutOutcome {
         }
     }
     let flows = net.run();
-    let mut counters: Vec<(String, u64)> = reg
-        .metrics_snapshot()
-        .iter()
-        .filter_map(|(name, labels, v)| match v {
-            gdmp_telemetry::MetricValue::Counter(c) => Some((format!("{name}{labels}"), *c)),
-            _ => None,
-        })
-        .collect();
-    counters.sort();
     FanoutOutcome {
         flows,
         events_processed: net.events_processed(),
         events_skipped: net.events_skipped(),
-        counters,
     }
 }
 
