@@ -33,6 +33,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         population.total_bytes() / 1024
     );
 
+    // The producer publishes the global object→file view as an index file
+    // (Section 5.2), replicated on demand like any other file.
+    let index = grid.publish_object_view_index("cern")?;
+    println!("cern publishes the object view as {index}");
+
     // A physicist at Caltech runs the selection cascade. Tag files are
     // small: replicate them whole (file replication is fine there).
     for f in files.iter().filter(|f| f.starts_with("tag.")) {
@@ -88,5 +93,19 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         grid.now()
     );
     assert_eq!(readable, esd_step.reads.len());
+
+    // A site that joins late bootstraps its view of where the produced
+    // objects live from the replicated index file, not from CERN's
+    // catalogue.
+    grid.add_site(SiteConfig::named("fnal", "fnal.gov", 3));
+    grid.trust_all();
+    grid.replicate("fnal", &index)?;
+    let view = grid.load_object_view_index("fnal", &index)?;
+    println!(
+        "fnal joins late: its view from {index} locates {} objects in {} files",
+        view.object_count(),
+        view.file_count()
+    );
+    assert_eq!(view.file_count(), files.len());
     Ok(())
 }
