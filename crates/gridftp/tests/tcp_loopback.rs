@@ -353,3 +353,31 @@ fn third_party_missing_source_file() {
         .unwrap_err();
     assert!(matches!(err, ClientError::Refused(_)));
 }
+
+/// The edges of the receive path over four channels: a range that ends at
+/// end of file, an empty range, and a file smaller than one block (one
+/// channel carries it, three carry only EOD). Bytes and CRC must match the
+/// source.
+#[test]
+fn receive_edges_over_four_channels() {
+    let g = grid();
+    let data = sample(50_000);
+    let small = sample(100);
+    let (server, _) = start_server(&g, &[("f.db", data.clone()), ("small.db", small.clone())]);
+    let mut c = client(&g, &server, 4);
+
+    let tail = c.get_partial("f.db", 49_990, 10).unwrap();
+    assert_eq!(tail, data.slice(49_990..));
+    assert_eq!(crc32(&tail), c.cksm("f.db", 49_990, 10).unwrap());
+
+    let empty = c.get_partial("f.db", 20_000, 0).unwrap();
+    assert!(empty.is_empty());
+    assert_eq!(crc32(&empty), crc32(&data[20_000..20_000]));
+
+    let (got, report) = c.get("small.db").unwrap();
+    assert_eq!(got, small);
+    assert_eq!(report.bytes, 100);
+    assert_eq!(report.channels, 4);
+    assert_eq!(report.crc32, crc32(&small));
+    c.quit().unwrap();
+}
