@@ -45,7 +45,7 @@ fn warm_index_lookup_is_an_rli_hit_confirmed_at_the_lrc() {
     assert_eq!(r.via, LookupVia::Rli);
     assert_eq!(r.confirms, 1, "one hint, one confirm RPC");
     assert!(r.staleness_ns > 0, "soft state has nonzero age");
-    assert!(r.staleness_ns <= grid.federation().unwrap().config().staleness_bound().nanos());
+    assert!(r.staleness_ns <= gdmp_replica_catalog::federation::STALENESS_BOUND.nanos());
 }
 
 #[test]
@@ -66,9 +66,7 @@ fn lookup_survives_an_rli_outage_via_direct_scatter() {
         // The topology is deterministic: learn the root's name from a
         // throwaway federation over the same site set.
         let names: Vec<String> = (0..6).map(|i| format!("s{i}")).collect();
-        gdmp_replica_catalog::FederatedCatalog::new(&names, FederationConfig::default())
-            .root_name()
-            .to_string()
+        gdmp_replica_catalog::FederatedCatalog::new(&names).root_name().to_string()
     };
     let schedule = FaultSchedule::new()
         .at(SimTime(1_000_000_000), FaultEvent::RliDown { node: root.clone() })

@@ -124,9 +124,7 @@ fn central_run(into: &mut String) {
 /// that denies everywhere and one that meets an unreachable LRC.
 fn federated_run(into: &mut String) {
     let names: Vec<String> = (0..6).map(|i| format!("s{i}")).collect();
-    let root = gdmp_replica_catalog::FederatedCatalog::new(&names, FederationConfig::default())
-        .root_name()
-        .to_string();
+    let root = gdmp_replica_catalog::FederatedCatalog::new(&names).root_name().to_string();
     let schedule = FaultSchedule::new()
         .at(secs(100), FaultEvent::RliDown { node: root.clone() })
         .at(secs(200), FaultEvent::RliUp { node: root })

@@ -94,50 +94,33 @@ impl BloomFilter {
     }
 }
 
-// ---- configuration -------------------------------------------------------
+// ---- geometry ------------------------------------------------------------
 
-/// Every knob of the federation: soft-state cadence, staleness bound,
-/// fan-out width, bloom geometry, and tree shape.
-#[derive(Debug, Clone)]
-pub struct FederationConfig {
-    /// Cadence of soft-state pushes (LRC → leaf RLI → … → root).
-    pub update_period: SimDuration,
-    /// TTL on a received summary; an LRC or RLI that stops refreshing
-    /// vanishes from the index after this long.
-    pub summary_ttl: SimDuration,
-    /// Width of the bounded fan-out query the ladder's middle rung uses.
-    pub fallback_fanout: usize,
-    /// Expected files per site — sizes the (shared) bloom geometry.
-    pub bloom_capacity: usize,
-    /// Configured false-positive bound the geometry is derived from.
-    pub bloom_fp_rate: f64,
-    /// LRC sites per leaf RLI node.
-    pub leaf_fanout: usize,
-    /// Child RLI nodes per upper-level RLI node.
-    pub tree_fanout: usize,
-}
+/// Cadence of soft-state pushes (LRC → leaf RLI → … → root).
+const UPDATE_PERIOD: SimDuration = SimDuration::from_secs(30);
+/// TTL on a received summary; an LRC or RLI that stops refreshing
+/// vanishes from the index after this long.
+const SUMMARY_TTL: SimDuration = SimDuration::from_secs(120);
+/// Width of the bounded fan-out query the ladder's middle rung uses.
+pub const FALLBACK_FANOUT: usize = 4;
+/// Expected files per site — sizes the (shared) bloom geometry.
+const BLOOM_CAPACITY: usize = 256;
+/// False-positive bound the bloom geometry is derived from.
+const BLOOM_FP_RATE: f64 = 0.01;
+/// LRC sites per leaf RLI node.
+const LEAF_FANOUT: usize = 8;
+/// Child RLI nodes per upper-level RLI node.
+const TREE_FANOUT: usize = 4;
 
-impl Default for FederationConfig {
-    fn default() -> Self {
-        FederationConfig {
-            update_period: SimDuration::from_secs(30),
-            summary_ttl: SimDuration::from_secs(120),
-            fallback_fanout: 4,
-            bloom_capacity: 256,
-            bloom_fp_rate: 0.01,
-            leaf_fanout: 8,
-            tree_fanout: 4,
-        }
-    }
-}
+/// The worst-case age of an index entry a lookup may act on before the
+/// ladder falls through: one missed push plus the TTL.
+pub const STALENESS_BOUND: SimDuration = SimDuration(UPDATE_PERIOD.0 + SUMMARY_TTL.0);
 
-impl FederationConfig {
-    /// The worst-case age of an index entry a lookup may act on before the
-    /// ladder falls through: one missed push plus the TTL.
-    pub fn staleness_bound(&self) -> SimDuration {
-        self.update_period + self.summary_ttl
-    }
-}
+/// Asks for a federated catalog, whose geometry is the fixed one above: it
+/// carries no setting. Built only with `FederationConfig::default()`.
+#[derive(Debug, Clone, Copy, Default)]
+#[non_exhaustive]
+pub struct FederationConfig;
 
 // ---- fault view ----------------------------------------------------------
 
@@ -337,7 +320,6 @@ pub struct FederationStats {
 /// state, bit for bit.
 #[derive(Debug, Clone)]
 pub struct FederatedCatalog {
-    config: FederationConfig,
     /// Site names interned in sorted order, so `SiteId(i)` walks sites in
     /// name order — the iteration order the string-keyed map used to give.
     site_ids: SymbolTable<SiteId>,
@@ -362,7 +344,7 @@ impl FederatedCatalog {
     /// Build the federation over `sites` (sorted internally for a stable
     /// topology): sites chunk into leaf RLIs, leaves into upper tiers,
     /// until a single root remains.
-    pub fn new(sites: &[String], config: FederationConfig) -> FederatedCatalog {
+    pub fn new(sites: &[String]) -> FederatedCatalog {
         assert!(!sites.is_empty(), "federation needs at least one site");
         let mut sorted: Vec<String> = sites.to_vec();
         sorted.sort();
@@ -378,7 +360,7 @@ impl FederatedCatalog {
         let mut leaf_of = vec![0usize; sorted.len()];
         // Tier 0: leaves over site chunks.
         let mut tier: Vec<usize> = Vec::new();
-        for (i, chunk) in sorted.chunks(config.leaf_fanout.max(1)).enumerate() {
+        for (i, chunk) in sorted.chunks(LEAF_FANOUT).enumerate() {
             let idx = nodes.len();
             let mut children = Vec::with_capacity(chunk.len());
             for site in chunk {
@@ -397,7 +379,7 @@ impl FederatedCatalog {
         let mut level = 1usize;
         while tier.len() > 1 {
             let mut next: Vec<usize> = Vec::new();
-            for (i, chunk) in tier.chunks(config.tree_fanout.max(2)).enumerate() {
+            for (i, chunk) in tier.chunks(TREE_FANOUT).enumerate() {
                 let idx = nodes.len();
                 nodes.push(RliNode {
                     name: format!("rli-t{level}-{i}"),
@@ -423,10 +405,9 @@ impl FederatedCatalog {
                 }
             }
         }
-        let next_update = SimTime(config.update_period.nanos());
+        let next_update = SimTime(UPDATE_PERIOD.nanos());
         let names = site_ids.name_table();
         FederatedCatalog {
-            config,
             site_ids,
             names,
             lrcs,
@@ -437,10 +418,6 @@ impl FederatedCatalog {
             next_update,
             stats: FederationStats::default(),
         }
-    }
-
-    pub fn config(&self) -> &FederationConfig {
-        &self.config
     }
 
     /// Every RLI node name, leaves first, root last (chaos plans target
@@ -535,7 +512,7 @@ impl FederatedCatalog {
             let (d, l) = self.propagate(at, faults);
             delivered += d;
             lost += l;
-            self.next_update += self.config.update_period;
+            self.next_update += UPDATE_PERIOD;
         }
         self.stats.updates_delivered += delivered;
         self.stats.updates_lost += lost;
@@ -547,7 +524,7 @@ impl FederatedCatalog {
     /// (children push strictly before parents — the arena is built that
     /// way — so news travels one full path root-ward per round).
     fn propagate(&mut self, at: SimTime, faults: &mut dyn FederationFaults) -> (u64, u64) {
-        let ttl = self.config.summary_ttl;
+        let ttl = SUMMARY_TTL;
         for node in &mut self.nodes {
             node.summaries.retain(|_, s| s.expires_at > at);
         }
@@ -564,8 +541,7 @@ impl FederatedCatalog {
                 continue;
             }
             let lrc = &self.lrcs[i];
-            let mut bloom =
-                BloomFilter::for_capacity(self.config.bloom_capacity, self.config.bloom_fp_rate);
+            let mut bloom = BloomFilter::for_capacity(BLOOM_CAPACITY, BLOOM_FP_RATE);
             for lfn in &lrc.files {
                 bloom.insert(lfn);
             }
@@ -587,8 +563,7 @@ impl FederatedCatalog {
                 lost += 1;
                 continue;
             }
-            let mut bloom =
-                BloomFilter::for_capacity(self.config.bloom_capacity, self.config.bloom_fp_rate);
+            let mut bloom = BloomFilter::for_capacity(BLOOM_CAPACITY, BLOOM_FP_RATE);
             let mut count = 0u64;
             for s in self.nodes[idx].summaries.values() {
                 bloom.union_with(&s.bloom);
@@ -728,7 +703,7 @@ mod tests {
     }
 
     fn fed(n: usize) -> FederatedCatalog {
-        FederatedCatalog::new(&sites(n), FederationConfig::default())
+        FederatedCatalog::new(&sites(n))
     }
 
     fn t(secs: u64) -> SimTime {
@@ -916,7 +891,6 @@ mod tests {
 
     #[test]
     fn staleness_bound_is_period_plus_ttl() {
-        let c = FederationConfig::default();
-        assert_eq!(c.staleness_bound(), SimDuration::from_secs(150));
+        assert_eq!(STALENESS_BOUND, SimDuration::from_secs(150));
     }
 }

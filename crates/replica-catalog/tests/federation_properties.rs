@@ -5,7 +5,7 @@
 
 use proptest::prelude::*;
 
-use gdmp_replica_catalog::federation::{BloomFilter, FederatedCatalog, FederationConfig, NoFaults};
+use gdmp_replica_catalog::federation::{BloomFilter, FederatedCatalog, NoFaults};
 use gdmp_simnet::time::SimTime;
 
 fn t(secs: u64) -> SimTime {
@@ -60,7 +60,7 @@ proptest! {
         ops in proptest::collection::vec((0usize..8, 0usize..12, any::<bool>()), 1..64),
     ) {
         let sites: Vec<String> = (0..8).map(|i| format!("site{i}")).collect();
-        let mut fed = FederatedCatalog::new(&sites, FederationConfig::default());
+        let mut fed = FederatedCatalog::new(&sites);
         // Interleave mutations with update rounds so stale summaries of
         // since-deleted files exist mid-run.
         let mut clock = 0u64;
@@ -115,7 +115,7 @@ proptest! {
         crash_mask in 0u8..64,
     ) {
         let sites: Vec<String> = (0..6).map(|i| format!("site{i}")).collect();
-        let mut fed = FederatedCatalog::new(&sites, FederationConfig::default());
+        let mut fed = FederatedCatalog::new(&sites);
         let mut clock = 0u64;
         for (k, (site, file, publish)) in ops.iter().enumerate() {
             let lfn = format!("lfn{file}");

@@ -773,8 +773,7 @@ impl Scenario {
                 if let Some(c) = catalog_chaos {
                     // The RLI topology is a pure function of the site set,
                     // so a throwaway federation names the chaos targets.
-                    let rli_nodes =
-                        FederatedCatalog::new(names, FederationConfig::default()).node_names();
+                    let rli_nodes = FederatedCatalog::new(names).node_names();
                     plan = plan.with_catalog_chaos(
                         &rli_nodes,
                         c.crashes as u32,
