@@ -23,7 +23,7 @@ use gdmp_telemetry::Registry;
 use crate::chaos::{ChaosState, FaultSchedule};
 use crate::error::{GdmpError, Result};
 use crate::failure::FaultState;
-use crate::recovery::{CircuitBreaker, RecoveryStrategy};
+use crate::recovery::{CircuitBreaker, RecoveryStrategy, SimpleRetry};
 use crate::schedule::FetchPolicy;
 use crate::site::{Site, SiteConfig};
 
@@ -34,14 +34,12 @@ pub struct TransferConfig {
     pub streams: u32,
     /// Socket buffer in bytes.
     pub buffer: u64,
-    /// Retry budget per file.
-    pub max_attempts: u32,
 }
 
 impl Default for TransferConfig {
     fn default() -> Self {
         // The paper's findings: a few tuned streams are close to optimal.
-        TransferConfig { streams: 4, buffer: 1024 * 1024, max_attempts: 5 }
+        TransferConfig { streams: 4, buffer: 1024 * 1024 }
     }
 }
 
@@ -159,8 +157,9 @@ pub struct Grid {
     pub params: TransferConfig,
     /// Faults keyed by `(lfn, site)`; `None` site applies to any source.
     pub(crate) faults: HashMap<(Lfn, Option<SiteId>), FaultState>,
-    /// Pluggable error recovery; `None` = SimpleRetry(params.max_attempts).
-    pub(crate) recovery: Option<Box<dyn RecoveryStrategy>>,
+    /// Pluggable error recovery; `SimpleRetry { max_attempts: 5 }` unless
+    /// the builder installs another strategy.
+    pub(crate) recovery: Box<dyn RecoveryStrategy>,
     /// Grid-level fault timeline (site crashes, link cuts, partitions).
     /// Inert until the builder's `fault_schedule` (or
     /// [`Grid::inject_fault_schedule`]) installs a non-empty one.
@@ -219,7 +218,7 @@ impl Grid {
             object_view: ObjectFileCatalog::new(),
             params: TransferConfig::default(),
             faults: HashMap::new(),
-            recovery: None,
+            recovery: Box::new(SimpleRetry { max_attempts: 5 }),
             chaos: ChaosState::default(),
             breaker: CircuitBreaker::default(),
             fetch: FetchPolicy::SingleSource,

@@ -17,7 +17,7 @@ use crate::failure::{FaultPlan, FaultState, Verdict};
 use crate::grid::{Grid, ReplicationReport};
 use crate::message::{FileNotice, Request, Response};
 use crate::plugins::PluginCtx;
-use crate::recovery::{FailureCtx, FailureKind, RecoveryAction, RecoveryStrategy, SimpleRetry};
+use crate::recovery::{FailureCtx, FailureKind, RecoveryAction};
 use crate::schedule::{FetchPolicy, MultiSourcePlan, PlanExecution};
 use crate::selection::SourceEstimate;
 
@@ -116,18 +116,15 @@ impl Grid {
                 format!("{source}: circuit opened after consecutive failures"),
             );
         }
-        let action = match &self.recovery {
-            Some(s) => s.decide(ctx),
-            None => SimpleRetry { max_attempts: self.params.max_attempts }.decide(ctx),
-        };
+        let action = self.recovery.decide(ctx);
         let verdict_label = match action {
             RecoveryAction::RetrySameSource => "retry_same_source",
             RecoveryAction::FailoverToNextSource => "failover",
             RecoveryAction::GiveUp => "give_up",
         };
         reg.counter_add("recovery_verdicts", &[("action", verdict_label)], 1);
-        let wait = match (&self.recovery, action) {
-            (Some(s), RecoveryAction::RetrySameSource) => s.backoff(ctx),
+        let wait = match action {
+            RecoveryAction::RetrySameSource => self.recovery.backoff(ctx),
             _ => SimDuration::ZERO,
         };
         if wait > SimDuration::ZERO {
@@ -153,7 +150,7 @@ impl Grid {
     /// the full GDMP pipeline: source selection → staging → space
     /// allocation → parallel WAN transfer with restart/retry → CRC
     /// verification → post-processing → catalog registration. On repeated
-    /// failure the installed [`RecoveryStrategy`] may fail over to the
+    /// failure the installed [`crate::RecoveryStrategy`] may fail over to the
     /// next-cheapest replica; GridFTP restart markers stay valid across
     /// sources (every replica has identical content), so progress carries
     /// over.

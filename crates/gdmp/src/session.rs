@@ -17,7 +17,7 @@ impl Grid {
         warm: bool,
         reg: &Registry,
     ) -> SimTransferReport {
-        let TransferConfig { streams, buffer, .. } = self.params;
+        let TransferConfig { streams, buffer } = self.params;
         #[cfg(test)]
         if self.memo_off {
             self.sessions = Default::default();

@@ -25,9 +25,9 @@ pub struct SiteConfig {
     pub name: String,
     /// DNS-ish organization, for the host certificate DN.
     pub org: String,
-    /// Disk pool capacity in bytes.
+    /// Disk pool capacity in bytes; the pool evicts least recently used
+    /// files first.
     pub pool_capacity: u64,
-    pub eviction: EvictionPolicy,
     /// Archive tier behind the pool (tape library, disk array, object
     /// store); see [`StorageConfig`].
     pub storage: StorageConfig,
@@ -42,7 +42,6 @@ impl SiteConfig {
             name: name.to_string(),
             org: org.to_string(),
             pool_capacity: 10 * 1024 * 1024 * 1024,
-            eviction: EvictionPolicy::Lru,
             storage: StorageConfig::classic_tape(),
             key_seed,
         }
@@ -94,9 +93,6 @@ pub struct Site {
     /// Local physics selections.
     pub tags: TagCatalog,
     pub plugins: PluginRegistry,
-    /// Objects discovered by post-processing, pending merge into the
-    /// grid-wide object view.
-    pub discovered_objects: Vec<(String, Vec<gdmp_objectstore::LogicalOid>)>,
     /// Telemetry sink (disabled by default; shared with `storage`).
     pub telemetry: Registry,
 }
@@ -109,7 +105,7 @@ impl Site {
         let dn = DistinguishedName::host(&cfg.org, &format!("gdmp.{}", cfg.org));
         let cert = ca.issue(dn, keys.public, 0, u64::MAX / 2);
         let storage =
-            HierarchicalStorage::with_config(cfg.pool_capacity, cfg.eviction, &cfg.storage);
+            HierarchicalStorage::with_config(cfg.pool_capacity, EvictionPolicy::Lru, &cfg.storage);
         Site {
             name: cfg.name.clone(),
             url_prefix: format!("gsiftp://gdmp.{}/data", cfg.org),
@@ -125,7 +121,6 @@ impl Site {
             export_catalog: Vec::new(),
             tags: TagCatalog::new(),
             plugins: PluginRegistry::new(),
-            discovered_objects: Vec::new(),
             telemetry: Registry::default(),
         }
     }

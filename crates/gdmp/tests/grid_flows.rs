@@ -151,8 +151,7 @@ fn a_corrupt_attempt_discards_only_its_own_range() {
 
 #[test]
 fn transfer_fails_when_retry_budget_exhausted() {
-    let mut grid = three_site_grid();
-    grid.params.max_attempts = 3;
+    let mut grid = three_site_grid_with_recovery(Box::new(gdmp::SimpleRetry { max_attempts: 3 }));
     grid.publish_file("cern", "cursed.dat", flat(MB as usize, 3), "flat").unwrap();
     grid.inject_fault(
         "cursed.dat",

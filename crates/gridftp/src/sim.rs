@@ -18,6 +18,9 @@ use gdmp_simnet::packet::{wire, FlowId};
 use gdmp_simnet::time::{SimDuration, SimTime};
 use gdmp_telemetry::Registry;
 
+/// Control-channel round trips before data flows (auth + SPAS + RETR).
+const CONTROL_RTTS: u64 = 8;
+
 /// The simulated wide-area environment between two sites.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct WanProfile {
@@ -39,8 +42,6 @@ pub struct WanProfile {
     /// copy of the paused simulation; the reported event counts include it
     /// either way.
     pub warmup: SimDuration,
-    /// Control-channel round trips before data flows (auth + SPAS + RETR).
-    pub control_rtts: u32,
     /// Fidelity mode of the underlying simulation (see [`FastForward`]).
     pub fast_forward: FastForward,
 }
@@ -55,7 +56,6 @@ impl WanProfile {
             background_stagger: SimDuration::from_millis(137),
             stream_stagger: SimDuration::from_millis(137),
             warmup: SimDuration::from_secs(5),
-            control_rtts: 8,
             fast_forward: FastForward::Auto,
         }
     }
@@ -69,7 +69,6 @@ impl WanProfile {
             background_stagger: SimDuration::from_millis(137),
             stream_stagger: SimDuration::from_millis(10),
             warmup: SimDuration::ZERO,
-            control_rtts: 8,
             fast_forward: FastForward::Auto,
         }
     }
@@ -204,7 +203,7 @@ impl WanProfile {
         let agg =
             SessionResult::aggregate(&session).expect("all session flows are finite and complete");
         let data_time = agg.finished.since(agg.started);
-        let setup = SimDuration(self.rtt().nanos() * u64::from(self.control_rtts));
+        let setup = SimDuration(self.rtt().nanos() * CONTROL_RTTS);
         let report = SimTransferReport {
             bytes,
             streams,
@@ -492,7 +491,6 @@ mod tests {
                     stream_stagger: SimDuration::from_millis(ms),
                     warmup: SimDuration::from_millis(warmup_ms),
                     fast_forward: if ff { FastForward::Auto } else { FastForward::Off },
-                    ..WanProfile::cern_anl_production()
                 }
             },
         )
