@@ -1,7 +1,7 @@
 //! GridFTP client over real TCP: the `globus_url_copy` / `extended_get`
 //! side of the protocol.
 
-use std::io::{BufRead, BufReader, Read, Write};
+use std::io::{BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::time::Duration;
 
@@ -9,7 +9,7 @@ use bytes::Bytes;
 use gdmp_gsi::context::{make_token, verify_token};
 use gdmp_gsi::proxy::CredentialChain;
 
-use crate::block::{partition, Block, BlockDecoder, Reassembler};
+use crate::block::{recv_blocks, send_blocks, Channel};
 use crate::crc::crc32;
 use crate::protocol::{replies, Command, Reply};
 use crate::ranges::ByteRanges;
@@ -178,28 +178,12 @@ impl GridFtpClient {
     pub fn get(&mut self, path: &str) -> Result<(Bytes, GetReport), ClientError> {
         let size = self.size(path)?;
         let expected_crc = self.cksm(path, 0, -1)?;
-        let channels = self.cfg.parallelism.max(1);
-        let ports = self.spas(channels)?;
-        let opening = self.command(&Command::Retr(path.into()))?;
-        if opening.code != 150 {
-            return Err(ClientError::Refused(opening));
-        }
-        let blocks = self.collect_data(&ports)?;
-        self.expect_completion()?;
-        let mut reasm = Reassembler::new(size, ports.len());
-        for b in &blocks {
-            reasm.accept(b).map_err(|e| ClientError::Protocol(e.to_string()))?;
-        }
-        if !reasm.is_complete() {
-            let (partial, received) = reasm.into_partial();
-            return Err(ClientError::Stalled { received, partial });
-        }
-        let data = reasm.into_bytes();
+        let (data, channels) = self.fetch(&Command::Retr(path.into()), 0, size)?;
         let actual = crc32(&data);
         if actual != expected_crc {
             return Err(ClientError::Corrupt { expected: expected_crc, actual });
         }
-        Ok((data, GetReport { bytes: size, channels: ports.len() as u32, crc32: actual }))
+        Ok((data, GetReport { bytes: size, channels, crc32: actual }))
     }
 
     /// Retrieve one byte range (`ERET P`): the building block for partial
@@ -210,33 +194,8 @@ impl GridFtpClient {
         offset: u64,
         length: u64,
     ) -> Result<Bytes, ClientError> {
-        let channels = self.cfg.parallelism.max(1);
-        let ports = self.spas(channels)?;
-        let opening = self.command(&Command::EretPartial { offset, length, path: path.into() })?;
-        if opening.code != 150 {
-            return Err(ClientError::Refused(opening));
-        }
-        let blocks = self.collect_data(&ports)?;
-        self.expect_completion()?;
-        // Blocks carry absolute offsets; rebase into the range buffer.
-        let mut buf = vec![0u8; length as usize];
-        let mut got = ByteRanges::new();
-        for b in blocks.iter().filter(|b| !b.is_eod()) {
-            let rel = b
-                .offset
-                .checked_sub(offset)
-                .ok_or_else(|| ClientError::Protocol("block before range".into()))?;
-            let end = rel as usize + b.payload.len();
-            if end > buf.len() {
-                return Err(ClientError::Protocol("block past range".into()));
-            }
-            buf[rel as usize..end].copy_from_slice(&b.payload);
-            got.insert(rel, end as u64);
-        }
-        if !got.is_complete(length) {
-            return Err(ClientError::Stalled { received: got, partial: Bytes::from(buf) });
-        }
-        Ok(Bytes::from(buf))
+        let cmd = Command::EretPartial { offset, length, path: path.into() };
+        self.fetch(&cmd, offset, length).map(|(data, _)| data)
     }
 
     /// Resume: fill the missing ranges of a partially received file, then
@@ -266,89 +225,48 @@ impl GridFtpClient {
 
     /// Store a file over `parallelism` channels.
     pub fn put(&mut self, path: &str, data: Bytes) -> Result<(), ClientError> {
-        let channels = self.cfg.parallelism.max(1);
-        let ports = self.spas(channels)?;
-        let opening =
-            self.command(&Command::Stor { path: path.into(), size: data.len() as u64 })?;
-        if opening.code != 150 {
-            return Err(ClientError::Refused(opening));
-        }
-        let parts = partition(&data, self.cfg.block_size, ports.len());
-        let mut threads = Vec::new();
-        for (port, blocks) in ports.iter().zip(parts) {
-            let addr = SocketAddr::new(self.writer.peer_addr()?.ip(), *port);
-            threads.push(std::thread::spawn(move || -> std::io::Result<()> {
-                let mut conn = TcpStream::connect(addr)?;
-                for b in &blocks {
-                    conn.write_all(&b.encode())?;
-                }
-                conn.flush()?;
-                Ok(())
-            }));
-        }
-        let mut failed = false;
-        for t in threads {
-            failed |= t.join().map(|r| r.is_err()).unwrap_or(true);
-        }
-        if failed {
-            return Err(ClientError::Protocol("data channel write failed".into()));
-        }
+        let channels = self.data_channels()?;
+        self.command_expect(&Command::Stor { path: path.into(), size: data.len() as u64 }, 150)?;
+        send_blocks(channels, &data, 0, self.cfg.block_size)
+            .map_err(|_| ClientError::Protocol("data channel write failed".into()))?;
         self.expect_completion()
     }
 
     // ---- plumbing -------------------------------------------------------
 
+    /// Send `cmd` over freshly opened data channels and reassemble the
+    /// `length` bytes at `offset` that the server answers with. Returns
+    /// them with the channel count.
+    fn fetch(
+        &mut self,
+        cmd: &Command,
+        offset: u64,
+        length: u64,
+    ) -> Result<(Bytes, u32), ClientError> {
+        let channels = self.data_channels()?;
+        let n = channels.len() as u32;
+        self.command_expect(cmd, 150)?;
+        let received = recv_blocks(channels, offset, length);
+        self.expect_completion()?;
+        let reasm = received?;
+        if !reasm.is_complete() {
+            let (partial, received) = reasm.into_partial();
+            return Err(ClientError::Stalled { received, partial });
+        }
+        Ok((reasm.into_bytes(), n))
+    }
+
+    /// Open `parallelism` striped-passive ports on the server.
+    fn data_channels(&mut self) -> Result<Vec<Channel>, ClientError> {
+        let ports = self.spas(self.cfg.parallelism.max(1))?;
+        let ip = self.writer.peer_addr()?.ip();
+        Ok(ports.into_iter().map(|p| Channel::Dial(SocketAddr::new(ip, p))).collect())
+    }
+
     fn spas(&mut self, n: u32) -> Result<Vec<u16>, ClientError> {
         let r = self.command_expect(&Command::Spas(n), 229)?;
         replies::parse_spas_ports(&r)
             .ok_or_else(|| ClientError::Protocol("unparseable SPAS reply".into()))
-    }
-
-    /// Connect to every data port and drain blocks until each channel EODs
-    /// or closes.
-    fn collect_data(&mut self, ports: &[u16]) -> Result<Vec<Block>, ClientError> {
-        let ip = self.writer.peer_addr()?.ip();
-        let mut threads = Vec::new();
-        for &port in ports {
-            let addr = SocketAddr::new(ip, port);
-            threads.push(std::thread::spawn(move || -> std::io::Result<Vec<Block>> {
-                let mut conn = TcpStream::connect(addr)?;
-                conn.set_read_timeout(Some(Duration::from_secs(30)))?;
-                let mut dec = BlockDecoder::new();
-                let mut out = Vec::new();
-                let mut buf = [0u8; 64 * 1024];
-                loop {
-                    let n = match conn.read(&mut buf) {
-                        Ok(n) => n,
-                        Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
-                        Err(e) => return Err(e),
-                    };
-                    if n == 0 {
-                        break;
-                    }
-                    dec.feed(&buf[..n]);
-                    while let Some(b) = dec.next_block().map_err(|e| {
-                        std::io::Error::new(std::io::ErrorKind::InvalidData, e.to_string())
-                    })? {
-                        let eod = b.is_eod();
-                        out.push(b);
-                        if eod {
-                            return Ok(out);
-                        }
-                    }
-                }
-                Ok(out)
-            }));
-        }
-        let mut all = Vec::new();
-        for t in threads {
-            match t.join() {
-                Ok(Ok(mut blocks)) => all.append(&mut blocks),
-                Ok(Err(e)) => return Err(ClientError::Io(e)),
-                Err(_) => return Err(ClientError::Protocol("data thread panicked".into())),
-            }
-        }
-        Ok(all)
     }
 
     fn expect_completion(&mut self) -> Result<(), ClientError> {
@@ -361,16 +279,9 @@ impl GridFtpClient {
     }
 
     fn command(&mut self, cmd: &Command) -> Result<Reply, ClientError> {
-        self.send_command(cmd)?;
-        self.read_reply()
-    }
-
-    /// Send a command without waiting for the reply (needed to interleave
-    /// two control channels during third-party transfers).
-    fn send_command(&mut self, cmd: &Command) -> Result<(), ClientError> {
         self.writer.write_all(cmd.format().as_bytes())?;
         self.writer.write_all(b"\r\n")?;
-        Ok(())
+        self.read_reply()
     }
 
     fn command_expect(&mut self, cmd: &Command, code: u16) -> Result<Reply, ClientError> {
@@ -410,18 +321,10 @@ pub fn third_party_copy(
     let ports = dst.spas(channels.max(1))?;
     let dst_ip = dst.writer.peer_addr()?.ip();
     let targets: Vec<SocketAddr> = ports.iter().map(|&p| SocketAddr::new(dst_ip, p)).collect();
-    dst.send_command(&Command::Stor { path: dst_path.into(), size })?;
-    let opening = dst.read_reply()?;
-    if opening.code != 150 {
-        return Err(ClientError::Refused(opening));
-    }
+    dst.command_expect(&Command::Stor { path: dst_path.into(), size }, 150)?;
     // Source: connect out to the destination's ports and send.
     src.command_expect(&Command::Spor(targets), 200)?;
-    src.send_command(&Command::Retr(src_path.into()))?;
-    let opening = src.read_reply()?;
-    if opening.code != 150 {
-        return Err(ClientError::Refused(opening));
-    }
+    src.command_expect(&Command::Retr(src_path.into()), 150)?;
     src.expect_completion()?;
     dst.expect_completion()?;
     // End-to-end integrity: the destination recomputes the CRC.

@@ -8,17 +8,16 @@
 //! protocol code against a real network stack; the WAN-scale experiments
 //! use the deterministic simulator instead.
 
-use std::io::{BufRead, BufReader, Read, Write};
+use std::io::{BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-use bytes::Bytes;
 use gdmp_gsi::context::{make_token, verify_token, AuthToken};
 use gdmp_gsi::proxy::CredentialChain;
 
-use crate::block::{partition, Block, BlockDecoder, Reassembler};
+use crate::block::{recv_blocks, send_blocks, Channel};
 use crate::crc::crc32;
 use crate::protocol::{replies, Command, Reply};
 use crate::store::MemStore;
@@ -124,10 +123,10 @@ struct Session {
     parallelism: u32,
     mode: char,
     buffer: u64,
-    listeners: Vec<TcpListener>,
-    /// Active-mode (SPOR) targets: the server connects out to these for
-    /// the next transfer (third-party data flow to another server).
-    active_targets: Vec<SocketAddr>,
+    /// The next transfer's data channels: ports of our own after `SPAS`,
+    /// or, after `SPOR`, another server's ports to dial (third-party data
+    /// flow).
+    channels: Vec<Channel>,
 }
 
 impl Session {
@@ -141,8 +140,7 @@ impl Session {
             parallelism: 1,
             mode: 'S',
             buffer: 64 * 1024,
-            listeners: Vec::new(),
-            active_targets: Vec::new(),
+            channels: Vec::new(),
         }
     }
 
@@ -198,8 +196,7 @@ impl Session {
             }
             Command::Spas(n) => self.handle_spas(n),
             Command::Spor(addrs) => {
-                self.listeners.clear();
-                self.active_targets = addrs;
+                self.channels = addrs.into_iter().map(Channel::Dial).collect();
                 replies::ok("entering striped active mode")
             }
             Command::Size(path) => match self.store.size(&path) {
@@ -218,19 +215,10 @@ impl Session {
                     replies::cksm(crc32(&data[start..end]))
                 }
             },
-            Command::Retr(path) => match self.store.get(&path) {
-                None => replies::not_found(&path),
-                Some(data) => self.send_data(writer, data, 0)?,
-            },
-            Command::EretPartial { offset, length, path } => match self.store.get(&path) {
-                None => replies::not_found(&path),
-                Some(data) => {
-                    let start = offset.min(data.len() as u64) as usize;
-                    let end = (start + length as usize).min(data.len());
-                    let slice = data.slice(start..end);
-                    self.send_data(writer, slice, start as u64)?
-                }
-            },
+            Command::Retr(path) => self.serve(writer, &path, 0, u64::MAX)?,
+            Command::EretPartial { offset, length, path } => {
+                self.serve(writer, &path, offset, length)?
+            }
             Command::Stor { path, size } => self.recv_data(writer, &path, size)?,
             Command::Dele(path) => match self.store.delete(&path) {
                 Ok(()) => replies::deleted(),
@@ -265,13 +253,13 @@ impl Session {
     }
 
     fn handle_spas(&mut self, n: u32) -> Reply {
-        self.listeners.clear();
+        self.channels.clear();
         let mut ports = Vec::new();
         for _ in 0..n {
             match TcpListener::bind("127.0.0.1:0") {
                 Ok(l) => {
                     ports.push(l.local_addr().map(|a| a.port()).unwrap_or(0));
-                    self.listeners.push(l);
+                    self.channels.push(Channel::Accept(l));
                 }
                 Err(_) => return Reply::new(425, "cannot open data ports"),
             }
@@ -280,60 +268,36 @@ impl Session {
         replies::spas(&ports)
     }
 
-    /// Serve a RETR/ERET over the striped-passive channels, or — in SPOR
-    /// (active) mode — by connecting out to another server's data ports
-    /// (third-party transfer).
-    fn send_data(
+    /// Serve `length` bytes of `path` from `offset` (`RETR` asks for all
+    /// of it, `ERET P` for a range, each clamped to the file) over the
+    /// channels of the last `SPAS` or, for a third-party transfer, `SPOR`.
+    fn serve(
         &mut self,
         writer: &mut TcpStream,
-        data: Bytes,
-        base_offset: u64,
+        path: &str,
+        offset: u64,
+        length: u64,
     ) -> std::io::Result<Reply> {
-        if self.listeners.is_empty() && self.active_targets.is_empty() {
+        let Some(data) = self.store.get(path) else {
+            return Ok(replies::not_found(path));
+        };
+        if self.channels.is_empty() {
             return Ok(replies::bad_sequence("SPAS or SPOR before RETR"));
         }
         if self.mode != 'E' {
             return Ok(replies::bad_sequence("MODE E required for parallel transfer"));
         }
         send(writer, &replies::opening())?;
-        let channels = self.listeners.len().max(self.active_targets.len());
-        let mut parts = partition(&data, self.cfg.block_size, channels);
-        for list in &mut parts {
-            for b in list.iter_mut() {
-                if !b.is_eod() {
-                    b.offset += base_offset;
-                }
-            }
-        }
-        let mut threads: Vec<std::thread::JoinHandle<std::io::Result<()>>> = Vec::new();
-        if self.active_targets.is_empty() {
-            for (listener, blocks) in self.listeners.drain(..).zip(parts) {
-                threads.push(std::thread::spawn(move || -> std::io::Result<()> {
-                    let (mut conn, _) = accept_with_deadline(&listener, Duration::from_secs(10))?;
-                    for b in &blocks {
-                        conn.write_all(&b.encode())?;
-                    }
-                    conn.flush()?;
-                    Ok(())
-                }));
-            }
+        let start = offset.min(data.len() as u64);
+        let end = start.saturating_add(length).min(data.len() as u64);
+        let range = data.slice(start as usize..end as usize);
+        let sent =
+            send_blocks(std::mem::take(&mut self.channels), &range, start, self.cfg.block_size);
+        Ok(if sent.is_ok() {
+            replies::complete()
         } else {
-            for (addr, blocks) in std::mem::take(&mut self.active_targets).into_iter().zip(parts) {
-                threads.push(std::thread::spawn(move || -> std::io::Result<()> {
-                    let mut conn = TcpStream::connect(addr)?;
-                    for b in &blocks {
-                        conn.write_all(&b.encode())?;
-                    }
-                    conn.flush()?;
-                    Ok(())
-                }));
-            }
-        }
-        let mut failed = false;
-        for t in threads {
-            failed |= t.join().map(|r| r.is_err()).unwrap_or(true);
-        }
-        Ok(if failed { Reply::new(426, "data connection failed") } else { replies::complete() })
+            Reply::new(426, "data connection failed")
+        })
     }
 
     /// Receive a STOR over the striped-passive channels.
@@ -343,93 +307,26 @@ impl Session {
         path: &str,
         size: u64,
     ) -> std::io::Result<Reply> {
-        if self.listeners.is_empty() {
+        if !matches!(self.channels.first(), Some(Channel::Accept(_))) {
             return Ok(replies::bad_sequence("SPAS before STOR"));
         }
         if self.mode != 'E' {
             return Ok(replies::bad_sequence("MODE E required for parallel transfer"));
         }
         send(writer, &replies::opening())?;
-        let channels = self.listeners.len();
-        let mut threads = Vec::new();
-        for listener in self.listeners.drain(..) {
-            threads.push(std::thread::spawn(move || -> std::io::Result<Vec<Block>> {
-                let (mut conn, _) = accept_with_deadline(&listener, Duration::from_secs(10))?;
-                let mut dec = BlockDecoder::new();
-                let mut out = Vec::new();
-                let mut buf = [0u8; 64 * 1024];
-                loop {
-                    let n = conn.read(&mut buf)?;
-                    if n == 0 {
-                        break;
-                    }
-                    dec.feed(&buf[..n]);
-                    while let Some(b) = dec.next_block().map_err(|e| {
-                        std::io::Error::new(std::io::ErrorKind::InvalidData, e.to_string())
-                    })? {
-                        let done = b.is_eod();
-                        out.push(b);
-                        if done {
-                            return Ok(out);
-                        }
-                    }
-                }
-                Ok(out)
-            }));
-        }
-        let mut reasm = Reassembler::new(size, channels);
-        let mut failed = false;
-        for t in threads {
-            match t.join() {
-                Ok(Ok(blocks)) => {
-                    for b in blocks {
-                        if reasm.accept(&b).is_err() {
-                            failed = true;
-                        }
-                    }
-                }
-                _ => failed = true,
+        match recv_blocks(std::mem::take(&mut self.channels), 0, size) {
+            Ok(reasm) if reasm.is_complete() => {
+                self.store.put(path, reasm.into_bytes());
+                Ok(replies::complete())
             }
+            _ => Ok(Reply::new(451, "upload incomplete")),
         }
-        if failed || !reasm.is_complete() {
-            return Ok(Reply::new(451, "upload incomplete"));
-        }
-        self.store.put(path, reasm.into_bytes());
-        Ok(replies::complete())
     }
 }
 
 fn send(stream: &mut TcpStream, reply: &Reply) -> std::io::Result<()> {
     stream.write_all(reply.format().as_bytes())?;
     stream.write_all(b"\r\n")
-}
-
-/// Accept with a deadline on a listener left in non-blocking-capable state.
-pub(crate) fn accept_with_deadline(
-    listener: &TcpListener,
-    deadline: Duration,
-) -> std::io::Result<(TcpStream, SocketAddr)> {
-    listener.set_nonblocking(true)?;
-    let start = std::time::Instant::now();
-    loop {
-        match listener.accept() {
-            Ok(pair) => {
-                pair.0.set_nonblocking(false)?;
-                pair.0.set_read_timeout(Some(Duration::from_secs(30)))?;
-                return Ok(pair);
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                if start.elapsed() > deadline {
-                    return Err(std::io::Error::new(
-                        std::io::ErrorKind::TimedOut,
-                        "no data connection arrived",
-                    ));
-                }
-                std::thread::sleep(Duration::from_millis(1));
-            }
-            Err(e) => return Err(e),
-        }
-    }
 }
 
 #[cfg(test)]
