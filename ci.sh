@@ -4,6 +4,9 @@
 #
 #   ./ci.sh                fmt + unsafe gate + owned-state gate (no
 #                          `thread_local!` or `static mut` under crates/*/src)
+#                          + size ledger (prints each crate's non-test lines:
+#                          every crates/*/src file up to its first column-0
+#                          `#[cfg(test)]`, and their total)
 #                          + cited-path gate (every crate,
 #                          example and scenario path and every
 #                          `<crate>::<module>` README, DESIGN, EXPERIMENTS and
@@ -68,6 +71,12 @@ if grep -rnE 'thread_local!|static mut' crates/*/src; then
   echo "the lines above keep state no value owns; hand it to the value that uses it (DESIGN §10)" >&2
   exit 1
 fi
+
+echo "==> size ledger: non-test lines per crate (each crates/*/src file up to its first column-0 #[cfg(test)])"
+for crate in crates/*/; do
+  printf '%-16s %6d\n' "$(basename "$crate")" "$(find "${crate}src" -name '*.rs' -print0 | sort -z |
+    xargs -0 awk '/^#\[cfg\(test\)\]/ { nextfile } { n++ } END { print n + 0 }')"
+done | awk '{ print; total += $2 } END { printf "%-16s %6d\n", "total", total }'
 
 echo "==> cited paths: every crate, example, scenario and module the docs cite exists"
 docs=(README.md DESIGN.md EXPERIMENTS.md ROADMAP.md)
