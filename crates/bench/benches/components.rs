@@ -7,7 +7,7 @@ use gdmp::{Grid, SiteConfig};
 use gdmp_gridftp::block::{partition, Reassembler};
 use gdmp_gridftp::crc::{crc32, Crc32};
 use gdmp_objectstore::{
-    synth_payload, CopierSpec, DatabaseFile, Federation, LogicalOid, ObjectCopier,
+    synth_payload, CopierSpec, DatabaseFile, Federation, FreshObject, LogicalOid, ObjectCopier,
     ObjectFileCatalog, ObjectKind, StoredObject,
 };
 use gdmp_replica_catalog::ldap::attrs;
@@ -149,6 +149,24 @@ fn bench_objectstore(c: &mut Criterion) {
         let image = fed.export("d.db").unwrap();
         b.iter(|| DatabaseFile::decode(black_box(image.clone())).unwrap())
     });
+    // A produced file's replica landing at a second federation: GDMP's
+    // post-processing attach decodes the image and indexes its objects.
+    g.bench_function("attach_replica_2000", |b| {
+        let objects: Vec<FreshObject> = (0..2_000)
+            .map(|e| FreshObject {
+                logical: LogicalOid::new(e, ObjectKind::Aod),
+                version: 1,
+                len: 512,
+            })
+            .collect();
+        let mut cern = Federation::new("cern");
+        cern.produce("d.db", &objects).unwrap();
+        let image = cern.export("d.db").unwrap();
+        b.iter_with_setup(
+            || Federation::new("fnal"),
+            |mut fnal| fnal.attach(black_box(image.clone())).unwrap(),
+        )
+    });
     // A population at `object_analysis`'s shape, a fifth of its events:
     // tag, AOD and ESD, 2 000 events per file, sizes scaled 0.01, built
     // and published at one site.
@@ -175,12 +193,23 @@ fn bench_objectstore(c: &mut Criterion) {
 /// objects spread over 50 of them, half of it also in an extraction file.
 fn bench_object_view(c: &mut Criterion) {
     let mut g = c.benchmark_group("object_view");
-    let mut view = ObjectFileCatalog::new();
-    for f in 0..150u64 {
-        let objects: Vec<_> =
-            (f * 2_000..(f + 1) * 2_000).map(|e| LogicalOid::new(e, ObjectKind::Aod)).collect();
-        view.record_file(&format!("aod.{f:04}.db"), &objects);
-    }
+    let files: Vec<(String, Vec<LogicalOid>)> = (0..150u64)
+        .map(|f| {
+            let objects =
+                (f * 2_000..(f + 1) * 2_000).map(|e| LogicalOid::new(e, ObjectKind::Aod)).collect();
+            (format!("aod.{f:04}.db"), objects)
+        })
+        .collect();
+    let record = || {
+        let mut view = ObjectFileCatalog::new();
+        for (name, objects) in &files {
+            view.record_file(name, objects);
+        }
+        view
+    };
+    // Recording the population's files into a fresh view (and dropping it).
+    g.bench_function("record_150x2000", |b| b.iter(&record));
+    let mut view = record();
     let every = |n: usize| -> Vec<LogicalOid> {
         (0..100_000).step_by(n).map(|e| LogicalOid::new(e, ObjectKind::Aod)).collect()
     };

@@ -11,12 +11,13 @@
 //! 3. the **file replica catalog** (crate `gdmp-replica-catalog`) — file
 //!    names resolve to physical site locations.
 
+use std::collections::hash_map::Entry;
 use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
 
 use gdmp_intern::Interner;
 
-use crate::model::{LogicalOid, ObjectKind};
+use crate::model::{LogicalOid, ObjectKind, OidMap};
 
 /// Step 1: named event selections ("the 10⁶ events where the sought-after
 /// phenomenon occurred").
@@ -76,10 +77,62 @@ pub struct ObjectFileCatalog {
     names: Interner,
     /// File id → objects recorded for it (`None`: forgotten).
     by_file: Vec<Option<Vec<LogicalOid>>>,
-    /// Object → ids of the files holding it, in file-name order, never empty.
-    by_object: HashMap<LogicalOid, Vec<u32>>,
+    /// Object → ids of the files holding it.
+    by_object: OidMap<Holders>,
     /// Collective lookups served (the scalability-critical operation).
     pub lookups: u64,
+}
+
+/// The ids of the files holding one object, in file-name order, never
+/// empty: most objects have one holder, kept in place, and a `Vec` is
+/// made only from the second on.
+#[derive(Debug, Clone)]
+enum Holders {
+    One(u32),
+    /// Two or more.
+    Many(Vec<u32>),
+}
+
+impl Holders {
+    fn as_slice(&self) -> &[u32] {
+        match self {
+            Holders::One(id) => std::slice::from_ref(id),
+            Holders::Many(ids) => ids,
+        }
+    }
+
+    /// Add file `id`, named `name`, at its place in name order; false if
+    /// it holds the object already. Membership is checked by id, so a
+    /// re-record resolves no name.
+    fn insert(&mut self, id: u32, name: &str, names: &Interner) -> bool {
+        if self.as_slice().contains(&id) {
+            return false;
+        }
+        let at = self.as_slice().partition_point(|h| names.resolve(*h) < name);
+        match self {
+            Holders::One(first) => {
+                let mut ids = vec![*first; 2];
+                ids[at] = id;
+                *self = Holders::Many(ids);
+            }
+            Holders::Many(ids) => ids.insert(at, id),
+        }
+        true
+    }
+
+    /// Drop file `id`; true when no holder is left.
+    fn remove(&mut self, id: u32) -> bool {
+        match self {
+            Holders::One(only) => *only == id,
+            Holders::Many(ids) => {
+                ids.retain(|h| *h != id);
+                if let &[only] = &ids[..] {
+                    *self = Holders::One(only);
+                }
+                false
+            }
+        }
+    }
 }
 
 /// One pass over a request through `by_object`: everything the cover and
@@ -115,12 +168,17 @@ impl ObjectFileCatalog {
         if id as usize == self.by_file.len() {
             self.by_file.push(None);
         }
-        let names = &self.names;
-        let recorded = self.by_file[id as usize].get_or_insert_with(Vec::new);
+        let recorded =
+            self.by_file[id as usize].get_or_insert_with(|| Vec::with_capacity(objects.len()));
         for &o in objects {
-            let holders = self.by_object.entry(o).or_default();
-            if let Err(at) = holders.binary_search_by(|h| names.resolve(*h).cmp(file)) {
-                holders.insert(at, id);
+            let added = match self.by_object.entry(o) {
+                Entry::Vacant(slot) => {
+                    slot.insert(Holders::One(id));
+                    true
+                }
+                Entry::Occupied(mut holders) => holders.get_mut().insert(id, file, &self.names),
+            };
+            if added {
                 recorded.push(o);
             }
         }
@@ -130,17 +188,16 @@ impl ObjectFileCatalog {
     pub fn forget_file(&mut self, file: &str) {
         let Some(id) = self.names.try_id(file) else { return };
         for o in self.by_file[id as usize].take().unwrap_or_default() {
-            if let Some(holders) = self.by_object.get_mut(&o) {
-                holders.retain(|h| *h != id);
-                if holders.is_empty() {
-                    self.by_object.remove(&o);
+            if let Entry::Occupied(mut holders) = self.by_object.entry(o) {
+                if holders.get_mut().remove(id) {
+                    holders.remove();
                 }
             }
         }
     }
 
     fn holders(&self, o: LogicalOid) -> &[u32] {
-        self.by_object.get(&o).map_or(&[], Vec::as_slice)
+        self.by_object.get(&o).map_or(&[], Holders::as_slice)
     }
 
     fn recorded(&self, file: &str) -> Option<&Vec<LogicalOid>> {

@@ -6,6 +6,7 @@
 //! catalog actually names.
 
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 use bytes::{Buf, BufMut, Bytes};
 
@@ -178,6 +179,7 @@ impl DatabaseFile {
         }
         let ncont = get_u32(buf)?;
         let mut containers = BTreeMap::new();
+        let mut labels = Vec::new();
         for _ in 0..ncont {
             let cid = get_u32(buf)?;
             let nobj = get_u64(buf)?;
@@ -195,7 +197,7 @@ impl DatabaseFile {
                 let nassoc = get_u16(buf)?;
                 let mut assocs = Vec::with_capacity(usize::from(nassoc));
                 for _ in 0..nassoc {
-                    let label = get_str(buf)?;
+                    let label = get_label(buf, &mut labels)?;
                     let ev = get_u64(buf)?;
                     let kc = get_u16(buf)?;
                     let k = ObjectKind::from_code(kc).ok_or(CodecError::BadKindCode(kc))?;
@@ -293,7 +295,7 @@ fn record_len<'a>(len: usize, assocs: impl Iterator<Item = (&'a str, LogicalOid)
 
 /// A stored object's associations as the record writer takes them.
 fn links(assocs: &[Association]) -> impl ExactSizeIterator<Item = (&str, LogicalOid)> {
-    assocs.iter().map(|a| (a.label.as_str(), a.target))
+    assocs.iter().map(|a| (&*a.label, a.target))
 }
 
 fn put_str(buf: &mut Vec<u8>, s: &str) {
@@ -308,6 +310,36 @@ fn get_str(buf: &mut Bytes) -> Result<String, CodecError> {
     }
     let raw = buf.copy_to_bytes(len);
     String::from_utf8(raw.to_vec()).map_err(|_| CodecError::Truncated)
+}
+
+/// Distinct labels an image's decode shares; any beyond are allocated per
+/// association, which keeps the search for a seen label short whatever
+/// the image holds.
+const SHARED_LABELS: usize = 16;
+
+/// An association label, shared with every earlier one of the same text
+/// in `seen` (the first distinct labels of this image): an image holds
+/// about one distinct label, so each is allocated once per image, not per
+/// object.
+fn get_label(buf: &mut Bytes, seen: &mut Vec<Arc<str>>) -> Result<Arc<str>, CodecError> {
+    let len = usize::from(get_u16(buf)?);
+    if buf.remaining() < len {
+        return Err(CodecError::Truncated);
+    }
+    let raw = &buf[..len];
+    let label = match seen.iter().find(|l| l.as_bytes() == raw) {
+        Some(label) => label.clone(),
+        None => {
+            let label: Arc<str> =
+                std::str::from_utf8(raw).map_err(|_| CodecError::Truncated)?.into();
+            if seen.len() < SHARED_LABELS {
+                seen.push(label.clone());
+            }
+            label
+        }
+    };
+    buf.advance(len);
+    Ok(label)
 }
 
 macro_rules! getter {

@@ -11,12 +11,13 @@
 //!   at the remote site has no awareness of the files in other sites"
 //!   (Section 2.1).
 
+use std::collections::hash_map::Entry;
 use std::collections::{BTreeMap, HashMap};
 
 use bytes::Bytes;
 
 use crate::database::{CodecError, DatabaseFile};
-use crate::model::{Association, FreshObject, LogicalOid, ObjectKind, Oid, StoredObject};
+use crate::model::{Association, FreshObject, LogicalOid, ObjectKind, Oid, OidMap, StoredObject};
 use crate::schema::{SchemaError, SchemaRegistry};
 
 /// Federation-level errors.
@@ -92,7 +93,7 @@ pub struct Federation {
     db_ids: BTreeMap<String, u32>,
     /// logical → (physical oid, version): highest version wins. The oid's
     /// `db` names the file, so no file name is stored per object.
-    index: HashMap<LogicalOid, (Oid, u32)>,
+    index: OidMap<(Oid, u32)>,
     /// The image of each file this federation produced, by file name, until
     /// the file changes or is detached: its objects' payloads are views
     /// into it, and [`export`](Self::export) hands it out while its schema
@@ -138,7 +139,7 @@ impl Federation {
         let sorted = objects.windows(2).all(|w| {
             (w[0].logical.kind, w[0].logical.event) < (w[1].logical.kind, w[1].logical.event)
         });
-        let mut earlier: HashMap<LogicalOid, u32> = HashMap::new();
+        let mut earlier: OidMap<u32> = OidMap::default();
         for o in objects {
             let newest = earlier.get(&o.logical).or(self.index.get(&o.logical).map(|(_, v)| v));
             if newest.is_some_and(|&v| v >= o.version) {
@@ -299,7 +300,7 @@ impl Federation {
             let obj = self.get(from)?;
             obj.assocs
                 .iter()
-                .find(|a| a.label == label)
+                .find(|a| &*a.label == label)
                 .cloned()
                 .ok_or_else(|| FedError::NoSuchAssociation { from, label: label.to_string() })?
         };
@@ -318,11 +319,14 @@ impl Federation {
         self.index.len()
     }
 
-    fn index_insert(index: &mut HashMap<LogicalOid, (Oid, u32)>, oid: Oid, obj: &StoredObject) {
-        match index.get(&obj.logical) {
-            Some((_, v)) if *v >= obj.version => {}
-            _ => {
-                index.insert(obj.logical, (oid, obj.version));
+    fn index_insert(index: &mut OidMap<(Oid, u32)>, oid: Oid, obj: &StoredObject) {
+        match index.entry(obj.logical) {
+            Entry::Occupied(mut held) if held.get().1 < obj.version => {
+                held.insert((oid, obj.version));
+            }
+            Entry::Occupied(_) => {}
+            Entry::Vacant(slot) => {
+                slot.insert((oid, obj.version));
             }
         }
     }

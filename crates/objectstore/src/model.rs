@@ -14,6 +14,10 @@
 //! paper's "two files have to be treated as associated files" problem
 //! arises.
 
+use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
+use std::sync::Arc;
+
 use bytes::Bytes;
 use serde::{Deserialize, Serialize};
 
@@ -100,6 +104,50 @@ impl LogicalOid {
     }
 }
 
+/// The hasher of [`LogicalOid`] keys: a multiply-rotate fold of the
+/// words the derived `Hash` writes (the event, then the kind's
+/// discriminant). The keys are event numbers the grid's own producers
+/// assign, read from images that arrive from authenticated sites, so
+/// SipHash's keyed defence against crafted collisions is not worth its
+/// cost on the object plane's per-object maps.
+#[derive(Default)]
+pub(crate) struct OidHasher(u64);
+
+impl OidHasher {
+    const K: u64 = 0xf135_7aea_2e62_a9c5;
+
+    fn word(&mut self, w: u64) {
+        self.0 = self.0.wrapping_add(w).wrapping_mul(Self::K);
+    }
+}
+
+impl Hasher for OidHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for chunk in bytes.chunks(8) {
+            let mut w = [0; 8];
+            w[..chunk.len()].copy_from_slice(chunk);
+            self.word(u64::from_le_bytes(w));
+        }
+    }
+
+    fn write_u64(&mut self, n: u64) {
+        self.word(n);
+    }
+
+    fn write_usize(&mut self, n: usize) {
+        self.word(n as u64);
+    }
+
+    /// The product's high bits are its best mixed; the rotation brings
+    /// them down to where the table takes its bucket index.
+    fn finish(&self) -> u64 {
+        self.0.rotate_left(26)
+    }
+}
+
+/// A map keyed by [`LogicalOid`], hashed with [`OidHasher`].
+pub(crate) type OidMap<V> = HashMap<LogicalOid, V, BuildHasherDefault<OidHasher>>;
+
 impl std::fmt::Display for LogicalOid {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(f, "{}#{}", self.kind.name(), self.event)
@@ -121,9 +169,11 @@ impl std::fmt::Display for Oid {
 }
 
 /// A navigational association: a labelled link to another logical object.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+/// A decoded image shares one allocation per distinct label among all its
+/// objects.
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Association {
-    pub label: String,
+    pub label: Arc<str>,
     pub target: LogicalOid,
 }
 
@@ -185,7 +235,7 @@ pub fn synth_fill(logical: LogicalOid, version: u32, out: &mut [u8]) {
 /// upstream (larger, earlier-stage) object of the same event.
 pub fn standard_assocs(logical: LogicalOid) -> Vec<Association> {
     standard_link(logical)
-        .map(|(label, target)| Association { label: label.to_string(), target })
+        .map(|(label, target)| Association { label: label.into(), target })
         .into_iter()
         .collect()
 }

@@ -1,4 +1,7 @@
-//! Property tests: codec safety, federation invariants, cover completeness.
+//! Property tests: codec safety, federation invariants, cover completeness,
+//! the object view against a set-based oracle.
+
+use std::collections::{BTreeMap, BTreeSet};
 
 use bytes::Bytes;
 use proptest::prelude::*;
@@ -34,7 +37,7 @@ fn arb_object() -> impl Strategy<Value = StoredObject> {
                 assocs: assocs
                     .into_iter()
                     .map(|(label, ev, k)| Association {
-                        label: label.chars().take(40).collect(),
+                        label: label.chars().take(40).collect::<String>().into(),
                         target: LogicalOid::new(ev, k),
                     })
                     .collect(),
@@ -165,6 +168,60 @@ proptest! {
             let logical = LogicalOid::new(e, ObjectKind::Aod);
             let obj = dst.get(logical).unwrap();
             prop_assert_eq!(&obj.payload, &synth_payload(logical, 1, 64));
+        }
+    }
+
+    /// The object view's holder lists against sets of names, through
+    /// random records, re-records and forgets of files recorded in an
+    /// order that is not their name order: every object passes between
+    /// one holder and many and back, and `files_of` keeps name order.
+    #[test]
+    fn object_view_matches_a_set_oracle(
+        ops in proptest::collection::vec(
+            (0u8..4, 0usize..6, proptest::collection::vec(0u64..12, 0..8)),
+            1..40,
+        ),
+    ) {
+        const NAMES: [&str; 6] = ["m.db", "c.db", "x.db", "a.db", "q.db", "b.db"];
+        let aod = |e: u64| LogicalOid::new(e, ObjectKind::Aod);
+        let mut view = ObjectFileCatalog::new();
+        let mut holders: BTreeMap<LogicalOid, BTreeSet<String>> = BTreeMap::new();
+        let mut recorded: BTreeMap<String, Vec<LogicalOid>> = BTreeMap::new();
+        for (op, file, events) in ops {
+            let name = NAMES[file];
+            if op == 0 {
+                view.forget_file(name);
+                for o in recorded.remove(name).unwrap_or_default() {
+                    let files = holders.get_mut(&o).unwrap();
+                    files.remove(name);
+                    if files.is_empty() {
+                        holders.remove(&o);
+                    }
+                }
+            } else {
+                let objects: Vec<LogicalOid> = events.iter().map(|&e| aod(e)).collect();
+                view.record_file(name, &objects);
+                let held = recorded.entry(name.to_string()).or_default();
+                for o in objects {
+                    if holders.entry(o).or_default().insert(name.to_string()) {
+                        held.push(o);
+                    }
+                }
+            }
+            for e in 0..12 {
+                let want: Vec<&str> =
+                    holders.get(&aod(e)).into_iter().flatten().map(String::as_str).collect();
+                prop_assert_eq!(view.files_of(aod(e)), want);
+            }
+            for name in NAMES {
+                prop_assert_eq!(
+                    view.objects_in(name),
+                    recorded.get(name).map_or(&[][..], Vec::as_slice)
+                );
+            }
+            prop_assert_eq!(view.object_count(), holders.len());
+            let snapshot: Vec<(String, Vec<LogicalOid>)> = recorded.clone().into_iter().collect();
+            prop_assert_eq!(view.snapshot(), snapshot);
         }
     }
 }

@@ -1,8 +1,9 @@
 //! `Population::build` writes each database file once, as the image it
 //! publishes, and indexes the objects as views into that image: no
-//! per-object payload buffer, file name or second encoding of the file.
-//! The guard counts heap allocations (per thread, so nothing else running
-//! in the process leaks in) and measures no time.
+//! per-object payload buffer, file name, second encoding of the file,
+//! holder list or association label; what is left per object is its
+//! associations' `Vec`. The guard counts heap allocations (per thread, so
+//! nothing else running in the process leaks in) and measures no time.
 
 #[path = "../../telemetry/tests/counting_alloc/mod.rs"]
 mod counting_alloc;
@@ -15,7 +16,7 @@ use gdmp_workloads::{Placement, Population};
 const KINDS: &[ObjectKind] = &[ObjectKind::Tag, ObjectKind::Aod, ObjectKind::Esd];
 
 #[test]
-fn build_allocates_at_most_five_times_per_object() {
+fn build_allocates_at_most_one_and_a_half_times_per_object() {
     let mut grid = Grid::new("alloc-probe");
     grid.add_site(SiteConfig::named("cern", "cern.ch", 1));
     grid.add_site(SiteConfig::named("anl", "anl.gov", 2));
@@ -31,7 +32,7 @@ fn build_allocates_at_most_five_times_per_object() {
         pop.build(&mut grid, "cern").unwrap();
     });
     assert!(
-        allocations <= 5 * objects,
+        2 * allocations <= 3 * objects,
         "Population::build made {allocations} allocations for {objects} objects ({:.2} each)",
         allocations as f64 / objects as f64
     );
